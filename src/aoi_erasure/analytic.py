@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.optimize import bisect
-
 from .model import AnalyticSolution, Feedback, Regime
 
 __all__ = [
@@ -82,12 +80,6 @@ def _require_m(M: int) -> int:
     return m
 
 
-def _as_feedback(setting: Feedback | str) -> Feedback:
-    if isinstance(setting, Feedback):
-        return setting
-    return Feedback(str(setting).strip().lower())
-
-
 def exp_max_moments(gamma: float) -> MaxMoments:
     """Moments of the wait max(gamma, tau), tau ~ exp(1).
 
@@ -124,8 +116,20 @@ def _bisect_checked(f: Callable[[float], float], lo: float, hi: float, cfg: Root
         raise BracketError(
             f"no sign change on [{lo:g}, {hi:g}] (f(lo) = {flo:g}, f(hi) = {fhi:g}); adjust the bracket"
         )
-    root = bisect(f, lo, hi, xtol=cfg.tol, maxiter=cfg.max_iter, disp=True)
-    # bisection converged to xtol; the residual should be derivative-small
+    # plain bisection; flo keeps the sign of the lower end, so only lo moves
+    # on a same-sign midpoint and the bracket width halves every step
+    width = hi - lo
+    for _ in range(cfg.max_iter):
+        width *= 0.5
+        root = lo + width
+        fmid = f(root)
+        if fmid * flo >= 0.0:
+            lo = root
+        if fmid == 0.0 or width < cfg.tol:
+            break
+    else:
+        raise RuntimeError(f"bisection did not converge in {cfg.max_iter} iterations, value is {lo!r}")
+    # bisection converged to tol; the residual should be derivative-small
     h = 1e-6
     slope = abs(f(root + h) - f(root - h)) / (2.0 * h)
     if abs(f(root)) > (slope + 1.0) * cfg.tol * 1e3:
@@ -243,7 +247,7 @@ def optimize_gamma(
     boundary is then compared explicitly because for enough sources the
     minimizer sits exactly there.
     """
-    setting = _as_feedback(setting)
+    setting = Feedback(setting)
     if setting is Feedback.NOFB:
         f = lambda g: aoi_rr_nofb(q, M, g)
     else:
@@ -259,7 +263,7 @@ def optimize_gamma(
 def baseline_infinite_battery(q: float, setting: Feedback | str) -> float:
     """Optimal average AoI with an infinite battery, used as a lower bound."""
     q = _require_q(q)
-    if _as_feedback(setting) is Feedback.NOFB:
+    if Feedback(setting) is Feedback.NOFB:
         return (1.0 + q) / (2.0 * (1.0 - q))
     return 1.0 / (2.0 * (1.0 - q))
 

@@ -261,7 +261,12 @@ def _cmd_simulate(opts: dict) -> int:
     return 0
 
 
-def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedback, float]]:
+def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedback, float, float]]:
+    """Deduplicated, sorted (q, M, setting, gamma, gamma_star) grid cells.
+
+    gamma_star is optimized once per (q, M, setting) and serves both the
+    'optimal' gamma token and the gamma_star column.
+    """
     qs = _parse_floats(opts["q"], "--q")
     for q in qs:
         _check_q_scalar(q)
@@ -273,13 +278,14 @@ def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedb
     for q in qs:
         for M in ms:
             for setting in settings:
+                gamma_star, _ = optimize_gamma(q, M, setting)
                 for spec in gamma_specs:
-                    gamma = _resolve_gamma(spec, q, M, setting)
+                    gamma = gamma_star if spec == "optimal" else float(spec)
                     key = (round(q, 12), M, setting, round(gamma, 12))
                     if key in seen:
                         continue
                     seen.add(key)
-                    cells.append((q, M, setting, gamma))
+                    cells.append((q, M, setting, gamma, gamma_star))
     cells.sort(key=lambda c: (c[0], c[1], c[2].value, c[3]))
     return cells
 
@@ -289,9 +295,8 @@ def _cmd_sweep(opts: dict) -> int:
         raise UsageError("sweep requires --q and --setting (comma lists allowed)")
     cells = _grid_cells(opts, default_gammas="optimal")
     lines = [_CSV_HEADER]
-    for q, M, setting, gamma in cells:
+    for q, M, setting, gamma, gamma_star in cells:
         analytic = closed_form_aoi(q, M, setting, gamma)
-        gamma_star, _ = optimize_gamma(q, M, setting)
         base = baseline_infinite_battery(q, setting)
         if opts["epochs"]:
             rec = validate(q, M, setting, gamma, opts["epochs"], opts["seed"])
@@ -321,9 +326,8 @@ def _cmd_validate(opts: dict) -> int:
     lines = [_CSV_HEADER]
     all_pass = True
     wide = 0
-    for q, M, setting, gamma in cells:
+    for q, M, setting, gamma, gamma_star in cells:
         rec = validate(q, M, setting, gamma, epochs, opts["seed"], rel_tol=rel_tol)
-        gamma_star, _ = optimize_gamma(q, M, setting)
         base = baseline_infinite_battery(q, setting)
         all_pass &= rec.passed
         if 3.0 * rec.sim_ci > rel_tol * rec.analytic:

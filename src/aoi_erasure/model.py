@@ -20,6 +20,13 @@ class Feedback(str, Enum):
     NOFB = "nofb"
     WFB = "wfb"
 
+    @classmethod
+    def _missing_(cls, value: object) -> Feedback | None:
+        # lets Feedback(" WFB ") coerce; anything else still raises ValueError
+        if isinstance(value, str):
+            return cls._value2member_map_.get(value.strip().lower())
+        return None
+
 
 class Scheduler(str, Enum):
     """How attempts are assigned to sources when M >= 2."""

@@ -494,7 +494,7 @@ def make_config(
     erasure_seed: int | None = None,
 ) -> SimConfig:
     """Convenience constructor picking the canonical scheduler for M."""
-    feedback = setting if isinstance(setting, Feedback) else Feedback(str(setting).strip().lower())
+    feedback = Feedback(setting)
     if M == 1:
         scheduler = Scheduler.SINGLE
     elif feedback is Feedback.NOFB:

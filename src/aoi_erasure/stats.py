@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .analytic import aoi_maf_wfb, aoi_rr_nofb
 from .model import EpochRecord, Feedback
@@ -69,13 +68,17 @@ def batch_means_ci(batches: np.ndarray) -> float:
     b = batches.size
     if b < 2:
         return 0.0
+    # imported here: scipy.stats costs about a second to import and only
+    # horizon-stopped runs need this quantile
+    from scipy.stats import t as student_t
+
     se = float(np.std(batches, ddof=1)) / np.sqrt(b)
     return float(student_t.ppf(0.975, b - 1)) * se
 
 
 def closed_form_aoi(q: float, M: int, setting: Feedback | str, gamma: float) -> float:
     """Dispatch to the closed form matching the feedback setting."""
-    setting = Feedback(setting) if not isinstance(setting, Feedback) else setting
+    setting = Feedback(setting)
     if setting is Feedback.NOFB:
         return aoi_rr_nofb(q, M, gamma)
     return aoi_maf_wfb(q, M, gamma)
@@ -131,7 +134,7 @@ def validate(
     so a cell passes either because it is statistically indistinguishable
     or because it is numerically close.
     """
-    setting = Feedback(setting) if not isinstance(setting, Feedback) else setting
+    setting = Feedback(setting)
     analytic = closed_form_aoi(q, M, setting, gamma)
     point, ci = _simulate_pooled(q, M, setting, gamma, n_epochs, seed)
     passed = abs(point - analytic) <= max(3.0 * ci, rel_tol * analytic)
@@ -170,7 +173,7 @@ def grid_oracle_gamma(
     """
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
-    setting = Feedback(setting) if not isinstance(setting, Feedback) else setting
+    setting = Feedback(setting)
     gammas = np.arange(0.0, _GRID_HI + 0.5 * grid_step, grid_step)
     if n_epochs is None:
         vals = [closed_form_aoi(q, M, setting, g) for g in gammas]
@@ -188,7 +191,7 @@ def sim_gamma_curve(
     seed: int = 0,
 ) -> list[RenewalEstimate]:
     """Simulated AoI estimates along a gamma grid, common random numbers."""
-    setting = Feedback(setting) if not isinstance(setting, Feedback) else setting
+    setting = Feedback(setting)
     out = []
     for g in gammas:
         point, ci = _simulate_pooled(q, M, setting, g, n_epochs, seed)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from aoi_erasure.analytic import (
     BracketError,
     RootSolverConfig,
+    _bisect_checked,
     aoi_maf_wfb,
     aoi_rr_nofb,
     baseline_infinite_battery,
@@ -135,6 +136,35 @@ class TestSolveNofb:
     def test_bracket_misconfiguration(self):
         with pytest.raises(BracketError):
             solve_nofb(0.0, RootSolverConfig(bracket_hi=0.1))
+
+
+class TestBisection:
+    """The hand-rolled bisection against scipy's on the same brackets."""
+
+    def test_nofb_threshold_matches_scipy(self):
+        from scipy.optimize import bisect
+
+        for q in np.round(np.arange(0.0, 0.495, 0.01), 2):
+            q = float(q)
+            ref = bisect(lambda x: p_nofb(x, q), 0.0, 50.0, xtol=1e-12, maxiter=200)
+            assert abs(solve_nofb(q).threshold - ref) < 1e-11, q
+
+    def test_wfb_lambda_star_matches_scipy(self):
+        from scipy.optimize import bisect
+
+        for q in np.round(np.arange(0.0, 0.985, 0.01), 2):
+            q = float(q)
+            ref = bisect(lambda x: p_wfb(x, q), q / (1.0 - q), 50.0, xtol=1e-12, maxiter=200)
+            assert abs(solve_wfb(q).lambda_star - ref) < 1e-11, q
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(RuntimeError):
+            solve_nofb(0.2, RootSolverConfig(max_iter=5))
+
+    @pytest.mark.parametrize("root", [1.0, 2.0, 3.0])
+    def test_exact_zeros_returned_as_is(self, root):
+        # endpoints and the first midpoint of [1, 3] are exact zeros
+        assert _bisect_checked(lambda x: x - root, 1.0, 3.0, RootSolverConfig()) == root
 
 
 class TestPwfb:

@@ -1,8 +1,15 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import aoi_erasure
 from aoi_erasure import cli
+from aoi_erasure.analytic import optimize_gamma
 from aoi_erasure.cli import main
 from aoi_erasure.model import Feedback
 from aoi_erasure.stats import ValidationRecord
@@ -192,6 +199,50 @@ class TestValidate:
                    "--gamma", "0", "--epochs", "100"])
         assert rc == 3
         assert capsys.readouterr().out.strip().splitlines()[1].endswith("FAIL")
+
+
+class TestGridCells:
+    def test_gamma_star_optimized_once_per_q_m_setting(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(q, M, setting, *args):
+            calls.append((q, M, setting))
+            return optimize_gamma(q, M, setting, *args)
+
+        monkeypatch.setattr(cli, "optimize_gamma", counting)
+        assert main(["validate", "--q", "0.3,0.6", "--m", "1,2", "--setting", "nofb,wfb",
+                     "--gamma", "0,0.2,optimal", "--epochs", "500", "--seed", "5"]) in (0, 3)
+        assert len(calls) == len(set(calls)) == 8
+        lines = capsys.readouterr().out.strip().splitlines()
+        for line in lines[1:]:
+            q, M, setting, _, _, gamma_star = line.split(",")[:6]
+            expected, _ = optimize_gamma(float(q), int(M), setting)
+            assert gamma_star == f"{expected:.6f}"
+
+
+class TestColdStart:
+    def test_cli_paths_never_import_scipy(self, tmp_path):
+        # scipy is a second of import time; no CLI command may pull it in
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from aoi_erasure.cli import main
+            main(["validate", "--q", "0.3", "--m", "2", "--epochs", "2000"])
+            rc = main(["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "2000",
+                       "--trace", "--out", {str(tmp_path / "events.log")!r}])
+            assert rc == 0, rc
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        src = str(Path(aoi_erasure.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "events.log").stat().st_size > 0
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestConfigFile:

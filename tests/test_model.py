@@ -126,6 +126,16 @@ class TestPolicySpec:
         assert p.feedback is Feedback.NOFB
         assert p.scheduler is Scheduler.ROUND_ROBIN
 
+    @pytest.mark.parametrize("text", ["wfb", "WFB", " wfb\n"])
+    def test_feedback_coerces_case_and_whitespace(self, text):
+        assert Feedback(text) is Feedback.WFB
+        assert PolicySpec(text, "maf", 0.1).feedback is Feedback.WFB
+
+    @pytest.mark.parametrize("value", ["fancy", "", 1, None])
+    def test_feedback_rejects_unknown_values(self, value):
+        with pytest.raises(ValueError):
+            Feedback(value)
+
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
             PolicySpec(Feedback.NOFB, Scheduler.SINGLE, -0.1)
