@@ -31,9 +31,14 @@ for q, M, setting, gamma in cells:
 # followed at the same instant by its channel outcome
 print("\nfirst 14 events of a traced 2-source feedback run (seed 3):")
 cfg = make_config(0.4, 2, "wfb", 0.5, target_epochs=5, seed=3, trace=True)
-res, records, log = run_simulation(cfg)
+res, epochs, log = run_simulation(cfg)
 for line in log.to_lines()[:14]:
     print("  " + line)
+
+# epochs come back as columns: one entry per completed renewal cycle
+print("\nepochs (source, length y, attempts):")
+for sid, y, att in zip(epochs.source_id.tolist(), epochs.y.tolist(), epochs.attempts.tolist()):
+    print(f"  {sid}  {y:7.4f}  {att}")
 
 print(f"\ncounters: arrivals={res.arrivals} overflows={res.overflows} "
       f"attempts={res.attempts} successes={res.successes}")

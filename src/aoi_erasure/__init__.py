@@ -24,16 +24,14 @@ from .analytic import (
 )
 from .model import (
     AnalyticSolution,
-    BatteryState,
     ChannelSpec,
     EpochRecord,
+    Epochs,
     Feedback,
     PolicySpec,
     Regime,
     Scheduler,
     SimResult,
-    SourceState,
-    aoi_area_increment,
 )
 from .simulator import EventLog, SimConfig, make_config, run_simulation
 from .stats import (
@@ -50,10 +48,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticSolution",
-    "BatteryState",
     "BracketError",
     "ChannelSpec",
     "EpochRecord",
+    "Epochs",
     "EventLog",
     "Feedback",
     "MaxMoments",
@@ -64,9 +62,7 @@ __all__ = [
     "Scheduler",
     "SimConfig",
     "SimResult",
-    "SourceState",
     "ValidationRecord",
-    "aoi_area_increment",
     "aoi_maf_wfb",
     "aoi_rr_nofb",
     "baseline_infinite_battery",

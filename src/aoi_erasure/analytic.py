@@ -234,6 +234,22 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float, tol: floa
     return 0.5 * (a + b)
 
 
+def _zero_threshold_optimal(q: float, M: int, setting: Feedback) -> bool:
+    """Whether gamma = 0 minimizes the closed form for (q, M, setting).
+
+    Both closed forms have zero slope at gamma = 0, and zero is the
+    minimizer exactly when their curvature there is nonnegative:
+    M(1 + q) >= 3(1 - q) without feedback, M >= 3 - 2q with it. The
+    test runs in integer arithmetic on the exact binary value of q, so
+    no rounding settles a boundary point such as q = 0.2, M = 2 without
+    feedback.
+    """
+    num, den = float(q).as_integer_ratio()
+    if setting is Feedback.NOFB:
+        return (M + 3) * num >= (3 - M) * den
+    return 2 * num >= (3 - M) * den
+
+
 def optimize_gamma(
     q: float,
     M: int,
@@ -242,22 +258,21 @@ def optimize_gamma(
 ) -> tuple[float, float]:
     """Minimize the matching closed form over the threshold gamma.
 
-    Both closed forms are unimodal in gamma, so golden-section search on
-    [bracket_lo, bracket_hi] finds the interior candidate; the gamma = 0
-    boundary is then compared explicitly because for enough sources the
-    minimizer sits exactly there.
+    The sign of the curvature at gamma = 0 decides whether the minimizer
+    is exactly 0 (_zero_threshold_optimal); otherwise both closed forms
+    are unimodal in gamma and golden-section search on
+    [bracket_lo, bracket_hi] finds it.
     """
     setting = Feedback(setting)
     if setting is Feedback.NOFB:
         f = lambda g: aoi_rr_nofb(q, M, g)
     else:
         f = lambda g: aoi_maf_wfb(q, M, g)
-    x = _golden_section(f, max(0.0, cfg.bracket_lo), cfg.bracket_hi, cfg.tol, cfg.max_iter)
-    fx = f(x)
-    f0 = f(0.0)
-    if f0 <= fx:
+    f0 = f(0.0)  # validates q and M
+    if _zero_threshold_optimal(q, int(M), setting):
         return 0.0, f0
-    return x, fx
+    x = _golden_section(f, max(0.0, cfg.bracket_lo), cfg.bracket_hi, cfg.tol, cfg.max_iter)
+    return x, f(x)
 
 
 def baseline_infinite_battery(q: float, setting: Feedback | str) -> float:

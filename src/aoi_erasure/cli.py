@@ -242,8 +242,8 @@ def _cmd_simulate(opts: dict) -> int:
         cfg = make_config(
             q, M, setting, gamma, target_epochs=epochs, seed=opts["seed"] + r, trace=opts["trace"]
         )
-        result, records, log = run_simulation(cfg)
-        ys.append(np.fromiter((rec.y for rec in records), dtype=np.float64, count=len(records)))
+        result, run_epochs, log = run_simulation(cfg)
+        ys.append(run_epochs.y)
         arrivals += result.arrivals
         overflows += result.overflows
         attempts += result.attempts

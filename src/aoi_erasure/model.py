@@ -10,8 +10,10 @@ is successfully received.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class Feedback(str, Enum):
@@ -61,51 +63,6 @@ class ChannelSpec:
         _check_probability(self.q)
         if self.rate != 1.0:
             raise ValueError("energy arrival rate is normalized to 1")
-
-
-@dataclass(slots=True)
-class BatteryState:
-    """Unit-capacity battery; an arrival at a full battery is lost."""
-
-    level: int = 0
-
-    def __post_init__(self) -> None:
-        if self.level not in (0, 1):
-            raise ValueError("battery level must be 0 or 1")
-
-    def harvest(self) -> bool:
-        """Absorb one energy arrival. Returns False if it overflowed."""
-        if self.level == 1:
-            return False
-        self.level = 1
-        return True
-
-    def discharge(self) -> None:
-        """Spend the stored unit on a transmission."""
-        if self.level != 1:
-            raise RuntimeError("transmission attempted with an empty battery")
-        self.level = 0
-
-
-@dataclass(slots=True)
-class SourceState:
-    """Destination-side view of one source."""
-
-    source_id: int
-    last_success_time: float = 0.0
-    success_count: int = 0
-
-    def aoi(self, t: float) -> float:
-        age = t - self.last_success_time
-        if age < 0:
-            raise ValueError("clock ran backwards past the last success")
-        return age
-
-    def record_success(self, t: float) -> None:
-        if t < self.last_success_time:
-            raise ValueError("success time precedes the previous one")
-        self.last_success_time = t
-        self.success_count += 1
 
 
 _VALID_PAIRS = {
@@ -162,6 +119,34 @@ class EpochRecord:
             raise ValueError("an epoch ends with a success, so attempts >= 1")
 
 
+class Epochs:
+    """The renewal cycles of one run as columns, ordered by source, then time.
+
+    y[i] is the time between two consecutive successful deliveries of
+    source source_id[i], attempts[i] the number of transmissions that
+    source made inside the cycle; R, the AoI area over each cycle, is
+    derived. len() is the number of epochs.
+    """
+
+    __slots__ = ("source_id", "y", "attempts")
+
+    def __init__(self, source_id: np.ndarray, y: np.ndarray, attempts: np.ndarray) -> None:
+        if not source_id.size == y.size == attempts.size:
+            raise ValueError("epoch columns must have equal lengths")
+        if y.size and (y.min() <= 0.0 or attempts.min() < 1):
+            raise ValueError("epochs need y > 0 and attempts >= 1")
+        self.source_id = source_id
+        self.y = y
+        self.attempts = attempts
+
+    @property
+    def R(self) -> np.ndarray:
+        return 0.5 * self.y * self.y
+
+    def __len__(self) -> int:
+        return self.y.size
+
+
 @dataclass(frozen=True, slots=True)
 class AnalyticSolution:
     """Solved single-source problem: optimal AoI and the threshold achieving it."""
@@ -200,13 +185,3 @@ class SimResult:
         if not self.successes <= self.attempts <= self.arrivals - self.overflows:
             raise ValueError("counters violate successes <= attempts <= arrivals - overflows")
 
-
-def aoi_area_increment(a_start: float, duration: float) -> float:
-    """AoI area under a unit-slope segment starting at age a_start.
-
-    Additive over partitions of an interval, which is what makes it usable
-    as the simulator's accumulation primitive.
-    """
-    if a_start < 0.0 or duration < 0.0:
-        raise ValueError("a_start and duration must be nonnegative")
-    return a_start * duration + 0.5 * duration * duration

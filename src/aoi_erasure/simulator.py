@@ -1,14 +1,21 @@
-"""Discrete-event simulation of the sensing system.
+"""Seeded simulation of the sensing system.
 
 Two engines produce statistically identical runs:
 
 * an epoch engine (default) that exploits the renewal structure: each
   transmission empties the unit battery and arrivals are memoryless, so
   waits can be drawn in bulk with numpy and no event queue is needed;
-* a literal event loop that threads one Poisson arrival stream through
-  the battery, emitting EnergyArrival/Overflow/Attempt/Erasure/Success
-  events for auditing. It runs whenever an event log is requested and
-  for wall-clock-horizon runs, where the cut at the horizon matters.
+* a trace engine (`_run_loop`) for traced runs and wall-clock-horizon
+  runs, where the cut at the horizon matters. It replays one Poisson
+  arrival stream through the battery exactly: arrival times are the
+  running sum of bulk exponential draws and erasure outcomes bulk
+  uniforms, a loop over attempts (not events) applies the threshold
+  rule with the float expressions of a literal battery replay and finds
+  the next stored arrival by bisection, and every arrival in between is
+  an overflow. The event log is then laid out as three numpy columns
+  (time, kind, source) by index arithmetic, so no Python object is made
+  per event or per epoch. tests/trace_oracle.py keeps the literal
+  one-event-at-a-time loop this engine must match bit for bit.
 
 Reproducibility contract: a SimConfig seed feeds a SeedSequence that is
 split into three substreams (arrival waits, erasure draws, overflow
@@ -19,17 +26,19 @@ arrival process fixed.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import stats
 from .model import (
-    BatteryState,
     ChannelSpec,
-    EpochRecord,
+    Epochs,
     Feedback,
     PolicySpec,
     Scheduler,
@@ -52,6 +61,10 @@ OVERFLOW = "Overflow"
 ATTEMPT = "Attempt"
 ERASURE = "Erasure"
 SUCCESS = "Success"
+
+# an EventLog stores each kind as its index in this tuple
+_KINDS = (ENERGY_ARRIVAL, OVERFLOW, ATTEMPT, ERASURE, SUCCESS)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,19 +103,51 @@ class Event(NamedTuple):
     source_id: int  # 0 for battery events, 1..M otherwise
 
 
-@dataclass(slots=True)
 class EventLog:
-    """Ordered audit trail of one traced run."""
+    """Ordered audit trail of one traced run, held as three columns.
 
-    events: list[Event] = field(default_factory=list)
+    time (float64), kind (uint8 index into the kind names) and source
+    (0 for battery events, 1..M otherwise). `events` is a read-only
+    Event sequence over them.
+    """
+
+    __slots__ = ("time", "kind", "source")
+
+    def __init__(self, events: Iterable[Event] = ()) -> None:
+        events = list(events)
+        try:
+            kind = [_CODE[e.kind] for e in events]
+        except KeyError as exc:
+            raise ValueError(f"unknown event kind {exc.args[0]!r}") from None
+        self.time = np.array([e.time for e in events], dtype=np.float64)
+        self.kind = np.array(kind, dtype=np.uint8)
+        self.source = np.array([e.source_id for e in events], dtype=np.int64)
+
+    @classmethod
+    def from_columns(cls, time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> EventLog:
+        log = cls.__new__(cls)
+        log.time, log.kind, log.source = time, kind, source
+        return log
+
+    def __len__(self) -> int:
+        return self.time.size
+
+    @property
+    def events(self) -> _EventView:
+        return _EventView(self)
+
+    def _chunks(self) -> Iterator[bytes]:
+        for lo in range(0, len(self), _CHUNK):
+            hi = lo + _CHUNK
+            yield _format_lines(self.time[lo:hi], self.kind[lo:hi], self.source[lo:hi])
 
     def to_lines(self) -> list[str]:
-        return [f"{e.time:.9f}\t{e.kind}\t{e.source_id}" for e in self.events]
+        return b"".join(self._chunks()).decode().splitlines()
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for line in self.to_lines():
-                fh.write(line + "\n")
+        with open(path, "wb") as fh:
+            for chunk in self._chunks():
+                fh.write(chunk)
 
     def check_invariants(self) -> None:
         """Replay the log against the battery and ordering rules."""
@@ -136,6 +181,87 @@ class EventLog:
                 raise ValueError(f"outcome event {e} without a preceding attempt")
         if pending_attempt is not None:
             raise ValueError("log ends with an attempt missing its outcome")
+
+
+class _EventView(Sequence):
+    """The events of a log, made one at a time from its columns."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: EventLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __getitem__(self, i: int) -> Event:
+        log = self._log
+        return Event(float(log.time[i]), _KINDS[log.kind[i]], int(log.source[i]))
+
+    def __iter__(self) -> Iterator[Event]:
+        log = self._log
+        kinds = map(_KINDS.__getitem__, log.kind.tolist())
+        return map(Event._make, zip(log.time.tolist(), kinds, log.source.tolist()))
+
+
+_CHUNK = 65536  # log lines formatted and written at a time
+# below this, t * 1e9 < 2**52, where the rounding in _format_lines is exact
+_FAST_MAX = 4.5e6
+_KIND_WIDTH = max(len(k) for k in _KINDS)
+_KIND_BYTES = np.array([list(k.encode().ljust(_KIND_WIDTH, b"\0")) for k in _KINDS], np.uint8)
+_KIND_KEEP = _KIND_BYTES != 0
+
+
+def _put_digits(buf: np.ndarray, keep: np.ndarray, col: int, width: int, values: np.ndarray, pad: bool) -> None:
+    """Write values (< 2**32) as `width` decimal columns; unless pad, drop leading zeros."""
+    values = values.astype(np.uint32)  # 32-bit division is several times faster
+    for c in range(col + width - 1, col - 1, -1):
+        higher = values // 10
+        buf[:, c] = values - higher * 10 + 48
+        values = higher
+        if not pad and c > col:
+            keep[:, c - 1] = values > 0
+
+
+def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> bytes:
+    """The bytes of the lines f"{t:.9f}\\t{kind}\\t{source}\\n", built column-wise.
+
+    The exact product t * 1e9 is p + e (Dekker's two-product; 1e9 has 21
+    significant bits, so only t needs splitting). Its nearest integer,
+    ties to even as in Python's float formatting, is rint(p), except
+    where p lies exactly half-way between two integers: the sign of e
+    decides there.
+    """
+    n = time.size
+    if n == 0:
+        return b""
+    if not (time.min() >= 0.0 and time.max() < _FAST_MAX and source.min() >= 0):
+        kinds = map(_KINDS.__getitem__, kind.tolist())
+        rows = zip(time.tolist(), kinds, source.tolist())
+        return "".join(f"{t:.9f}\t{k}\t{s}\n" for t, k, s in rows).encode()
+    p = time * 1e9
+    hi = time * 134217729.0  # Veltkamp split: 2**27 + 1
+    hi -= hi - time
+    e = (hi * 1e9 - p) + (time - hi) * 1e9
+    r = np.rint(p)
+    half = p - r
+    nanos = r.astype(np.int64) + ((half == 0.5) & (e > 0.0)) - ((half == -0.5) & (e < 0.0))
+    whole, frac = np.divmod(nanos, 1_000_000_000)
+    w = len(str(int(whole.max())))
+    ws = len(str(int(source.max())))
+    tab1 = w + 10
+    tab2 = tab1 + 1 + _KIND_WIDTH
+    buf = np.empty((n, tab2 + ws + 2), np.uint8)
+    keep = np.ones(buf.shape, bool)
+    _put_digits(buf, keep, 0, w, whole, pad=False)
+    buf[:, w] = ord(".")
+    _put_digits(buf, keep, w + 1, 9, frac, pad=True)
+    buf[:, tab1] = buf[:, tab2] = ord("\t")
+    buf[:, tab1 + 1 : tab2] = _KIND_BYTES[kind]
+    keep[:, tab1 + 1 : tab2] = _KIND_KEEP[kind]
+    _put_digits(buf, keep, tab2 + 1, ws, source, pad=False)
+    buf[:, -1] = ord("\n")
+    return buf[keep].tobytes()
 
 
 def policy_nofb_single(gamma: float) -> Callable[[float], float]:
@@ -205,7 +331,7 @@ class _RawRun(NamedTuple):
     overflows: int
     attempts: int
     successes: int
-    events: list[Event] | None
+    events: EventLog | None
     end_time: float  # horizon runs only
 
 
@@ -288,104 +414,151 @@ def _epochs_wfb(
     return _RawRun(ys, atts, succ_times, attempts + overflows, overflows, attempts, n, None, 0.0)
 
 
+def _more_arrivals(A: list[float], rng_a: np.random.Generator, n: int) -> None:
+    """Append n arrival times, summed in the order of the running sum t += wait."""
+    waits = rng_a.exponential(size=n)
+    if A:
+        A.extend(np.cumsum(np.concatenate(([A[-1]], waits)))[1:].tolist())
+    else:
+        A.extend(np.cumsum(waits).tolist())
+
+
+def _attempts_needed(ok: np.ndarray, M: int, need: int, wfb: bool) -> int | None:
+    """Attempts until every source has `need` successes, or None if ok runs out."""
+    if wfb:
+        # successes rotate through the sources, so the run ends at success M * need
+        wins = np.flatnonzero(ok)
+        return int(wins[M * need - 1]) + 1 if wins.size >= M * need else None
+    last = 0
+    for j in range(M):
+        wins = np.flatnonzero(ok[j::M])
+        if wins.size < need:
+            return None
+        last = max(last, int(wins[need - 1]) * M + j)
+    return last + 1
+
+
 def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
-    """Event-loop engine: one literal Poisson arrival stream, one battery."""
-    q = cfg.channel.q
-    M = cfg.M
-    gamma = cfg.policy.gamma
+    """Trace engine: one Poisson arrival stream through one unit battery.
+
+    The battery is full from a stored arrival until the attempt that
+    spends it; arrivals in between overflow, and the next stored arrival
+    is the first one after the attempt. So only attempts need a loop:
+    each finds its time from the stored arrival's and the next stored
+    arrival by bisection. Sources follow from the outcomes: round-robin
+    without feedback, and with feedback max-age-first, which with zero
+    service time serves the sources cyclically (see _epochs_wfb). A
+    replay that compares rounded ages could depart from that order only
+    if two sources' last successes lay within one rounding unit of the
+    age apart.
+    """
+    q, M, gamma = cfg.channel.q, cfg.M, cfg.policy.gamma
     wfb = cfg.policy.feedback is Feedback.WFB
-    target = cfg.target_epochs
-    horizon = cfg.horizon
+    target, horizon = cfg.target_epochs, cfg.horizon
     rng_a, rng_e, _ = _spawn_streams(cfg.seed, cfg.erasure_seed)
 
-    wait_nofb = policy_nofb_single(gamma)
-    wait_wfb = policy_wfb_single(gamma)
-    pick_next = scheduler_maf(M)
-    rr_next = scheduler_rr(M)
+    A: list[float] = []  # arrival times
+    if horizon is None:
+        n0 = int(M * (target + 1) / (1.0 - q) * 1.1) + 64
+        ok = rng_e.random(n0) > q
+        while (n_max := _attempts_needed(ok, M, target + 1, wfb)) is None:
+            ok = np.concatenate((ok, rng_e.random(max(1024, ok.size // 4)) > q))
+        # an attempt spaced by max(gamma, wait) spans gamma + e^-gamma arrivals
+        # on average, an upper bound for both settings
+        _more_arrivals(A, rng_a, int(n_max * (gamma + math.exp(-gamma)) * 1.02) + 256)
+        limit = math.inf
+    else:
+        while not A or A[-1] <= horizon:
+            _more_arrivals(A, rng_a, int(horizon * 1.02) + 256)
+        n_max = bisect_right(A, horizon)  # every attempt spends an arrival before the cut
+        ok = rng_e.random(n_max) > q
+        limit = horizon
+    # the threshold applies to every attempt without feedback, and with
+    # feedback to the first attempt after a success
+    gate = np.concatenate(([True], ok[:-1])).tolist() if wfb else [True] * n_max
 
-    events: list[Event] | None = [] if keep_events else None
-    battery = BatteryState()
-    succ_times: list[list[float]] = [[] for _ in range(M)]
-    epoch_atts: list[list[int]] = [[] for _ in range(M)]
-    att_since = [0] * M
-    last_succ = [0.0] * M
-    arrivals = overflows = attempts = successes = 0
-    src = 0  # all ages tie at t = 0, so source 1 goes first
-    turn_start = 0.0
-    first_of_turn = True
-    prev_attempt = 0.0
-    pending = M if target is not None else -1
-    need = (target + 1) if target is not None else 0
-    next_arrival = float(rng_a.exponential())
+    T: list[float] = []  # attempt times
+    K: list[int] = []  # index of the arrival stored after each attempt
+    k, prev, n_a = 0, 0.0, len(A)
+    for i in range(n_max):
+        fill = A[k]
+        if fill > limit:
+            break
+        d = fill - prev
+        if gate[i] and gamma > d:
+            d = gamma
+        t = prev + d
+        if t > limit:
+            break
+        kn = k + 1
+        if kn == n_a or A[kn] <= t:  # overflows: search past them
+            kn = bisect_right(A, t, kn)
+            while kn == n_a:  # only a target run can outgrow its first draw
+                _more_arrivals(A, rng_a, max(1024, n_a // 8))
+                n_a = len(A)
+                kn = bisect_right(A, t, kn)
+        T.append(t)
+        K.append(kn)
+        prev, k = t, kn
 
-    while pending != 0:
-        fill = next_arrival
-        if horizon is not None and fill > horizon:
-            break
-        stored = battery.harvest()
-        assert stored, "battery must be empty before the next stored arrival"
-        arrivals += 1
-        if events is not None:
-            events.append(Event(fill, ENERGY_ARRIVAL, 0))
-        if wfb:
-            anchor = turn_start if first_of_turn else prev_attempt
-            attempt_t = anchor + wait_wfb(fill - anchor, first_of_turn)
-        else:
-            attempt_t = prev_attempt + wait_nofb(fill - prev_attempt)
-        nxt = fill + float(rng_a.exponential())
-        if horizon is not None and attempt_t > horizon:
-            # the stored unit is never spent; arrivals meanwhile overflow
-            while nxt <= horizon:
-                arrivals += 1
-                overflows += 1
-                if events is not None:
-                    events.append(Event(nxt, OVERFLOW, 0))
-                nxt += float(rng_a.exponential())
-            break
-        while nxt <= attempt_t:
-            arrivals += 1
-            overflows += 1
-            if events is not None:
-                events.append(Event(nxt, OVERFLOW, 0))
-            nxt += float(rng_a.exponential())
-        next_arrival = nxt
-        battery.discharge()
-        attempts += 1
-        att_since[src] += 1
-        ok = float(rng_e.random()) > q
-        if events is not None:
-            events.append(Event(attempt_t, ATTEMPT, src + 1))
-            events.append(Event(attempt_t, SUCCESS if ok else ERASURE, src + 1))
-        prev_attempt = attempt_t
-        if ok:
-            successes += 1
-            succ_times[src].append(attempt_t)
-            epoch_atts[src].append(att_since[src])
-            att_since[src] = 0
-            last_succ[src] = attempt_t
-            if target is not None and len(succ_times[src]) == need:
-                pending -= 1
-            if wfb:
-                src = pick_next([attempt_t - last_succ[j] for j in range(M)]) - 1
-                turn_start = attempt_t
-                first_of_turn = True
-        elif wfb:
-            first_of_turn = False
-        if not wfb:
-            src = rr_next(src + 1) - 1
+    n_att = len(T)
+    times = np.array(T)
+    knext = np.array(K, dtype=np.int64)
+    ok = ok[:n_att]
+    n_arr = k if horizon is None else bisect_right(A, horizon)
+    # a horizon can cut between a stored arrival and its attempt
+    n_stored = n_att + int(k < n_arr)
+    src = (np.cumsum(ok) - ok) % M if wfb else np.arange(n_att) % M
 
     ys, atts, stimes = [], [], []
     for j in range(M):
-        s = np.asarray(succ_times[j])
-        y = np.diff(s)
-        a = np.asarray(epoch_atts[j][1:], dtype=np.int64)
+        mine = np.flatnonzero(src == j)
+        wins = np.flatnonzero(ok[mine])
+        s = times[mine[wins]]
+        y, a = np.diff(s), np.diff(wins)
         if target is not None:
             y, a = y[:target], a[:target]
         ys.append(y)
         atts.append(a)
         stimes.append(s)
+
+    log = None
+    if keep_events:
+        log = _event_log(np.array(A[:n_arr]), n_stored, times, knext, ok, src)
     end = float(horizon) if horizon is not None else 0.0
-    return _RawRun(ys, atts, stimes, arrivals, overflows, attempts, successes, events, end)
+    return _RawRun(ys, atts, stimes, n_arr, n_arr - n_stored, n_att, int(ok.sum()), log, end)
+
+
+def _event_log(
+    arrivals: np.ndarray,
+    n_stored: int,
+    times: np.ndarray,
+    knext: np.ndarray,
+    ok: np.ndarray,
+    src: np.ndarray,
+) -> EventLog:
+    """Interleave the arrivals with the attempt/outcome pairs, in log order.
+
+    Attempt i comes right after the knext[i] arrivals up to its time, so
+    its pair sits at knext[i] + 2i, and arrival j sits at j plus two per
+    attempt before it. The stored arrivals are the first one and each
+    knext[i]; every other arrival is an overflow.
+    """
+    n_arr, n_att = arrivals.size, times.size
+    time = np.empty(n_arr + 2 * n_att)
+    kind = np.empty(time.size, np.uint8)
+    source = np.zeros(time.size, np.int64)
+    j = np.arange(n_arr)
+    at = j + 2 * np.searchsorted(knext, j, side="right")
+    time[at] = arrivals
+    kind[at] = _CODE[OVERFLOW]
+    kind[at[np.concatenate(([0], knext))[:n_stored]]] = _CODE[ENERGY_ARRIVAL]
+    pair = knext + 2 * np.arange(n_att)
+    time[pair] = time[pair + 1] = times
+    kind[pair] = _CODE[ATTEMPT]
+    kind[pair + 1] = np.where(ok, _CODE[SUCCESS], _CODE[ERASURE])
+    source[pair] = source[pair + 1] = src + 1
+    return EventLog.from_columns(time, kind, source)
 
 
 def _sawtooth_area_fn(s: np.ndarray) -> Callable[[float], float]:
@@ -428,28 +601,25 @@ def _horizon_estimates(
     return per_mean, per_ci, mean, ci
 
 
-def run_simulation(cfg: SimConfig) -> tuple[SimResult, list[EpochRecord], EventLog | None]:
+def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
     """Run one seeded simulation and aggregate it.
 
-    Returns the aggregated result, the per-source epoch records (ordered
-    by source, then time), and the event log when tracing was requested.
+    Returns the aggregated result, the epochs as columns (ordered by
+    source, then time), and the event log when tracing was requested.
     """
     q = cfg.channel.q
-    use_loop = cfg.trace or cfg.horizon is not None
-    if use_loop:
+    if cfg.trace or cfg.horizon is not None:
         raw = _run_loop(cfg, keep_events=cfg.trace)
     else:
         rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
         engine = _epochs_wfb if cfg.policy.feedback is Feedback.WFB else _epochs_nofb
         raw = engine(q, cfg.M, cfg.policy.gamma, cfg.target_epochs, rng_a, rng_e, rng_o)
 
-    records: list[EpochRecord] = []
-    for j, (y_arr, a_arr) in enumerate(zip(raw.ys, raw.atts)):
-        sid = j + 1
-        records.extend(
-            EpochRecord(sid, yy, 0.5 * yy * yy, int(aa))
-            for yy, aa in zip(y_arr.tolist(), a_arr.tolist())
-        )
+    epochs = Epochs(
+        np.repeat(np.arange(1, cfg.M + 1), [y.size for y in raw.ys]),
+        np.concatenate(raw.ys),
+        np.concatenate(raw.atts),
+    )
 
     if cfg.horizon is not None:
         n_epochs = min((y.size for y in raw.ys), default=0)
@@ -463,8 +633,7 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, list[EpochRecord], EventL
         per = [stats.ratio_estimate(y, 0.5 * y * y) for y in raw.ys]
         per_mean = [p[0] for p in per]
         per_ci = [p[1] for p in per]
-        y_all = np.concatenate(raw.ys)
-        mean, ci = stats.ratio_estimate(y_all, 0.5 * y_all * y_all)
+        mean, ci = stats.ratio_estimate(epochs.y, epochs.R)
 
     result = SimResult(
         per_source_mean=tuple(per_mean),
@@ -478,8 +647,7 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, list[EpochRecord], EventL
         epochs_per_source=n_epochs,
         seed=cfg.seed,
     )
-    log = EventLog(raw.events) if cfg.trace else None
-    return result, records, log
+    return result, epochs, raw.events
 
 
 def make_config(

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import aoi_maf_wfb, aoi_rr_nofb
+from .analytic import RootSolverConfig, _bisect_checked, aoi_maf_wfb, aoi_rr_nofb
 from .model import EpochRecord, Feedback
 
 __all__ = [
@@ -63,17 +64,41 @@ def renewal_estimate(epochs: Sequence[EpochRecord]) -> RenewalEstimate:
     return RenewalEstimate(point=point, ci_half_width=ci, n_epochs=n)
 
 
+def _t_within(x: float, df: int) -> float:
+    """P(|T| <= x) for Student's t with integer df (A&S 26.7.3 and 26.7.4)."""
+    theta = math.atan(x / math.sqrt(df))
+    s, c = math.sin(theta), math.cos(theta)
+    c2 = c * c
+    if df % 2 == 0:
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= c2 * (2 * k - 1) / (2 * k)
+            total += term
+        return s * total
+    if df == 1:
+        return 2.0 * theta / math.pi
+    term = total = c
+    for k in range(1, (df - 1) // 2):
+        term *= c2 * (2 * k) / (2 * k + 1)
+        total += term
+    return 2.0 / math.pi * (theta + s * total)
+
+
+_T_SOLVER = RootSolverConfig(bracket_hi=64.0, tol=1e-13)
+
+
+def _t975(df: int) -> float:
+    """Two-sided 95% quantile of Student's t with integer df."""
+    return _bisect_checked(lambda x: _t_within(x, df) - 0.95, 0.0, _T_SOLVER.bracket_hi, _T_SOLVER)
+
+
 def batch_means_ci(batches: np.ndarray) -> float:
     """95% half-width from batch means (Student t, B - 1 degrees of freedom)."""
     b = batches.size
     if b < 2:
         return 0.0
-    # imported here: scipy.stats costs about a second to import and only
-    # horizon-stopped runs need this quantile
-    from scipy.stats import t as student_t
-
     se = float(np.std(batches, ddof=1)) / np.sqrt(b)
-    return float(student_t.ppf(0.975, b - 1)) * se
+    return _t975(b - 1) * se
 
 
 def closed_form_aoi(q: float, M: int, setting: Feedback | str, gamma: float) -> float:

@@ -203,10 +203,10 @@ def test_11_traced_runs_keep_physical_invariants(criterion):
     for q, M, setting, gamma, seed in cells:
         mk = lambda **kw: make_config(q, M, setting, gamma, target_epochs=10000, seed=seed,
                                       trace=True, **kw)
-        _, recs, log = run_simulation(mk())
+        _, epochs, log = run_simulation(mk())
         log.check_invariants()
         n_events += len(log.events)
-        att = np.fromiter((r.attempts for r in recs), dtype=np.float64, count=len(recs))
+        att = epochs.attempts.astype(np.float64)
         rel = abs(att.mean() - 1.0 / (1.0 - q)) * (1.0 - q)
         worst_att = max(worst_att, rel)
         checks.append(rel <= 0.01)

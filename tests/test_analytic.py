@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from aoi_erasure.analytic import (
     solve_wfb,
 )
 from aoi_erasure.model import Feedback, Regime
+from aoi_erasure.stats import grid_oracle_gamma
 
 # root of e^-x = x^2/2, the common q = 0 solution of both settings
 ROOT_Q0 = 0.9012010317296648
@@ -298,6 +300,28 @@ class TestOptimizeGamma:
         g, aoi = optimize_gamma(0.3, 2, Feedback.WFB)
         assert g == pytest.approx(0.253934, abs=1e-4)
         assert aoi <= aoi_maf_wfb(0.3, 2, 0.0)
+
+    def test_zero_threshold_exactly_by_curvature_rule(self):
+        # gamma* is exactly 0 iff the curvature at 0 is nonnegative:
+        # M(1+q) >= 3(1-q) without feedback, M >= 3 - 2q with it
+        pairs = 0
+        for i in range(99):
+            q = i / 100
+            x = Fraction(q)
+            for M in range(1, 8):
+                rules = {Feedback.NOFB: M * (1 + x) >= 3 * (1 - x), Feedback.WFB: M >= 3 - 2 * x}
+                for setting, zero in rules.items():
+                    g, _ = optimize_gamma(q, M, setting)
+                    assert (g == 0.0) == zero, (q, M, setting, g)
+                pairs += 1
+        assert pairs == 693
+
+    @pytest.mark.parametrize("q,M,setting", [(0.2, 2, "nofb"), (0.5, 1, "nofb"), (0.5, 2, "wfb"),
+                                             (0.0, 3, "nofb"), (0.0, 3, "wfb")])
+    def test_rational_boundary_points_agree_with_grid_scan(self, q, M, setting):
+        # the curvature vanishes here, so no float comparison may decide them
+        assert optimize_gamma(q, M, setting)[0] == 0.0
+        assert grid_oracle_gamma(q, M, setting, 1e-4) == 0.0
 
     def test_returned_aoi_matches_closed_form(self):
         rng = np.random.default_rng(11)

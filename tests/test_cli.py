@@ -222,15 +222,18 @@ class TestGridCells:
 
 class TestColdStart:
     def test_cli_paths_never_import_scipy(self, tmp_path):
-        # scipy is a second of import time; no CLI command may pull it in
+        # scipy is a second of import time; no CLI command and no horizon run may pull it in
         script = textwrap.dedent(
             f"""
             import sys
+            from aoi_erasure import make_config, run_simulation
             from aoi_erasure.cli import main
             main(["validate", "--q", "0.3", "--m", "2", "--epochs", "2000"])
             rc = main(["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "2000",
                        "--trace", "--out", {str(tmp_path / "events.log")!r}])
             assert rc == 0, rc
+            res, _, _ = run_simulation(make_config(0.3, 2, "wfb", 0.4, horizon=500.0, seed=1))
+            assert res.ci_half_width > 0.0
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             """
         )

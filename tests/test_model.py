@@ -5,51 +5,16 @@ import pytest
 
 from aoi_erasure.model import (
     AnalyticSolution,
-    BatteryState,
     ChannelSpec,
     EpochRecord,
+    Epochs,
     Feedback,
     PolicySpec,
     Regime,
     Scheduler,
     SimResult,
-    SourceState,
-    aoi_area_increment,
 )
-
-
-class TestAoiAreaIncrement:
-    def test_pure_triangle(self):
-        assert aoi_area_increment(0.0, 2.0) == 2.0
-
-    def test_zero_duration(self):
-        assert aoi_area_increment(0.0, 0.0) == 0.0
-
-    def test_trapezoid(self):
-        # 1.5*1 + 0.5, cross-checked against a fine Riemann sum
-        assert aoi_area_increment(1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
-        ts = np.linspace(0.0, 1.0, 200001)
-        riemann = np.trapezoid(1.5 + ts, ts)
-        assert aoi_area_increment(1.5, 1.0) == pytest.approx(riemann, rel=1e-9)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            aoi_area_increment(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            aoi_area_increment(1.0, -0.1)
-
-    def test_additive_over_partitions(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a0 = float(rng.uniform(0.0, 5.0))
-            total = float(rng.uniform(0.1, 10.0))
-            cuts = np.sort(rng.uniform(0.0, total, size=rng.integers(1, 8)))
-            edges = np.concatenate(([0.0], cuts, [total]))
-            pieces = 0.0
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                pieces += aoi_area_increment(a0 + lo, hi - lo)
-            whole = aoi_area_increment(a0, total)
-            assert pieces == pytest.approx(whole, rel=1e-12)
+from trace_oracle import BatteryState  # the battery of the literal reference event loop
 
 
 class TestChannelSpec:
@@ -89,23 +54,6 @@ class TestBatteryState:
     def test_level_domain(self):
         with pytest.raises(ValueError):
             BatteryState(level=2)
-
-
-class TestSourceState:
-    def test_aoi_grows_from_last_success(self):
-        s = SourceState(source_id=1)
-        assert s.aoi(2.5) == 2.5
-        s.record_success(2.5)
-        assert s.aoi(2.5) == 0.0
-        assert s.aoi(4.0) == 1.5
-        assert s.success_count == 1
-
-    def test_time_moves_forward(self):
-        s = SourceState(source_id=1, last_success_time=3.0)
-        with pytest.raises(ValueError):
-            s.aoi(2.0)
-        with pytest.raises(ValueError):
-            s.record_success(1.0)
 
 
 class TestPolicySpec:
@@ -155,6 +103,21 @@ class TestEpochRecord:
             EpochRecord(1, 1.0, -0.5, 1)
         with pytest.raises(ValueError):
             EpochRecord(1, 1.0, 0.5, 0)
+
+
+class TestEpochs:
+    def test_columns_and_derived_area(self):
+        e = Epochs(np.array([1, 1, 2]), np.array([2.0, 0.5, 1.0]), np.array([1, 3, 2]))
+        assert len(e) == 3
+        assert e.R.tolist() == [2.0, 0.125, 0.5]
+
+    def test_domains(self):
+        with pytest.raises(ValueError):
+            Epochs(np.array([1]), np.array([0.0]), np.array([1]))
+        with pytest.raises(ValueError):
+            Epochs(np.array([1]), np.array([1.0]), np.array([0]))
+        with pytest.raises(ValueError):
+            Epochs(np.array([1, 2]), np.array([1.0]), np.array([1]))
 
 
 class TestAnalyticSolution:

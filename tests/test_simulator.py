@@ -87,10 +87,10 @@ class TestPolicyRules:
 
 class TestEpochEngine:
     def test_greedy_no_erasures_renewal_value(self):
-        res, recs, log = run_simulation(make_config(0.0, 1, "nofb", 0.0, target_epochs=1000000, seed=1))
+        res, epochs, log = run_simulation(make_config(0.0, 1, "nofb", 0.0, target_epochs=1000000, seed=1))
         assert log is None
         assert abs(res.mean_aoi - 1.0) <= 0.01
-        assert len(recs) == 1000000
+        assert len(epochs) == 1000000
 
     def test_greedy_half_erasures(self):
         res, _, _ = run_simulation(make_config(0.5, 1, "nofb", 0.0, target_epochs=1000000, seed=2))
@@ -118,28 +118,27 @@ class TestEpochEngine:
         assert res.arrivals == res.attempts
 
     def test_attempts_per_epoch_geometric(self):
-        res, recs, _ = run_simulation(make_config(0.3, 1, "nofb", 0.47, target_epochs=1000000, seed=7))
-        att = np.fromiter((r.attempts for r in recs), dtype=np.float64, count=len(recs))
+        res, epochs, _ = run_simulation(make_config(0.3, 1, "nofb", 0.47, target_epochs=1000000, seed=7))
+        att = epochs.attempts.astype(np.float64)
         assert abs(att.mean() - 1.0 / 0.7) <= 0.01 / 0.7
 
     def test_observed_first_waits_match_moments(self):
         # with q = 0 each wfb epoch is exactly one wait max(gamma, tau)
-        res, recs, _ = run_simulation(make_config(0.0, 1, "wfb", 1.0, target_epochs=1000000, seed=8))
-        y = np.fromiter((r.y for r in recs), dtype=np.float64, count=len(recs))
+        res, epochs, _ = run_simulation(make_config(0.0, 1, "wfb", 1.0, target_epochs=1000000, seed=8))
+        y = epochs.y
         m1 = exp_max_moments(1.0).m1
         assert abs(y.mean() - m1) <= 0.005 * m1
 
     def test_epoch_records_shape(self):
-        res, recs, _ = run_simulation(make_config(0.2, 3, "wfb", 0.1, target_epochs=50, seed=9))
-        assert len(recs) == 3 * 50
+        res, epochs, _ = run_simulation(make_config(0.2, 3, "wfb", 0.1, target_epochs=50, seed=9))
+        assert len(epochs) == 3 * 50
         assert res.epochs_per_source == 50
-        for r in recs:
-            assert r.R == pytest.approx(r.y * r.y / 2.0, rel=1e-12)
-            assert 1 <= r.source_id <= 3
+        assert epochs.R == pytest.approx(epochs.y * epochs.y / 2.0, rel=1e-12)
+        assert np.all((1 <= epochs.source_id) & (epochs.source_id <= 3))
 
     def test_wfb_epochs_look_iid(self):
-        _, recs, _ = run_simulation(make_config(0.5, 1, "wfb", 0.9438, target_epochs=100000, seed=55))
-        y = np.fromiter((r.y for r in recs), dtype=np.float64, count=len(recs))
+        _, epochs, _ = run_simulation(make_config(0.5, 1, "wfb", 0.9438, target_epochs=100000, seed=55))
+        y = epochs.y
         odd, even = y[1::2], y[0::2]
         for a, b in [(odd, even), (odd**2, even**2)]:
             gap = abs(a.mean() - b.mean())
@@ -282,11 +281,11 @@ class TestHorizonMode:
 
     def test_tiny_horizon_warns_and_keeps_tail(self):
         with pytest.warns(RuntimeWarning):
-            res, recs, _ = run_simulation(make_config(0.0, 1, "nofb", 0.0, horizon=0.01, seed=2))
+            res, epochs, _ = run_simulation(make_config(0.0, 1, "nofb", 0.0, horizon=0.01, seed=2))
         # no success fits, so the whole window is one growing ramp
         assert res.mean_aoi == pytest.approx(0.005, rel=1e-12)
         assert res.epochs_per_source == 0
-        assert recs == []
+        assert len(epochs) == 0 and epochs.y.size == epochs.attempts.size == 0
 
     def test_trace_plus_horizon(self):
         res, _, log = run_simulation(make_config(0.4, 1, "wfb", 0.5, horizon=2000.0, seed=19, trace=True))

@@ -88,6 +88,14 @@ class TestBatchMeans:
         se = b.std(ddof=1) / 2.0
         assert batch_means_ci(b) == pytest.approx(sps.t.ppf(0.975, 3) * se, rel=1e-12)
 
+    def test_quantile_matches_scipy_for_integer_df(self):
+        from scipy import stats as sps
+
+        from aoi_erasure.stats import _t975
+
+        for df in range(1, 201):
+            assert abs(_t975(df) - sps.t.ppf(0.975, df)) <= 1e-10, df
+
 
 class TestClosedFormDispatch:
     def test_routes_by_setting(self):

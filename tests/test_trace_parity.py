@@ -1,0 +1,168 @@
+"""The trace engine against the literal event loop, and the log format.
+
+tests/trace_oracle.py replays one event at a time with scalar draws; the
+production engine must reproduce it exactly: log lines, counters, epoch
+arrays and success times.
+"""
+
+import hashlib
+import re
+
+import numpy as np
+import pytest
+
+from aoi_erasure.analytic import optimize_gamma
+from aoi_erasure.cli import main
+from aoi_erasure.simulator import (
+    ATTEMPT,
+    ENERGY_ARRIVAL,
+    ERASURE,
+    OVERFLOW,
+    SUCCESS,
+    Event,
+    EventLog,
+    _format_lines,
+    _run_loop,
+    make_config,
+    run_simulation,
+)
+from trace_oracle import lines, run_loop
+
+
+def assert_same_run(cfg):
+    want = run_loop(cfg, cfg.trace)
+    got = _run_loop(cfg, cfg.trace)
+    counters = ("arrivals", "overflows", "attempts", "successes", "end_time")
+    assert [getattr(got, c) for c in counters] == [getattr(want, c) for c in counters]
+    for name in ("ys", "atts", "success_times"):
+        for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+    if cfg.trace:
+        assert len(got.events) == len(want.events)
+        assert list(got.events.events) == want.events
+        assert got.events.to_lines() == lines(want.events)
+    else:
+        assert got.events is None
+
+
+@pytest.mark.parametrize("setting", ["nofb", "wfb"])
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_engine_matches_literal_loop_on_grid(setting, M):
+    for q in (0.0, 0.3, 0.7, 0.9):
+        gamma_star, _ = optimize_gamma(q, M, setting)
+        for gamma in (0.0, gamma_star, 2.0):
+            seed = int(q * 10) + 7 * M
+            assert_same_run(make_config(q, M, setting, gamma, target_epochs=40, seed=seed, trace=True))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(target_epochs=50, erasure_seed=99, trace=True),
+        dict(horizon=80.0, trace=True),
+        dict(horizon=80.0, trace=False),
+        dict(horizon=300.0, erasure_seed=5, trace=True),
+        dict(horizon=0.01, trace=True),  # nothing arrives before the cut
+        dict(horizon=0.01, trace=False),
+    ],
+)
+@pytest.mark.parametrize("cell", [(0.3, 1, "nofb", 0.47), (0.5, 3, "nofb", 0.0), (0.4, 2, "wfb", 0.5),
+                                  (0.7, 4, "wfb", 2.0)])
+def test_engine_matches_literal_loop_seeds_and_horizons(cell, kw):
+    assert_same_run(make_config(*cell, seed=11, **kw))
+
+
+def test_horizon_cut_between_stored_arrival_and_attempt():
+    # a long threshold makes the cut land while the battery holds a unit
+    cfg = make_config(0.2, 1, "nofb", 5.0, horizon=12.5, seed=3, trace=True)
+    raw = _run_loop(cfg, True)
+    assert raw.arrivals - raw.overflows == raw.attempts + 1
+    assert_same_run(cfg)
+
+
+def _sha(text: bytes) -> str:
+    return hashlib.sha256(text).hexdigest()
+
+
+# sha256 of logs written by the one-event-at-a-time loop before the trace
+# engine replaced it
+GOLDEN_LOGS = [
+    (dict(q=0.3, M=2, setting="wfb", gamma=0.25, target_epochs=3000, seed=1),
+     25698, "5db89e607205e0501a2a1ebfb2dea0568ffbe3b60a26065e451ccf6774e08736"),
+    (dict(q=0.5, M=3, setting="nofb", gamma=0.4, target_epochs=3000, seed=2),
+     56170, "68e37c6906ef0150743196dab2f0fa16f1e91fc53725408f09203ae34ab90432"),
+    (dict(q=0.4, M=1, setting="wfb", gamma=0.5, horizon=2000.0, seed=19),
+     5827, "0c29f69c3bf54589ebdc24758cd4bdf6b8073217041ea1b7d4f544479a261fa4"),
+]
+
+
+@pytest.mark.parametrize("kw,n_events,digest", GOLDEN_LOGS)
+def test_golden_log_digests(kw, n_events, digest, tmp_path):
+    _, _, log = run_simulation(make_config(**kw, trace=True))
+    path = tmp_path / "events.log"
+    log.dump(str(path))
+    assert len(log) == n_events
+    assert _sha(path.read_bytes()) == digest
+
+
+def test_golden_simulate_command(tmp_path, capsys):
+    path = tmp_path / "events.log"
+    assert main(["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "3000",
+                 "--seed", "5", "--trace", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "q=0.300000 M=2 setting=wfb gamma=0.253934 sim_mean=2.115480 sim_ci=0.049593 "
+        "epochs_per_source=3000 replications=1 arrivals=8683 overflows=201 attempts=8482 "
+        "successes=6002 seed=5\n"
+    )
+    assert _sha(path.read_bytes()) == "512581340c9213a7aad0e8e0459431f4778c27cb26bf7ccd3248038b839759fa"
+
+
+def _reference_bytes(time, kind, source):
+    names = (ENERGY_ARRIVAL, OVERFLOW, ATTEMPT, ERASURE, SUCCESS)
+    return "".join(f"{t:.9f}\t{names[k]}\t{s}\n" for t, k, s in zip(time.tolist(), kind.tolist(),
+                                                                      source.tolist())).encode()
+
+
+def test_formatter_matches_fstring():
+    rng = np.random.default_rng(0)
+    n = 200_000
+    time = np.concatenate((
+        rng.exponential(size=n) * 10.0 ** rng.integers(-12, 7, size=n),
+        np.arange(1, 4001) / 1024.0,  # t * 1e9 exactly half-way between integers
+        np.nextafter(np.arange(1, 2001) / 1024.0, 0.0),
+        np.nextafter(np.arange(1, 2001) / 1024.0, 1e9),
+        [0.0, 5e-10, 1.5e-9, 999999.9999999995, 4.4999e6, 4.5e6, 1.23456789e7],
+    ))
+    kind = rng.integers(0, 5, size=time.size).astype(np.uint8)
+    source = rng.integers(0, 12, size=time.size)
+    fast = time < 4.5e6
+    assert fast.sum() > 0.9 * time.size
+    assert _format_lines(time[fast], kind[fast], source[fast]) == _reference_bytes(
+        time[fast], kind[fast], source[fast])
+    # a chunk holding a time past the exact range is formatted by f-string
+    assert _format_lines(time, kind, source) == _reference_bytes(time, kind, source)
+
+
+def test_event_log_from_events_round_trips():
+    events = [Event(0.25, ENERGY_ARRIVAL, 0), Event(0.5, OVERFLOW, 0), Event(0.75, ATTEMPT, 2),
+              Event(0.75, SUCCESS, 2)]
+    log = EventLog(events)
+    log.check_invariants()
+    assert len(log) == len(log.events) == 4
+    assert list(log.events) == events
+    assert log.events[2] == events[2] and log.events[-1] == events[-1]
+    assert log.to_lines() == lines(events)
+    assert EventLog().to_lines() == [] and len(EventLog().events) == 0
+    odd = [Event(2.5e7, ATTEMPT, -1), Event(float("nan"), SUCCESS, 3)]
+    assert EventLog(odd).to_lines() == lines(odd)
+    with pytest.raises(ValueError):
+        EventLog([Event(0.1, "Teleport", 0)])
+
+
+def test_log_lines_keep_their_shape():
+    _, _, log = run_simulation(make_config(0.3, 12, "nofb", 0.1, target_epochs=30, seed=4, trace=True))
+    pat = re.compile(r"^\d+\.\d{9}\t(EnergyArrival|Overflow|Attempt|Erasure|Success)\t\d+$")
+    text = log.to_lines()
+    assert all(pat.match(line) for line in text)
+    assert {line.rsplit("\t", 1)[1] for line in text} == {str(s) for s in range(13)}
