@@ -25,12 +25,10 @@ from .analytic import (
 from .model import (
     AnalyticSolution,
     ChannelSpec,
-    EpochRecord,
     Epochs,
     Feedback,
     PolicySpec,
     Regime,
-    Scheduler,
     SimResult,
 )
 from .simulator import EventLog, SimConfig, make_config, run_simulation
@@ -39,7 +37,6 @@ from .stats import (
     ValidationRecord,
     closed_form_aoi,
     grid_oracle_gamma,
-    renewal_estimate,
     sim_gamma_curve,
     validate,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "AnalyticSolution",
     "BracketError",
     "ChannelSpec",
-    "EpochRecord",
     "Epochs",
     "EventLog",
     "Feedback",
@@ -59,7 +55,6 @@ __all__ = [
     "Regime",
     "RenewalEstimate",
     "RootSolverConfig",
-    "Scheduler",
     "SimConfig",
     "SimResult",
     "ValidationRecord",
@@ -75,7 +70,6 @@ __all__ = [
     "p_nofb",
     "p_wfb",
     "percentage_gain",
-    "renewal_estimate",
     "run_simulation",
     "sim_gamma_curve",
     "solve_nofb",

@@ -9,11 +9,10 @@ functions of their arguments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import AnalyticSolution, Feedback, Regime
+from .model import AnalyticSolution, Feedback, Regime, require_m, require_q
 
 __all__ = [
     "BracketError",
@@ -64,22 +63,6 @@ class MaxMoments:
     m2: float
 
 
-def _require_q(q: float) -> float:
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must satisfy 0 <= q < 1, got {q!r}")
-    if q >= 0.999:
-        # 1/(1-q)^2 terms dominate here; results are valid but extreme
-        warnings.warn(f"q = {q} is close to 1; AoI values grow like 1/(1-q)^2", RuntimeWarning)
-    return float(q)
-
-
-def _require_m(M: int) -> int:
-    m = int(M)
-    if m != M or m < 1:
-        raise ValueError(f"M must be a positive integer, got {M!r}")
-    return m
-
-
 def exp_max_moments(gamma: float) -> MaxMoments:
     """Moments of the wait max(gamma, tau), tau ~ exp(1).
 
@@ -98,7 +81,7 @@ def p_nofb(lambda_prime: float, q: float) -> float:
     Positive below the optimal threshold, negative above it; strictly
     decreasing in lambda_prime.
     """
-    q = _require_q(q)
+    q = require_q(q)
     if lambda_prime < 0.0:
         raise ValueError("lambda_prime must be nonnegative")
     e = math.exp(-lambda_prime)
@@ -144,7 +127,7 @@ def solve_nofb(q: float, cfg: RootSolverConfig = DEFAULT_SOLVER) -> AnalyticSolu
     that, the optimal threshold lambda' is the unique zero of p_nofb and
     the optimal AoI follows from it in closed form.
     """
-    q = _require_q(q)
+    q = require_q(q)
     if q >= 0.5:
         lam = 1.0 / (1.0 - q)
         return AnalyticSolution(regime=Regime.GREEDY, lambda_star=lam, threshold=0.0, q=q)
@@ -159,7 +142,7 @@ def p_wfb(lam: float, q: float) -> float:
     The breakpoint sits at q/(1-q), the mean retransmission overhead of
     the greedy phase.
     """
-    q = _require_q(q)
+    q = require_q(q)
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     d = q / (1.0 - q)
@@ -176,7 +159,7 @@ def solve_wfb(q: float, cfg: RootSolverConfig = DEFAULT_SOLVER) -> AnalyticSolut
     greedy retransmissions afterwards. lambda* is the unique zero of
     p_wfb beyond the breakpoint, and gamma* is always positive.
     """
-    q = _require_q(q)
+    q = require_q(q)
     d = q / (1.0 - q)
     lo = max(d, cfg.bracket_lo)
     if lo >= cfg.bracket_hi:
@@ -189,8 +172,8 @@ def solve_wfb(q: float, cfg: RootSolverConfig = DEFAULT_SOLVER) -> AnalyticSolut
 
 def aoi_rr_nofb(q: float, M: int, gamma: float) -> float:
     """Average AoI of M round-robin sources, no feedback, threshold gamma."""
-    q = _require_q(q)
-    M = _require_m(M)
+    q = require_q(q)
+    M = require_m(M)
     mm = exp_max_moments(gamma)
     return mm.m2 / (2.0 * mm.m1) + ((M - 1) / 2.0 + M * q / (1.0 - q)) * mm.m1
 
@@ -201,8 +184,8 @@ def aoi_maf_wfb(q: float, M: int, gamma: float) -> float:
     Built from the per-turn service moments: a turn takes max(gamma, tau)
     plus a geometric number of greedy retransmission waits.
     """
-    q = _require_q(q)
-    M = _require_m(M)
+    q = require_q(q)
+    M = require_m(M)
     mm = exp_max_moments(gamma)
     d = q / (1.0 - q)
     a = mm.m1 + d
@@ -277,7 +260,7 @@ def optimize_gamma(
 
 def baseline_infinite_battery(q: float, setting: Feedback | str) -> float:
     """Optimal average AoI with an infinite battery, used as a lower bound."""
-    q = _require_q(q)
+    q = require_q(q)
     if Feedback(setting) is Feedback.NOFB:
         return (1.0 + q) / (2.0 * (1.0 - q))
     return 1.0 / (2.0 * (1.0 - q))

@@ -57,8 +57,7 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 def _parse_settings(text: str) -> list[Feedback]:
     out = []
     for tok in text.split(","):
-        tok = tok.strip().lower()
-        if tok == "":
+        if tok.strip() == "":
             continue
         try:
             out.append(Feedback(tok))
@@ -95,13 +94,6 @@ def _scalar(values: list, flag: str):
     if len(values) != 1:
         raise UsageError(f"{flag} expects a single value for this command")
     return values[0]
-
-
-def _check_q_scalar(q: float) -> float:
-    # surfaced before the math so the message is actionable
-    if not 0.0 <= q < 1.0:
-        raise UsageError("q must be < 1 and >= 0")
-    return q
 
 
 _CONFIG_KEYS = ("q", "m", "setting", "gamma", "epochs", "seed", "replications", "out", "trace")
@@ -179,7 +171,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def _cmd_solve(opts: dict) -> int:
     if opts["q"] is None or opts["setting"] is None:
         raise UsageError("solve requires --q and --setting")
-    q = _check_q_scalar(_scalar(_parse_floats(opts["q"], "--q"), "--q"))
+    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
     setting = _scalar(_parse_settings(opts["setting"]), "--setting")
     sol = solve_nofb(q) if setting is Feedback.NOFB else solve_wfb(q)
     print(
@@ -192,7 +184,7 @@ def _cmd_solve(opts: dict) -> int:
 def _cmd_eval(opts: dict) -> int:
     if opts["q"] is None or opts["setting"] is None:
         raise UsageError("eval requires --q and --setting")
-    q = _check_q_scalar(_scalar(_parse_floats(opts["q"], "--q"), "--q"))
+    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
     M = _scalar(_parse_ints(opts["m"] or "1", "--m"), "--m")
     setting = _scalar(_parse_settings(opts["setting"]), "--setting")
     gamma_spec = _scalar(_parse_gammas(opts["gamma"] or "optimal"), "--gamma")
@@ -208,7 +200,7 @@ def _cmd_eval(opts: dict) -> int:
 def _cmd_optimize(opts: dict) -> int:
     if opts["q"] is None or opts["setting"] is None:
         raise UsageError("optimize requires --q and --setting")
-    q = _check_q_scalar(_scalar(_parse_floats(opts["q"], "--q"), "--q"))
+    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
     M = _scalar(_parse_ints(opts["m"] or "1", "--m"), "--m")
     setting = _scalar(_parse_settings(opts["setting"]), "--setting")
     gamma, aoi = optimize_gamma(q, M, setting)
@@ -219,7 +211,7 @@ def _cmd_optimize(opts: dict) -> int:
 def _cmd_simulate(opts: dict) -> int:
     if opts["q"] is None or opts["setting"] is None:
         raise UsageError("simulate requires --q and --setting")
-    q = _check_q_scalar(_scalar(_parse_floats(opts["q"], "--q"), "--q"))
+    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
     M = _scalar(_parse_ints(opts["m"] or "1", "--m"), "--m")
     setting = _scalar(_parse_settings(opts["setting"]), "--setting")
     gamma_spec = _scalar(_parse_gammas(opts["gamma"] or "optimal"), "--gamma")
@@ -268,8 +260,6 @@ def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedb
     'optimal' gamma token and the gamma_star column.
     """
     qs = _parse_floats(opts["q"], "--q")
-    for q in qs:
-        _check_q_scalar(q)
     ms = _parse_ints(opts["m"] or "1", "--m")
     settings = _parse_settings(opts["setting"])
     gamma_specs = _parse_gammas(opts["gamma"] or default_gammas)

@@ -10,6 +10,7 @@ is successfully received.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,14 +31,6 @@ class Feedback(str, Enum):
         return None
 
 
-class Scheduler(str, Enum):
-    """How attempts are assigned to sources when M >= 2."""
-
-    SINGLE = "single"
-    ROUND_ROBIN = "rr"
-    MAX_AGE_FIRST = "maf"
-
-
 class Regime(str, Enum):
     """Structure of an optimal single-source policy."""
 
@@ -45,11 +38,23 @@ class Regime(str, Enum):
     GREEDY = "greedy"
 
 
-def _check_probability(q: float) -> float:
+def require_q(q: float) -> float:
+    """The erasure probability as a float; raises ValueError outside [0, 1)."""
     # q = 1 makes every AoI formula diverge; q = 0 is a valid degenerate case
     if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must satisfy 0 <= q < 1, got {q!r}")
+        raise ValueError(f"q must be < 1 and >= 0, got {q!r}")
+    if q >= 0.999:
+        # 1/(1-q)^2 terms dominate here; results are valid but extreme
+        warnings.warn(f"q = {q} is close to 1; AoI values grow like 1/(1-q)^2", RuntimeWarning)
     return float(q)
+
+
+def require_m(M: int) -> int:
+    """The source count as an int; raises ValueError unless a positive integer."""
+    m = int(M)
+    if m != M or m < 1:
+        raise ValueError(f"M must be a positive integer, got {M!r}")
+    return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,63 +65,28 @@ class ChannelSpec:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_probability(self.q)
+        require_q(self.q)
         if self.rate != 1.0:
             raise ValueError("energy arrival rate is normalized to 1")
 
 
-_VALID_PAIRS = {
-    Feedback.NOFB: (Scheduler.SINGLE, Scheduler.ROUND_ROBIN),
-    Feedback.WFB: (Scheduler.SINGLE, Scheduler.MAX_AGE_FIRST),
-}
-
-
 @dataclass(frozen=True, slots=True)
 class PolicySpec:
-    """Policy family: threshold gamma (0 encodes greedy) plus scheduler.
+    """Policy family: threshold gamma (0 encodes greedy) and feedback setting.
 
-    Without feedback the sensor cannot react to erasures, so its attempts
-    follow the fixed round-robin order; with feedback it retransmits the
-    same source greedily until success and picks the next source by
-    maximum age.
+    The setting fixes the scheduler. Without feedback the sensor cannot
+    react to erasures, so its attempts follow the fixed round-robin
+    order; with feedback it retransmits the same source greedily until
+    success and picks the next source by maximum age.
     """
 
     feedback: Feedback
-    scheduler: Scheduler
     gamma: float
 
     def __post_init__(self) -> None:
-        feedback = Feedback(self.feedback)
-        scheduler = Scheduler(self.scheduler)
-        object.__setattr__(self, "feedback", feedback)
-        object.__setattr__(self, "scheduler", scheduler)
+        object.__setattr__(self, "feedback", Feedback(self.feedback))
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if scheduler not in _VALID_PAIRS[feedback]:
-            raise ValueError(f"scheduler {scheduler.value} is invalid for {feedback.value}")
-
-
-@dataclass(frozen=True, slots=True)
-class EpochRecord:
-    """One renewal cycle of one source.
-
-    y is the time between two consecutive successful deliveries, R the AoI
-    area accumulated over it, attempts the number of transmissions this
-    source made inside the cycle.
-    """
-
-    source_id: int
-    y: float
-    R: float
-    attempts: int
-
-    def __post_init__(self) -> None:
-        if self.y <= 0.0:
-            raise ValueError("epoch length must be positive")
-        if self.R < 0.0:
-            raise ValueError("AoI area cannot be negative")
-        if self.attempts < 1:
-            raise ValueError("an epoch ends with a success, so attempts >= 1")
 
 
 class Epochs:
@@ -169,7 +139,6 @@ class SimResult:
     """Aggregated output of one simulation run."""
 
     per_source_mean: tuple[float, ...]
-    per_source_ci: tuple[float, ...]
     mean_aoi: float
     ci_half_width: float
     arrivals: int

@@ -1,10 +1,16 @@
 """Seeded simulation of the sensing system.
 
-Two engines produce statistically identical runs:
+run_simulation is the one entry point: the CLI and the validation
+oracles in stats all turn a SimConfig into numbers through it. It
+returns the aggregated SimResult, the epochs as columns and, for traced
+runs, the event log. Two engines produce statistically identical runs:
 
 * an epoch engine (default) that exploits the renewal structure: each
   transmission empties the unit battery and arrivals are memoryless, so
-  waits can be drawn in bulk with numpy and no event queue is needed;
+  waits can be drawn in bulk with numpy and no event queue is needed.
+  Every source then has exactly target_epochs epochs, which the engine
+  writes into one (M, target_epochs) block that run_simulation reads
+  without copying;
 * a trace engine (`_run_loop`) for traced runs and wall-clock-horizon
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
@@ -36,25 +42,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import stats
-from .model import (
-    ChannelSpec,
-    Epochs,
-    Feedback,
-    PolicySpec,
-    Scheduler,
-    SimResult,
-)
+from .model import ChannelSpec, Epochs, Feedback, PolicySpec, SimResult, require_m
 
-__all__ = [
-    "SimConfig",
-    "Event",
-    "EventLog",
-    "run_simulation",
-    "policy_nofb_single",
-    "policy_wfb_single",
-    "scheduler_rr",
-    "scheduler_maf",
-]
+__all__ = ["SimConfig", "Event", "EventLog", "run_simulation"]
 
 ENERGY_ARRIVAL = "EnergyArrival"
 OVERFLOW = "Overflow"
@@ -81,17 +71,13 @@ class SimConfig:
     erasure_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
+        require_m(self.M)
         if (self.target_epochs is None) == (self.horizon is None):
             raise ValueError("exactly one stopping rule must be set: target_epochs or horizon")
         if self.target_epochs is not None and self.target_epochs < 1:
             raise ValueError("target_epochs must be at least 1")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        single = self.policy.scheduler is Scheduler.SINGLE
-        if single != (self.M == 1):
-            raise ValueError("scheduler 'single' is valid exactly when M = 1")
         # mean attempts per epoch is 1/(1-q); beyond 1e4 a run is hopeless
         if self.channel.q > 0.9999:
             raise ValueError(f"q = {self.channel.q} implies over 1e4 attempts per epoch; refusing")
@@ -264,52 +250,6 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     return buf[keep].tobytes()
 
 
-def policy_nofb_single(gamma: float) -> Callable[[float], float]:
-    """No-feedback inter-attempt rule.
-
-    Returns the wait after the previous attempt given the energy arrival
-    wait tau: the sensor holds the unit until the threshold expires, and
-    never reacts to erasures because it cannot see them.
-    """
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    return lambda tau: max(gamma, tau)
-
-
-def policy_wfb_single(gamma: float) -> Callable[[float, bool], float]:
-    """Threshold-greedy rule for the feedback setting.
-
-    After a success the next attempt waits for both the energy unit and
-    the threshold; after a failure the sensor retransmits at the very
-    next arrival.
-    """
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    return lambda tau, after_success: max(gamma, tau) if after_success else tau
-
-
-def scheduler_rr(M: int) -> Callable[[int], int]:
-    """Fixed cyclic order 1, 2, ..., M, advancing on every attempt."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    return lambda current: current % M + 1
-
-
-def scheduler_maf(M: int) -> Callable[[Sequence[float]], int]:
-    """Pick the source with the largest age; lowest index wins ties."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-
-    def pick(ages: Sequence[float]) -> int:
-        best, best_age = 0, -1.0
-        for j in range(M):
-            if ages[j] > best_age:
-                best, best_age = j, ages[j]
-        return best + 1
-
-    return pick
-
-
 def _spawn_streams(
     seed: int, erasure_seed: int | None
 ) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -324,9 +264,10 @@ def _spawn_streams(
 
 
 class _RawRun(NamedTuple):
-    ys: list[np.ndarray]  # per-source epoch lengths
-    atts: list[np.ndarray]  # per-source attempts per epoch, aligned with ys
-    success_times: list[np.ndarray]  # per-source, includes the first success
+    # one row per source; the epoch engines fill one (M, target) block
+    ys: Sequence[np.ndarray]  # epoch lengths
+    atts: Sequence[np.ndarray]  # attempts per epoch, aligned with ys
+    success_times: Sequence[np.ndarray]  # includes the first success
     arrivals: int
     overflows: int
     attempts: int
@@ -351,7 +292,6 @@ def _epochs_nofb(
     oks = [rng_e.random(size=n0) < (1.0 - q)]
     while True:
         ok = oks[0] if len(oks) == 1 else np.concatenate(oks)
-        n = ok.size
         counts = [int(ok[j::M].sum()) for j in range(M)]
         if min(counts) >= need:
             break
@@ -360,16 +300,17 @@ def _epochs_nofb(
         oks.append(rng_e.random(size=extra) < (1.0 - q))
     tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
     t = np.cumsum(np.maximum(gamma, tau))
-    ys, atts, succ_times = [], [], []
+    ys = np.empty((M, target))
+    atts = np.empty((M, target), np.int64)
+    succ_times = []
     cut = 0
     for j in range(M):
-        idx = np.arange(j, n, M)
-        pos = np.flatnonzero(ok[idx])[:need]
-        times = t[idx[pos]]
-        ys.append(np.diff(times))
-        atts.append(np.diff(pos))
+        pos = np.flatnonzero(ok[j::M])[:need]  # successes, as indices into source j's attempts
+        times = t[j::M][pos]
+        np.subtract(times[1:], times[:-1], out=ys[j])
+        np.subtract(pos[1:], pos[:-1], out=atts[j])
         succ_times.append(times)
-        cut = max(cut, int(idx[pos[-1]]) + 1)
+        cut = max(cut, int(pos[-1]) * M + j + 1)
     attempts = cut
     successes = int(ok[:cut].sum())
     overflows = int(rng_o.poisson(np.maximum(gamma - tau[:cut], 0.0)).sum()) if gamma > 0.0 else 0
@@ -402,16 +343,14 @@ def _epochs_wfb(
     else:
         fails = np.zeros(n, dtype=np.int64)
     retr = rng_a.standard_gamma(fails.astype(np.float64))
-    t = np.cumsum(first + retr)
-    ys, atts, succ_times = [], [], []
-    for j in range(M):
-        times = t[j::M]
-        ys.append(np.diff(times))
-        atts.append((fails[j::M] + 1)[1:])
-        succ_times.append(times)
+    t = np.cumsum(first + retr).reshape(need, M)  # row k: every source's k-th success
+    ys = np.empty((M, target))
+    np.subtract(t[1:].T, t[:-1].T, out=ys)
+    atts = np.empty((M, target), np.int64)
+    np.add(fails.reshape(need, M)[1:].T, 1, out=atts)
     attempts = int(n + fails.sum())
     overflows = int(rng_o.poisson(np.maximum(gamma - tau1, 0.0)).sum()) if gamma > 0.0 else 0
-    return _RawRun(ys, atts, succ_times, attempts + overflows, overflows, attempts, n, None, 0.0)
+    return _RawRun(ys, atts, t.T, attempts + overflows, overflows, attempts, n, None, 0.0)
 
 
 def _more_arrivals(A: list[float], rng_a: np.random.Generator, n: int) -> None:
@@ -578,27 +517,25 @@ _N_BATCHES = 20
 
 
 def _horizon_estimates(
-    success_times: list[np.ndarray], T: float
-) -> tuple[list[float], list[float], float, float]:
-    """Time-windowed AoI means over [0, T] with batch-means intervals.
+    success_times: Sequence[np.ndarray], T: float
+) -> tuple[list[float], float, float]:
+    """Time-windowed AoI means over [0, T], pooled with a batch-means interval.
 
     Unlike the renewal estimator, this one keeps the leading and trailing
     partial sawtooth segments.
     """
     M = len(success_times)
     edges = np.linspace(0.0, T, _N_BATCHES + 1)
-    per_mean, per_ci = [], []
+    per_mean = []
     batch_totals = np.zeros(_N_BATCHES)
     for s in success_times:
         area = _sawtooth_area_fn(s)
         vals = np.array([area(e) for e in edges])
-        batches = np.diff(vals) / np.diff(edges)
-        batch_totals += batches
+        batch_totals += np.diff(vals) / np.diff(edges)
         per_mean.append(area(T) / T)
-        per_ci.append(stats.batch_means_ci(batches))
     mean = float(np.mean(per_mean))
     ci = stats.batch_means_ci(batch_totals / M)
-    return per_mean, per_ci, mean, ci
+    return per_mean, mean, ci
 
 
 def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
@@ -607,37 +544,33 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
     Returns the aggregated result, the epochs as columns (ordered by
     source, then time), and the event log when tracing was requested.
     """
-    q = cfg.channel.q
     if cfg.trace or cfg.horizon is not None:
         raw = _run_loop(cfg, keep_events=cfg.trace)
     else:
         rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
         engine = _epochs_wfb if cfg.policy.feedback is Feedback.WFB else _epochs_nofb
-        raw = engine(q, cfg.M, cfg.policy.gamma, cfg.target_epochs, rng_a, rng_e, rng_o)
+        raw = engine(cfg.channel.q, cfg.M, cfg.policy.gamma, cfg.target_epochs, rng_a, rng_e, rng_o)
 
-    epochs = Epochs(
-        np.repeat(np.arange(1, cfg.M + 1), [y.size for y in raw.ys]),
-        np.concatenate(raw.ys),
-        np.concatenate(raw.atts),
-    )
-
-    if cfg.horizon is not None:
-        n_epochs = min((y.size for y in raw.ys), default=0)
+    if cfg.horizon is None:
+        # every source has exactly target epochs, so the rows form one block
+        ys = np.asarray(raw.ys)
+        Rs = 0.5 * ys * ys
+        per_mean = (Rs.sum(1) / ys.sum(1)).tolist()
+        y, att = ys.ravel(), np.ravel(raw.atts)
+        mean, ci = stats.ratio_estimate(y, Rs.ravel())
+        n_epochs = cfg.target_epochs
+    else:
+        y, att = np.concatenate(raw.ys), np.concatenate(raw.atts)
         if any(s.size < 2 for s in raw.success_times):
             warnings.warn(
                 "horizon too short to complete one epoch on every source", RuntimeWarning
             )
-        per_mean, per_ci, mean, ci = _horizon_estimates(raw.success_times, raw.end_time)
-    else:
-        n_epochs = cfg.target_epochs
-        per = [stats.ratio_estimate(y, 0.5 * y * y) for y in raw.ys]
-        per_mean = [p[0] for p in per]
-        per_ci = [p[1] for p in per]
-        mean, ci = stats.ratio_estimate(epochs.y, epochs.R)
+        per_mean, mean, ci = _horizon_estimates(raw.success_times, raw.end_time)
+        n_epochs = min((r.size for r in raw.ys), default=0)
+    epochs = Epochs(np.repeat(np.arange(1, cfg.M + 1), [len(r) for r in raw.ys]), y, att)
 
     result = SimResult(
         per_source_mean=tuple(per_mean),
-        per_source_ci=tuple(per_ci),
         mean_aoi=mean,
         ci_half_width=ci,
         arrivals=raw.arrivals,
@@ -661,18 +594,11 @@ def make_config(
     trace: bool = False,
     erasure_seed: int | None = None,
 ) -> SimConfig:
-    """Convenience constructor picking the canonical scheduler for M."""
-    feedback = Feedback(setting)
-    if M == 1:
-        scheduler = Scheduler.SINGLE
-    elif feedback is Feedback.NOFB:
-        scheduler = Scheduler.ROUND_ROBIN
-    else:
-        scheduler = Scheduler.MAX_AGE_FIRST
+    """Convenience constructor from plain values."""
     return SimConfig(
         channel=ChannelSpec(q=q),
         M=M,
-        policy=PolicySpec(feedback=feedback, scheduler=scheduler, gamma=gamma),
+        policy=PolicySpec(feedback=setting, gamma=gamma),
         target_epochs=target_epochs,
         horizon=horizon,
         seed=seed,

@@ -1,20 +1,25 @@
-"""Renewal-reward estimation and analytic-vs-simulation oracles."""
+"""Renewal-reward estimation and analytic-vs-simulation oracles.
+
+The estimators (ratio_estimate, batch_means_ci) aggregate the epochs of
+one run. The oracles (validate, grid_oracle_gamma, sim_gamma_curve) get
+their simulated numbers from simulator.run_simulation, the one place
+that turns a seeded configuration into epochs, and read its mean_aoi
+and ci_half_width.
+"""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .analytic import RootSolverConfig, _bisect_checked, aoi_maf_wfb, aoi_rr_nofb
-from .model import EpochRecord, Feedback
+from .model import Feedback, SimResult
 
 __all__ = [
     "RenewalEstimate",
-    "renewal_estimate",
     "ratio_estimate",
     "batch_means_ci",
     "closed_form_aoi",
@@ -49,19 +54,6 @@ def ratio_estimate(y: np.ndarray, R: np.ndarray) -> tuple[float, float]:
     ybar = float(y.mean())
     var_point = (var_r - 2.0 * point * cov_ry + point * point * var_y) / (n * ybar * ybar)
     return point, _Z95 * float(np.sqrt(max(var_point, 0.0)))
-
-
-def renewal_estimate(epochs: Sequence[EpochRecord]) -> RenewalEstimate:
-    """Estimate the average AoI from collected epoch records."""
-    n = len(epochs)
-    if n == 0:
-        raise ValueError("no epochs to estimate from")
-    if n < 30:
-        warnings.warn(f"only {n} epochs; the normal CI is unreliable below 30", RuntimeWarning)
-    y = np.fromiter((e.y for e in epochs), dtype=np.float64, count=n)
-    R = np.fromiter((e.R for e in epochs), dtype=np.float64, count=n)
-    point, ci = ratio_estimate(y, R)
-    return RenewalEstimate(point=point, ci_half_width=ci, n_epochs=n)
 
 
 def _t_within(x: float, df: int) -> float:
@@ -130,18 +122,13 @@ class ValidationRecord:
         return "PASS" if self.passed else "FAIL"
 
 
-def _simulate_pooled(
-    q: float, M: int, setting: Feedback, gamma: float, n_epochs: int, seed: int
-) -> tuple[float, float]:
-    # epoch arrays straight from the engine; building record objects for
-    # every cell of a large grid would dominate the runtime
-    from .simulator import _epochs_nofb, _epochs_wfb, _spawn_streams
+def _simulate(q: float, M: int, setting: Feedback, gamma: float, n_epochs: int, seed: int) -> SimResult:
+    # the simulator imports this module for its estimators, so it is
+    # imported at call time
+    from .simulator import make_config, run_simulation
 
-    rng_a, rng_e, rng_o = _spawn_streams(seed, None)
-    engine = _epochs_wfb if setting is Feedback.WFB else _epochs_nofb
-    raw = engine(q, M, gamma, n_epochs, rng_a, rng_e, rng_o)
-    y = np.concatenate(raw.ys)
-    return ratio_estimate(y, 0.5 * y * y)
+    result, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n_epochs, seed=seed))
+    return result
 
 
 def validate(
@@ -161,7 +148,8 @@ def validate(
     """
     setting = Feedback(setting)
     analytic = closed_form_aoi(q, M, setting, gamma)
-    point, ci = _simulate_pooled(q, M, setting, gamma, n_epochs, seed)
+    sim = _simulate(q, M, setting, gamma, n_epochs, seed)
+    point, ci = sim.mean_aoi, sim.ci_half_width
     passed = abs(point - analytic) <= max(3.0 * ci, rel_tol * analytic)
     return ValidationRecord(
         q=q,
@@ -203,7 +191,7 @@ def grid_oracle_gamma(
     if n_epochs is None:
         vals = [closed_form_aoi(q, M, setting, g) for g in gammas]
     else:
-        vals = [_simulate_pooled(q, M, setting, g, n_epochs, seed)[0] for g in gammas]
+        vals = [_simulate(q, M, setting, g, n_epochs, seed).mean_aoi for g in gammas]
     return float(gammas[int(np.argmin(vals))])
 
 
@@ -219,6 +207,6 @@ def sim_gamma_curve(
     setting = Feedback(setting)
     out = []
     for g in gammas:
-        point, ci = _simulate_pooled(q, M, setting, g, n_epochs, seed)
-        out.append(RenewalEstimate(point=point, ci_half_width=ci, n_epochs=n_epochs * M))
+        sim = _simulate(q, M, setting, g, n_epochs, seed)
+        out.append(RenewalEstimate(point=sim.mean_aoi, ci_half_width=sim.ci_half_width, n_epochs=n_epochs * M))
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -218,6 +219,39 @@ class TestGridCells:
             q, M, setting, _, _, gamma_star = line.split(",")[:6]
             expected, _ = optimize_gamma(float(q), int(M), setting)
             assert gamma_star == f"{expected:.6f}"
+
+
+class TestPinnedOutputs:
+    """Outputs recorded before validation was routed through run_simulation."""
+
+    def test_validate_csv(self, tmp_path):
+        out = tmp_path / "validate.csv"
+        args = ["validate", "--q", "0.1,0.5", "--m", "1,4", "--setting", "nofb,wfb",
+                "--epochs", "20000", "--seed", "1", "--out", str(out)]
+        assert main(args) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "cb921c90be4aa1d07fea4e4b2698c1911f3e32efaa2fd66b8750d8d352ade272"
+
+    @pytest.mark.parametrize(
+        "args,line",
+        [
+            (
+                "--q 0.3 --m 2 --setting nofb --gamma 0.2 --epochs 20000 --replications 2 --seed 5",
+                "q=0.300000 M=2 setting=nofb gamma=0.200000 sim_mean=2.359268 sim_ci=0.018910 "
+                "epochs_per_source=20000 replications=2 arrivals=116383 overflows=2138 "
+                "attempts=114245 successes=80094 seed=5",
+            ),
+            (
+                "--q 0.5 --m 3 --setting wfb --epochs 20000 --seed 9",
+                "q=0.500000 M=3 setting=wfb gamma=0.000000 sim_mean=4.014331 sim_ci=0.022541 "
+                "epochs_per_source=20000 replications=1 arrivals=120229 overflows=0 "
+                "attempts=120229 successes=60003 seed=9",
+            ),
+        ],
+    )
+    def test_untraced_simulate_line(self, capsys, args, line):
+        assert main(["simulate", *args.split()]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 class TestColdStart:

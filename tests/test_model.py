@@ -6,12 +6,10 @@ import pytest
 from aoi_erasure.model import (
     AnalyticSolution,
     ChannelSpec,
-    EpochRecord,
     Epochs,
     Feedback,
     PolicySpec,
     Regime,
-    Scheduler,
     SimResult,
 )
 from trace_oracle import BatteryState  # the battery of the literal reference event loop
@@ -58,26 +56,19 @@ class TestBatteryState:
 
 class TestPolicySpec:
     def test_valid_pairings(self):
-        PolicySpec(Feedback.NOFB, Scheduler.SINGLE, 0.5)
-        PolicySpec(Feedback.NOFB, Scheduler.ROUND_ROBIN, 0.0)
-        PolicySpec(Feedback.WFB, Scheduler.SINGLE, 1.0)
-        PolicySpec(Feedback.WFB, Scheduler.MAX_AGE_FIRST, 0.2)
-
-    def test_invalid_pairings(self):
-        with pytest.raises(ValueError):
-            PolicySpec(Feedback.NOFB, Scheduler.MAX_AGE_FIRST, 0.0)
-        with pytest.raises(ValueError):
-            PolicySpec(Feedback.WFB, Scheduler.ROUND_ROBIN, 0.0)
+        PolicySpec(Feedback.NOFB, 0.5)
+        PolicySpec(Feedback.NOFB, 0.0)
+        PolicySpec(Feedback.WFB, 1.0)
+        PolicySpec(Feedback.WFB, 0.2)
 
     def test_accepts_plain_strings(self):
-        p = PolicySpec("nofb", "rr", 0.1)
+        p = PolicySpec("nofb", 0.1)
         assert p.feedback is Feedback.NOFB
-        assert p.scheduler is Scheduler.ROUND_ROBIN
 
     @pytest.mark.parametrize("text", ["wfb", "WFB", " wfb\n"])
     def test_feedback_coerces_case_and_whitespace(self, text):
         assert Feedback(text) is Feedback.WFB
-        assert PolicySpec(text, "maf", 0.1).feedback is Feedback.WFB
+        assert PolicySpec(text, 0.1).feedback is Feedback.WFB
 
     @pytest.mark.parametrize("value", ["fancy", "", 1, None])
     def test_feedback_rejects_unknown_values(self, value):
@@ -86,23 +77,9 @@ class TestPolicySpec:
 
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
-            PolicySpec(Feedback.NOFB, Scheduler.SINGLE, -0.1)
+            PolicySpec(Feedback.NOFB, -0.1)
         with pytest.raises(ValueError):
-            PolicySpec(Feedback.NOFB, Scheduler.SINGLE, math.nan)
-
-
-class TestEpochRecord:
-    def test_single_attempt_epoch_area(self):
-        r = EpochRecord(source_id=1, y=2.0, R=2.0, attempts=1)
-        assert r.R == r.y * r.y / 2.0
-
-    def test_domains(self):
-        with pytest.raises(ValueError):
-            EpochRecord(1, 0.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            EpochRecord(1, 1.0, -0.5, 1)
-        with pytest.raises(ValueError):
-            EpochRecord(1, 1.0, 0.5, 0)
+            PolicySpec(Feedback.NOFB, math.nan)
 
 
 class TestEpochs:
@@ -134,7 +111,6 @@ class TestSimResult:
     def _mk(self, **kw):
         base = dict(
             per_source_mean=(1.0,),
-            per_source_ci=(0.1,),
             mean_aoi=1.0,
             ci_half_width=0.1,
             arrivals=10,

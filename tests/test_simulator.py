@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, exp_max_moments, solve_wfb
-from aoi_erasure.model import ChannelSpec, Feedback, PolicySpec, Scheduler
+from aoi_erasure.model import ChannelSpec, Feedback, PolicySpec
 from aoi_erasure.simulator import (
     ATTEMPT,
     ENERGY_ARRIVAL,
@@ -15,18 +15,16 @@ from aoi_erasure.simulator import (
     EventLog,
     SimConfig,
     make_config,
-    policy_nofb_single,
-    policy_wfb_single,
     run_simulation,
-    scheduler_maf,
-    scheduler_rr,
 )
+from aoi_erasure.stats import ratio_estimate
+from trace_oracle import policy_nofb_single, policy_wfb_single, scheduler_maf, scheduler_rr
 
 
 class TestSimConfig:
     def test_exactly_one_stopping_rule(self):
         ch = ChannelSpec(q=0.2)
-        pol = PolicySpec(Feedback.NOFB, Scheduler.SINGLE, 0.0)
+        pol = PolicySpec(Feedback.NOFB, 0.0)
         with pytest.raises(ValueError):
             SimConfig(ch, 1, pol)
         with pytest.raises(ValueError):
@@ -34,21 +32,14 @@ class TestSimConfig:
         SimConfig(ch, 1, pol, target_epochs=10)
         SimConfig(ch, 1, pol, horizon=5.0)
 
-    def test_scheduler_matches_source_count(self):
-        ch = ChannelSpec(q=0.2)
-        with pytest.raises(ValueError):
-            SimConfig(ch, 2, PolicySpec(Feedback.NOFB, Scheduler.SINGLE, 0.0), target_epochs=1)
-        with pytest.raises(ValueError):
-            SimConfig(ch, 1, PolicySpec(Feedback.NOFB, Scheduler.ROUND_ROBIN, 0.0), target_epochs=1)
-
     def test_refuses_hopeless_q(self):
         ch = ChannelSpec(q=0.99995)
         with pytest.raises(ValueError):
-            SimConfig(ch, 1, PolicySpec(Feedback.NOFB, Scheduler.SINGLE, 0.0), target_epochs=1)
+            SimConfig(ch, 1, PolicySpec(Feedback.NOFB, 0.0), target_epochs=1)
 
     def test_stopping_rule_domains(self):
         ch = ChannelSpec(q=0.2)
-        pol = PolicySpec(Feedback.NOFB, Scheduler.SINGLE, 0.0)
+        pol = PolicySpec(Feedback.NOFB, 0.0)
         with pytest.raises(ValueError):
             SimConfig(ch, 1, pol, target_epochs=0)
         with pytest.raises(ValueError):
@@ -135,6 +126,14 @@ class TestEpochEngine:
         assert res.epochs_per_source == 50
         assert epochs.R == pytest.approx(epochs.y * epochs.y / 2.0, rel=1e-12)
         assert np.all((1 <= epochs.source_id) & (epochs.source_id <= 3))
+
+    @pytest.mark.parametrize("setting", ["nofb", "wfb"])
+    def test_per_source_means_are_source_ratios(self, setting):
+        res, epochs, _ = run_simulation(make_config(0.3, 3, setting, 0.2, target_epochs=2000, seed=10))
+        assert len(res.per_source_mean) == 3
+        for j, mean in enumerate(res.per_source_mean, start=1):
+            mine = epochs.source_id == j
+            assert mean == ratio_estimate(epochs.y[mine], epochs.R[mine])[0]
 
     def test_wfb_epochs_look_iid(self):
         _, epochs, _ = run_simulation(make_config(0.5, 1, "wfb", 0.9438, target_epochs=100000, seed=55))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, optimize_gamma, solve_nofb
-from aoi_erasure.model import EpochRecord, Feedback
+from aoi_erasure.model import Feedback
 from aoi_erasure.simulator import make_config, run_simulation
 from aoi_erasure.stats import (
     RenewalEstimate,
@@ -11,7 +11,6 @@ from aoi_erasure.stats import (
     closed_form_aoi,
     grid_oracle_gamma,
     ratio_estimate,
-    renewal_estimate,
     sim_gamma_curve,
     validate,
 )
@@ -28,6 +27,8 @@ class TestRatioEstimate:
         point, ci = ratio_estimate(np.array([3.0]), np.array([4.5]))
         assert point == 1.5
         assert ci == 0.0
+        with pytest.raises(ValueError):
+            ratio_estimate(np.array([]), np.array([]))
 
     def test_matches_renewal_identity(self):
         rng = np.random.default_rng(7)
@@ -49,29 +50,6 @@ class TestRatioEstimate:
 def _pooled(q, M, setting, gamma, n, seed):
     res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
     return res.mean_aoi, res.ci_half_width
-
-
-class TestRenewalEstimate:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            renewal_estimate([])
-
-    def test_few_epochs_warn(self):
-        recs = [EpochRecord(1, 2.0, 2.0, 1) for _ in range(5)]
-        with pytest.warns(RuntimeWarning):
-            est = renewal_estimate(recs)
-        assert est.point == pytest.approx(1.0)
-        assert est.n_epochs == 5
-
-    def test_agrees_with_ratio_estimate(self):
-        rng = np.random.default_rng(11)
-        y = rng.exponential(size=500) + 0.1
-        recs = [EpochRecord(1, yy, 0.5 * yy * yy, 1) for yy in y]
-        est = renewal_estimate(recs)
-        point, ci = ratio_estimate(y, 0.5 * y * y)
-        assert est.point == pytest.approx(point, rel=1e-14)
-        assert est.ci_half_width == pytest.approx(ci, rel=1e-12)
-        assert isinstance(est, RenewalEstimate)
 
 
 class TestBatchMeans:
@@ -180,9 +158,28 @@ class TestSimGammaCurve:
         gammas = [0.0, 0.5, 0.9437858746370043, 1.5, 2.5]
         ests = sim_gamma_curve(0.5, 1, "wfb", gammas, n_epochs=20000, seed=12)
         assert len(ests) == len(gammas)
+        assert all(isinstance(e, RenewalEstimate) for e in ests)
         vals = [e.point for e in ests]
         # the interior optimum must beat both extremes of the grid
         assert vals[2] < vals[0] and vals[2] < vals[-1]
         for e, g in zip(ests, gammas):
             analytic = closed_form_aoi(0.5, 1, "wfb", g)
             assert abs(e.point - analytic) <= max(3 * e.ci_half_width, 0.02 * analytic)
+
+
+class TestOneEntryPoint:
+    """The oracles report exactly what run_simulation reports for the same cell and seed."""
+
+    @pytest.mark.parametrize(
+        "q,M,setting,gamma", [(0.3, 1, "nofb", 0.47), (0.5, 2, "wfb", 0.2), (0.1, 4, "wfb", 0.0)]
+    )
+    def test_oracles_equal_run_simulation(self, q, M, setting, gamma):
+        n, seed = 3000, 5
+        res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
+        rec = validate(q, M, setting, gamma, n_epochs=n, seed=seed)
+        assert (rec.sim_mean, rec.sim_ci) == (res.mean_aoi, res.ci_half_width)
+        (est,) = sim_gamma_curve(q, M, setting, [gamma], n_epochs=n, seed=seed)
+        assert (est.point, est.ci_half_width, est.n_epochs) == (res.mean_aoi, res.ci_half_width, n * M)
+        gammas = np.arange(0.0, 5.5, 1.0)
+        means = [_pooled(q, M, setting, g, n, seed)[0] for g in gammas]
+        assert grid_oracle_gamma(q, M, setting, 1.0, n_epochs=n, seed=seed) == gammas[int(np.argmin(means))]

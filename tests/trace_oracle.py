@@ -9,6 +9,7 @@ bit for bit (tests/test_trace_parity.py).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,10 +25,6 @@ from aoi_erasure.simulator import (
     Event,
     SimConfig,
     _spawn_streams,
-    policy_nofb_single,
-    policy_wfb_single,
-    scheduler_maf,
-    scheduler_rr,
 )
 
 
@@ -53,6 +50,52 @@ class BatteryState:
         if self.level != 1:
             raise RuntimeError("transmission attempted with an empty battery")
         self.level = 0
+
+
+def policy_nofb_single(gamma: float) -> Callable[[float], float]:
+    """No-feedback inter-attempt rule.
+
+    Returns the wait after the previous attempt given the energy arrival
+    wait tau: the sensor holds the unit until the threshold expires, and
+    never reacts to erasures because it cannot see them.
+    """
+    if gamma < 0.0:
+        raise ValueError("gamma must be nonnegative")
+    return lambda tau: max(gamma, tau)
+
+
+def policy_wfb_single(gamma: float) -> Callable[[float, bool], float]:
+    """Threshold-greedy rule for the feedback setting.
+
+    After a success the next attempt waits for both the energy unit and
+    the threshold; after a failure the sensor retransmits at the very
+    next arrival.
+    """
+    if gamma < 0.0:
+        raise ValueError("gamma must be nonnegative")
+    return lambda tau, after_success: max(gamma, tau) if after_success else tau
+
+
+def scheduler_rr(M: int) -> Callable[[int], int]:
+    """Fixed cyclic order 1, 2, ..., M, advancing on every attempt."""
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    return lambda current: current % M + 1
+
+
+def scheduler_maf(M: int) -> Callable[[Sequence[float]], int]:
+    """Pick the source with the largest age; lowest index wins ties."""
+    if M < 1:
+        raise ValueError("M must be at least 1")
+
+    def pick(ages: Sequence[float]) -> int:
+        best, best_age = 0, -1.0
+        for j in range(M):
+            if ages[j] > best_age:
+                best, best_age = j, ages[j]
+        return best + 1
+
+    return pick
 
 
 class OracleRun(NamedTuple):
