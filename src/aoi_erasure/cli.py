@@ -223,11 +223,9 @@ def _cmd_simulate(opts: dict) -> int:
     if opts["trace"] and reps > 1:
         raise UsageError("--trace supports a single replication")
 
-    import numpy as np
+    from .stats import Moments
 
-    from .stats import ratio_estimate
-
-    ys = []
+    pooled = Moments()
     arrivals = overflows = attempts = successes = 0
     log = None
     for r in range(reps):
@@ -235,13 +233,13 @@ def _cmd_simulate(opts: dict) -> int:
             q, M, setting, gamma, target_epochs=epochs, seed=opts["seed"] + r, trace=opts["trace"]
         )
         result, run_epochs, log = run_simulation(cfg)
-        ys.append(run_epochs.y)
+        if reps > 1:
+            pooled.merge(Moments.of(run_epochs.y, run_epochs.R))
         arrivals += result.arrivals
         overflows += result.overflows
         attempts += result.attempts
         successes += result.successes
-    y = np.concatenate(ys)
-    point, ci = ratio_estimate(y, 0.5 * y * y)
+    point, ci = pooled.estimate() if reps > 1 else (result.mean_aoi, result.ci_half_width)
     print(
         f"q={_fmt(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
         f"sim_mean={_fmt(point)} sim_ci={_fmt(ci)} epochs_per_source={epochs} "

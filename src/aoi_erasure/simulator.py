@@ -10,7 +10,17 @@ runs, the event log. Two engines produce statistically identical runs:
   waits can be drawn in bulk with numpy and no event queue is needed.
   Every source then has exactly target_epochs epochs, which the engine
   writes into one (M, target_epochs) block that run_simulation reads
-  without copying;
+  without copying. Attempts are drawn and folded in fixed blocks of
+  about _BLOCK, so attempt-level memory does not grow with the run;
+  only the returned epoch columns do (24 bytes an epoch). Between
+  blocks the engines carry the clock and, per source, what the next
+  epoch needs: without feedback the successes so far and the time and
+  cycle of the last one, with feedback the last round's success times.
+  The feedback engine also holds every first wait (8 bytes an epoch):
+  its retry waits are gamma draws on the same stream as the first
+  waits, and they come after all of them. Each stream is consumed in
+  the order of an all-at-once draw, so the block size changes no
+  number;
 * a trace engine (`_run_loop`) for traced runs and wall-clock-horizon
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
@@ -267,13 +277,26 @@ class _RawRun(NamedTuple):
     # one row per source; the epoch engines fill one (M, target) block
     ys: Sequence[np.ndarray]  # epoch lengths
     atts: Sequence[np.ndarray]  # attempts per epoch, aligned with ys
-    success_times: Sequence[np.ndarray]  # includes the first success
+    success_times: Sequence[np.ndarray]  # includes the first success; trace engine only
     arrivals: int
     overflows: int
     attempts: int
     successes: int
     events: EventLog | None
     end_time: float  # horizon runs only
+
+
+_BLOCK = 1 << 16  # attempts (nofb) or services (wfb) an epoch engine draws per pass
+
+
+def _overflows(rng_o: np.random.Generator, gamma: float, tau: np.ndarray) -> int:
+    """Arrivals lost while the threshold holds a full battery: Poisson(gamma - tau) each.
+
+    Only positive means are drawn: a zero mean yields 0 without touching
+    the stream, so the skipped draws change nothing.
+    """
+    lam = gamma - tau
+    return int(rng_o.poisson(lam[lam > 0.0]).sum())
 
 
 def _epochs_nofb(
@@ -285,36 +308,54 @@ def _epochs_nofb(
     rng_e: np.random.Generator,
     rng_o: np.random.Generator,
 ) -> _RawRun:
-    """Epoch engine, no feedback: attempts walk the round-robin cycle."""
+    """Epoch engine, no feedback: attempts walk the round-robin cycle.
+
+    Attempt i belongs to source i mod M and waits max(gamma, tau_i). A
+    block holds whole cycles; between blocks it carries the clock and,
+    per source, the successes so far and the time and cycle of the last
+    one. The run ends at the need-th success of the last source to get
+    there; successes and overflows count the attempts before that cut.
+    """
     need = target + 1
-    n0 = int(M * need / (1.0 - q) * 1.1) + 1024
-    taus = [rng_a.exponential(size=n0)]
-    oks = [rng_e.random(size=n0) < (1.0 - q)]
-    while True:
-        ok = oks[0] if len(oks) == 1 else np.concatenate(oks)
-        counts = [int(ok[j::M].sum()) for j in range(M)]
-        if min(counts) >= need:
-            break
-        extra = max(4096, n0 // 4)
-        taus.append(rng_a.exponential(size=extra))
-        oks.append(rng_e.random(size=extra) < (1.0 - q))
-    tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
-    t = np.cumsum(np.maximum(gamma, tau))
+    cycles = max(1, _BLOCK // M)
     ys = np.empty((M, target))
     atts = np.empty((M, target), np.int64)
-    succ_times = []
-    cut = 0
-    for j in range(M):
-        pos = np.flatnonzero(ok[j::M])[:need]  # successes, as indices into source j's attempts
-        times = t[j::M][pos]
-        np.subtract(times[1:], times[:-1], out=ys[j])
-        np.subtract(pos[1:], pos[:-1], out=atts[j])
-        succ_times.append(times)
-        cut = max(cut, int(pos[-1]) * M + j + 1)
-    attempts = cut
-    successes = int(ok[:cut].sum())
-    overflows = int(rng_o.poisson(np.maximum(gamma - tau[:cut], 0.0)).sum()) if gamma > 0.0 else 0
-    return _RawRun(ys, atts, succ_times, attempts + overflows, overflows, attempts, successes, None, 0.0)
+    wins = np.zeros(M, np.int64)  # successes so far, at most need
+    last_t = np.zeros(M)
+    last_k = np.zeros(M, np.int64)  # cycle of the last success
+    done = np.zeros(M, np.int64)  # attempts up to each source's need-th success
+    clock = 0.0
+    base = successes = overflows = 0  # base: cycles before this block
+    while True:
+        tau = rng_a.exponential(size=cycles * M)
+        ok = rng_e.random(size=cycles * M) < (1.0 - q)
+        t = np.cumsum(np.concatenate(([clock], np.maximum(gamma, tau))))[1:]
+        clock = t[-1]
+        for j in np.flatnonzero(wins < need):
+            k = np.flatnonzero(ok[j::M])[: need - wins[j]]
+            if k.size == 0:
+                continue
+            s = np.concatenate(([last_t[j]], t[j::M][k]))
+            a = np.concatenate(([last_k[j]], k + base))
+            lo = wins[j] - 1  # epoch that the block's first success closes
+            if lo < 0:  # the source's first success opens its first epoch
+                s, a, lo = s[1:], a[1:], 0
+            np.subtract(s[1:], s[:-1], out=ys[j, lo : lo + s.size - 1])
+            np.subtract(a[1:], a[:-1], out=atts[j, lo : lo + a.size - 1])
+            wins[j] += k.size
+            last_t[j], last_k[j] = s[-1], a[-1]
+            if wins[j] == need:
+                done[j] = a[-1] * M + j + 1
+        finished = wins.min() == need
+        n = int(done.max()) - base * M if finished else tau.size
+        successes += int(ok[:n].sum())
+        if gamma > 0.0:
+            overflows += _overflows(rng_o, gamma, tau[:n])
+        if finished:
+            break
+        base += cycles
+    attempts = int(done.max())
+    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, successes, None, 0.0)
 
 
 def _epochs_wfb(
@@ -332,25 +373,44 @@ def _epochs_wfb(
     1..M: a success makes its source the youngest, so the stalest source
     is always the least recently served one. Each turn needs a geometric
     number of attempts; the extra waits beyond the first are a sum of
-    unit exponentials, drawn as one gamma variate.
+    unit exponentials, drawn as one gamma variate. Those gamma draws
+    follow every first wait on the same stream, so the first waits are
+    drawn up front (8 bytes per epoch); the rest runs in blocks of whole
+    rounds of M services, carrying the clock and the last round's
+    success times.
     """
     need = target + 1
-    n = M * need  # service s belongs to source s mod M, deterministically
-    tau1 = rng_a.exponential(size=n)
-    first = np.maximum(gamma, tau1)
-    if q > 0.0:
-        fails = rng_e.geometric(1.0 - q, size=n) - 1
-    else:
-        fails = np.zeros(n, dtype=np.int64)
-    retr = rng_a.standard_gamma(fails.astype(np.float64))
-    t = np.cumsum(first + retr).reshape(need, M)  # row k: every source's k-th success
+    tau1 = rng_a.exponential(size=M * need)  # service s belongs to source s mod M
+    rounds = max(1, _BLOCK // M)
     ys = np.empty((M, target))
-    np.subtract(t[1:].T, t[:-1].T, out=ys)
     atts = np.empty((M, target), np.int64)
-    np.add(fails.reshape(need, M)[1:].T, 1, out=atts)
-    attempts = int(n + fails.sum())
-    overflows = int(rng_o.poisson(np.maximum(gamma - tau1, 0.0)).sum()) if gamma > 0.0 else 0
-    return _RawRun(ys, atts, t.T, attempts + overflows, overflows, attempts, n, None, 0.0)
+    clock = 0.0
+    prev = np.empty((0, M))  # success times of the round before the block
+    fails_total = overflows = 0
+    for lo in range(0, need, rounds):
+        tau = tau1[lo * M : (lo + rounds) * M]
+        w = np.maximum(gamma, tau)
+        if q > 0.0:
+            fails = rng_e.geometric(1.0 - q, size=tau.size) - 1
+            retry = fails > 0
+            w[retry] += rng_a.standard_gamma(fails[retry].astype(np.float64))
+        else:
+            fails = np.zeros(tau.size, np.int64)
+        t = np.cumsum(np.concatenate(([clock], w)))[1:].reshape(-1, M)  # row: one round
+        clock = t[-1, -1]
+        first = lo - prev.shape[0]
+        t = np.concatenate((prev, t))  # rounds first, first + 1, ...
+        # round r >= 1 closes epoch r - 1 of every source
+        epochs = slice(first, first + t.shape[0] - 1)
+        np.subtract(t[1:].T, t[:-1].T, out=ys[:, epochs])
+        np.add(fails.reshape(-1, M)[first + 1 - lo :].T, 1, out=atts[:, epochs])
+        prev = t[-1:]
+        fails_total += int(fails.sum())
+        if gamma > 0.0:
+            overflows += _overflows(rng_o, gamma, tau)
+    n = M * need
+    attempts = n + fails_total
+    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, n, None, 0.0)
 
 
 def _more_arrivals(A: list[float], rng_a: np.random.Generator, n: int) -> None:
@@ -554,10 +614,14 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
     if cfg.horizon is None:
         # every source has exactly target epochs, so the rows form one block
         ys = np.asarray(raw.ys)
-        Rs = 0.5 * ys * ys
-        per_mean = (Rs.sum(1) / ys.sum(1)).tolist()
+        pooled = stats.Moments()
+        per_mean = []
+        for row in ys:
+            moments = stats.Moments.of(row, 0.5 * row * row)
+            per_mean.append(moments.point)
+            pooled.merge(moments)
+        mean, ci = pooled.estimate()
         y, att = ys.ravel(), np.ravel(raw.atts)
-        mean, ci = stats.ratio_estimate(y, Rs.ravel())
         n_epochs = cfg.target_epochs
     else:
         y, att = np.concatenate(raw.ys), np.concatenate(raw.atts)

@@ -1,7 +1,16 @@
 """Renewal-reward estimation and analytic-vs-simulation oracles.
 
-The estimators (ratio_estimate, batch_means_ci) aggregate the epochs of
-one run. The oracles (validate, grid_oracle_gamma, sim_gamma_curve) get
+The estimators (Moments, ratio_estimate, batch_means_ci) aggregate the
+epochs of one run. The ratio estimator needs only the count, the sums
+and means of the epochs y and their age areas R = y**2 / 2, and the
+centered sums M2(y), M2(R) and C(R, y). Moments takes them one block of
+epochs at a time, each block centered on its own mean, and merges
+blocks (and whole runs) with the pairwise update of Chan, Golub &
+LeVeque, "Algorithms for computing the sample variance" (1983), so no
+estimate needs more than one block of temporaries or a concatenation.
+Raw power sums would cancel catastrophically when y varies little, so
+none are kept. The point estimate stays the ratio of the plain sums of
+R and y. The oracles (validate, grid_oracle_gamma, sim_gamma_curve) get
 their simulated numbers from simulator.run_simulation, the one place
 that turns a seeded configuration into epochs, and read its mean_aoi
 and ci_half_width.
@@ -20,6 +29,7 @@ from .model import Feedback, SimResult
 
 __all__ = [
     "RenewalEstimate",
+    "Moments",
     "ratio_estimate",
     "batch_means_ci",
     "closed_form_aoi",
@@ -41,19 +51,83 @@ class RenewalEstimate:
     n_epochs: int
 
 
+_CHUNK = 1 << 16  # epochs centered in one pass
+
+
+class Moments:
+    """Mergeable moments of renewal epochs y and their areas R.
+
+    n, the sums of y and R (the point estimate is their ratio), the
+    means, the centered sums of squares M2(y), M2(R) and the co-moment
+    C(R, y). Each block is centered on its mean, taken as the first
+    value plus the mean offset from it, so constant epochs give exact
+    zeros.
+    """
+
+    __slots__ = ("n", "sum_y", "sum_r", "mean_y", "mean_r", "m2_y", "m2_r", "c_ry")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.sum_y = self.sum_r = self.mean_y = self.mean_r = 0.0
+        self.m2_y = self.m2_r = self.c_ry = 0.0
+
+    @classmethod
+    def of(cls, y: np.ndarray, R: np.ndarray) -> Moments:
+        """The moments of epochs y with areas R, centered _CHUNK epochs at a time."""
+        acc = cls()
+        for lo in range(0, y.size, _CHUNK):
+            yb, rb = y[lo : lo + _CHUNK], R[lo : lo + _CHUNK]
+            dy = yb - yb[0]
+            oy = float(dy.sum()) / yb.size
+            dy -= oy
+            dr = rb - rb[0]
+            o_r = float(dr.sum()) / rb.size
+            dr -= o_r
+            mean_y, mean_r = float(yb[0]) + oy, float(rb[0]) + o_r
+            acc._combine(yb.size, mean_y, mean_r, float(dy @ dy), float(dr @ dr), float(dr @ dy))
+        # the sums of the whole arrays, so the point is R.sum() / y.sum()
+        acc.sum_y, acc.sum_r = float(y.sum()), float(R.sum())
+        return acc
+
+    def merge(self, other: Moments) -> None:
+        """Fold another run's moments into these."""
+        self._combine(other.n, other.mean_y, other.mean_r, other.m2_y, other.m2_r, other.c_ry)
+        self.sum_y += other.sum_y
+        self.sum_r += other.sum_r
+
+    def _combine(self, n: int, mean_y: float, mean_r: float, m2_y: float, m2_r: float, c_ry: float) -> None:
+        # Chan, Golub & LeVeque's pairwise update; sums are the caller's
+        if n == 0:
+            return
+        total = self.n + n
+        w = self.n * n / total
+        dy, dr = mean_y - self.mean_y, mean_r - self.mean_r
+        self.mean_y += dy * (n / total)
+        self.mean_r += dr * (n / total)
+        self.m2_y += m2_y + dy * dy * w
+        self.m2_r += m2_r + dr * dr * w
+        self.c_ry += c_ry + dr * dy * w
+        self.n = total
+
+    @property
+    def point(self) -> float:
+        return self.sum_r / self.sum_y
+
+    def estimate(self) -> tuple[float, float]:
+        """Ratio-of-sums estimate of E[R]/E[y] with a delta-method 95% CI."""
+        if self.n == 0:
+            raise ValueError("no epochs to estimate from")
+        point = self.point
+        if self.n == 1:
+            return point, 0.0
+        spread = self.m2_r - 2.0 * point * self.c_ry + point * point * self.m2_y
+        var_point = spread / ((self.n - 1) * self.n * self.mean_y * self.mean_y)
+        return point, _Z95 * math.sqrt(max(var_point, 0.0))
+
+
 def ratio_estimate(y: np.ndarray, R: np.ndarray) -> tuple[float, float]:
     """Ratio-of-sums estimator of E[R]/E[y] with a delta-method 95% CI."""
-    n = y.size
-    if n == 0:
-        raise ValueError("no epochs to estimate from")
-    point = float(R.sum() / y.sum())
-    if n == 1:
-        return point, 0.0
-    cov = np.cov(R, y, ddof=1)
-    var_r, var_y, cov_ry = cov[0, 0], cov[1, 1], cov[0, 1]
-    ybar = float(y.mean())
-    var_point = (var_r - 2.0 * point * cov_ry + point * point * var_y) / (n * ybar * ybar)
-    return point, _Z95 * float(np.sqrt(max(var_point, 0.0)))
+    return Moments.of(y, R).estimate()
 
 
 def _t_within(x: float, df: int) -> float:

@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# property tests replay a fixed set of examples, so every run checks the same cases
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 _RESULTS: list[tuple[int, bool, str]] = []
 

@@ -282,6 +282,42 @@ class TestColdStart:
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+# Run in a small interpreter: exec carries the spawning process's own peak
+# RSS into the child's ru_maxrss, so a child of the test process would
+# report at least the test process's peak.
+_SPAWN_AND_REAP = """
+import os, sys
+devnull = os.open(os.devnull, os.O_WRONLY)
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "aoi_erasure.cli", *sys.argv[1:]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, devnull, 1)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0)
+"""
+
+
+def _peak_rss_mb(args: list[str]) -> float:
+    """ru_maxrss of one fresh CLI process, reaped with os.wait4."""
+    src = str(Path(aoi_erasure.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN_AND_REAP, *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    code, peak = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return float(peak)
+
+
+class TestMemory:
+    def test_attempt_buffers_do_not_grow_with_the_run(self):
+        # 1e4 -> 1e5 epochs is 2e6 -> 2e7 attempts; only the epoch columns (24 B each) may grow
+        args = ["simulate", "--q", "0.99", "--m", "2", "--setting", "nofb", "--epochs"]
+        small = _peak_rss_mb([*args, "10000"])
+        large = _peak_rss_mb([*args, "100000"])
+        assert large - small < 30.0, (small, large)
+        assert large < 100.0, large
+
+
 class TestConfigFile:
     BODY = "q = 0.3\nsetting = nofb\ngamma = 0.2\nepochs = 5000\nseed = 7\n# trailing comment\n"
 

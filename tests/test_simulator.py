@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aoi_erasure import simulator
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, exp_max_moments, solve_wfb
 from aoi_erasure.model import ChannelSpec, Feedback, PolicySpec
 from aoi_erasure.simulator import (
@@ -18,6 +21,8 @@ from aoi_erasure.simulator import (
     run_simulation,
 )
 from aoi_erasure.stats import ratio_estimate
+from epoch_oracle import epochs_nofb, epochs_wfb
+from epoch_oracle import ratio_estimate as cov_ratio_estimate
 from trace_oracle import policy_nofb_single, policy_wfb_single, scheduler_maf, scheduler_rr
 
 
@@ -143,6 +148,80 @@ class TestEpochEngine:
             gap = abs(a.mean() - b.mean())
             bound = 3.0 * np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
             assert gap <= bound
+
+
+def _run_with_block(block, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_BLOCK", block)
+        return run_simulation(cfg)
+
+
+def _assert_same_run(got, want):
+    (res, epochs, _), (res_w, epochs_w, _) = got, want
+    assert res == res_w
+    for name in ("source_id", "y", "attempts"):
+        g, w = getattr(epochs, name), getattr(epochs_w, name)
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+class TestEngineBlocks:
+    """The block engines equal the all-at-once ones, whatever the block size.
+
+    A block holds max(1, _BLOCK // M) cycles (nofb) or rounds (wfb), and
+    the targets put the run's end exactly on a block edge or one epoch
+    past it (exactly for wfb, and for nofb when q = 0, where every
+    attempt succeeds).
+    """
+
+    @settings(max_examples=120)
+    @given(
+        setting=st.sampled_from(["nofb", "wfb"]),
+        M=st.sampled_from([1, 2, 3, 5]),
+        q=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+        gamma=st.sampled_from([0.0, 0.4, 2.0]),
+        target=st.sampled_from([1, 2, 7, 3000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_all_at_once_engines(self, setting, M, q, gamma, target, seed):
+        cfg = make_config(q, M, setting, gamma, target_epochs=target, seed=seed)
+        res, epochs, _ = run_simulation(cfg)
+        oracle = epochs_wfb if setting == "wfb" else epochs_nofb
+        ys, atts, *counters = oracle(q, M, gamma, target, *simulator._spawn_streams(seed, None))
+        assert [res.arrivals, res.overflows, res.attempts, res.successes] == counters
+        np.testing.assert_array_equal(epochs.y, ys.ravel())
+        np.testing.assert_array_equal(epochs.attempts, atts.ravel())
+        Rs = 0.5 * ys * ys
+        assert list(res.per_source_mean) == (Rs.sum(1) / ys.sum(1)).tolist()
+        point, ci = cov_ratio_estimate(ys.ravel(), Rs.ravel())
+        assert res.mean_aoi == pytest.approx(point, rel=1e-12)
+        # near-equal epochs leave a CI of rounding size, where np.cov itself is off
+        assert res.ci_half_width == pytest.approx(ci, rel=1e-12, abs=1e-15 * point)
+
+    @settings(max_examples=60)
+    @given(
+        setting=st.sampled_from(["nofb", "wfb"]),
+        M=st.sampled_from([1, 3, 8]),
+        q=st.sampled_from([0.0, 0.5, 0.95]),
+        gamma=st.sampled_from([0.0, 0.4]),
+        block=st.sampled_from([1, 7, 64]),
+        blocks=st.integers(1, 3),
+        past=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_blocks_match_the_default(self, setting, M, q, gamma, block, blocks, past, seed):
+        target = max(1, blocks * max(1, block // M) - 1 + past)
+        cfg = make_config(q, M, setting, gamma, target_epochs=target, seed=seed)
+        _assert_same_run(_run_with_block(block, cfg), run_simulation(cfg))
+
+    @pytest.mark.parametrize("past", [0, 1])
+    @pytest.mark.parametrize("q", [0.0, 0.95])
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    @pytest.mark.parametrize("setting", ["nofb", "wfb"])
+    def test_default_block_edge(self, setting, M, q, past):
+        target = simulator._BLOCK // M - 1 + past
+        cfg = make_config(q, M, setting, 0.4, target_epochs=target, seed=M)
+        _assert_same_run(run_simulation(cfg), _run_with_block(1 << 12, cfg))
 
 
 class TestTraceEngine:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from aoi_erasure import stats
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, optimize_gamma, solve_nofb
 from aoi_erasure.model import Feedback
 from aoi_erasure.simulator import make_config, run_simulation
 from aoi_erasure.stats import (
+    Moments,
     RenewalEstimate,
     ValidationRecord,
     batch_means_ci,
@@ -14,6 +16,7 @@ from aoi_erasure.stats import (
     sim_gamma_curve,
     validate,
 )
+from epoch_oracle import ratio_estimate as cov_ratio_estimate
 
 
 class TestRatioEstimate:
@@ -50,6 +53,52 @@ class TestRatioEstimate:
 def _pooled(q, M, setting, gamma, n, seed):
     res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
     return res.mean_aoi, res.ci_half_width
+
+
+def _epochs(n, seed=0):
+    return np.random.default_rng(seed).exponential(size=n) + 0.2
+
+
+class TestMoments:
+    @pytest.mark.parametrize(
+        "y",
+        [
+            _epochs(4000),
+            3.0 + 1e-6 * np.random.default_rng(1).standard_normal(5000),  # low coefficient of variation
+            np.array([0.7, 2.3]),
+            _epochs(stats._CHUNK - 1, seed=2),
+            _epochs(stats._CHUNK, seed=3),
+            _epochs(stats._CHUNK + 1, seed=4),
+            _epochs(3 * stats._CHUNK + 5, seed=5),
+        ],
+        ids=["random", "low-cv", "n=2", "chunk-1", "chunk", "chunk+1", "3chunks+5"],
+    )
+    def test_matches_cov_reference(self, y):
+        R = 0.5 * y * y
+        want = cov_ratio_estimate(y, R)
+        assert ratio_estimate(y, R) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_merged_runs_match_pooled_reference(self):
+        parts = [_epochs(n, seed=n) for n in (1, 2, 999, stats._CHUNK + 3)]
+        pooled = Moments()
+        for y in parts:
+            pooled.merge(Moments.of(y, 0.5 * y * y))
+        y = np.concatenate(parts)
+        assert pooled.n == y.size
+        assert pooled.estimate() == pytest.approx(cov_ratio_estimate(y, 0.5 * y * y), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 2.0, 7.77])
+    @pytest.mark.parametrize("n", [2, 50, stats._CHUNK + 1])
+    def test_constant_epochs_give_zero_width(self, value, n):
+        y = np.full(n, value)
+        assert ratio_estimate(y, 0.5 * y * y)[1] == 0.0
+
+    def test_empty_merge_changes_nothing(self):
+        y = _epochs(10)
+        m = Moments.of(y, 0.5 * y * y)
+        before = m.estimate()
+        m.merge(Moments())
+        assert m.estimate() == before
 
 
 class TestBatchMeans:
