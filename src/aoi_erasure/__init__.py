@@ -9,7 +9,6 @@ renewal-reward estimation.
 from .analytic import (
     BracketError,
     MaxMoments,
-    RootSolverConfig,
     aoi_maf_wfb,
     aoi_rr_nofb,
     baseline_infinite_battery,
@@ -22,39 +21,20 @@ from .analytic import (
     solve_nofb,
     solve_wfb,
 )
-from .model import (
-    AnalyticSolution,
-    ChannelSpec,
-    Epochs,
-    Feedback,
-    PolicySpec,
-    Regime,
-    SimResult,
-)
-from .simulator import EventLog, SimConfig, make_config, run_simulation
-from .stats import (
-    RenewalEstimate,
-    ValidationRecord,
-    closed_form_aoi,
-    grid_oracle_gamma,
-    sim_gamma_curve,
-    validate,
-)
+from .model import AnalyticSolution, Epochs, Feedback, Regime, SimConfig, SimResult
+from .simulator import EventLog, make_config, run_simulation
+from .stats import ValidationRecord, closed_form_aoi, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticSolution",
     "BracketError",
-    "ChannelSpec",
     "Epochs",
     "EventLog",
     "Feedback",
     "MaxMoments",
-    "PolicySpec",
     "Regime",
-    "RenewalEstimate",
-    "RootSolverConfig",
     "SimConfig",
     "SimResult",
     "ValidationRecord",
@@ -64,14 +44,12 @@ __all__ = [
     "closed_form_aoi",
     "exp_max_moments",
     "feedback_gain",
-    "grid_oracle_gamma",
     "make_config",
     "optimize_gamma",
     "p_nofb",
     "p_wfb",
     "percentage_gain",
     "run_simulation",
-    "sim_gamma_curve",
     "solve_nofb",
     "solve_wfb",
     "validate",

@@ -3,7 +3,8 @@
 Covers the four setting combinations (single or many sources, with or
 without erasure feedback), the infinite-battery baselines, and the gain
 metrics comparing the two feedback settings. All operations are pure
-functions of their arguments.
+functions of their arguments; each solver derives its root bracket
+from q, so none takes a configuration.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .model import AnalyticSolution, Feedback, Regime, require_m, require_q
 
 __all__ = [
     "BracketError",
-    "RootSolverConfig",
     "MaxMoments",
     "exp_max_moments",
     "p_nofb",
@@ -33,26 +33,12 @@ __all__ = [
 
 
 class BracketError(ValueError):
-    """The configured bracket does not straddle a sign change."""
+    """The bracket does not straddle a sign change."""
 
 
-@dataclass(frozen=True, slots=True)
-class RootSolverConfig:
-    bracket_lo: float = 0.0
-    bracket_hi: float = 50.0
-    tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.bracket_lo < self.bracket_hi:
-            raise ValueError("bracket_lo must be below bracket_hi")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_SOLVER = RootSolverConfig()
+_TOL = 1e-12  # bracket width at which bisection and golden-section stop
+_MAX_ITER = 200
+_GAMMA_HI = 50.0  # optimize_gamma searches [0, _GAMMA_HI]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +75,7 @@ def p_nofb(lambda_prime: float, q: float) -> float:
     return num / (1.0 - q) ** 2
 
 
-def _bisect_checked(f: Callable[[float], float], lo: float, hi: float, cfg: RootSolverConfig) -> float:
+def _bisect_checked(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -102,36 +88,38 @@ def _bisect_checked(f: Callable[[float], float], lo: float, hi: float, cfg: Root
     # plain bisection; flo keeps the sign of the lower end, so only lo moves
     # on a same-sign midpoint and the bracket width halves every step
     width = hi - lo
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         width *= 0.5
         root = lo + width
         fmid = f(root)
         if fmid * flo >= 0.0:
             lo = root
-        if fmid == 0.0 or width < cfg.tol:
+        if fmid == 0.0 or width < tol:
             break
     else:
-        raise RuntimeError(f"bisection did not converge in {cfg.max_iter} iterations, value is {lo!r}")
+        raise RuntimeError(f"bisection did not converge in {_MAX_ITER} iterations, value is {lo!r}")
     # bisection converged to tol; the residual should be derivative-small
     h = 1e-6
     slope = abs(f(root + h) - f(root - h)) / (2.0 * h)
-    if abs(f(root)) > (slope + 1.0) * cfg.tol * 1e3:
+    if abs(f(root)) > (slope + 1.0) * tol * 1e3:
         raise RuntimeError(f"root residual {f(root):g} exceeds the tolerance-scaled bound")
     return float(root)
 
 
-def solve_nofb(q: float, cfg: RootSolverConfig = DEFAULT_SOLVER) -> AnalyticSolution:
+def solve_nofb(q: float) -> AnalyticSolution:
     """Optimal single-source policy without erasure feedback.
 
     For q >= 1/2 the optimum is greedy with average AoI 1/(1-q). Below
     that, the optimal threshold lambda' is the unique zero of p_nofb and
-    the optimal AoI follows from it in closed form.
+    the optimal AoI follows from it in closed form. The zero lies in
+    [0, sqrt(2)]: p_nofb(0) > 0, and the numerator of p_nofb is below
+    (1-q)(1 - x^2/2), which is negative past sqrt(2).
     """
     q = require_q(q)
     if q >= 0.5:
         lam = 1.0 / (1.0 - q)
         return AnalyticSolution(regime=Regime.GREEDY, lambda_star=lam, threshold=0.0, q=q)
-    lp = _bisect_checked(lambda x: p_nofb(x, q), cfg.bracket_lo, cfg.bracket_hi, cfg)
+    lp = _bisect_checked(lambda x: p_nofb(x, q), 0.0, math.sqrt(2.0), _TOL)
     lam = (1.0 + q) / (1.0 - q) * lp + 2.0 * q / (1.0 - q) * math.exp(-lp)
     return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lp, q=q)
 
@@ -151,22 +139,20 @@ def p_wfb(lam: float, q: float) -> float:
     return math.exp(-(lam - d)) - 0.5 * lam * lam + (2.0 * q - q * q) / (2.0 * (1.0 - q) ** 2)
 
 
-def solve_wfb(q: float, cfg: RootSolverConfig = DEFAULT_SOLVER) -> AnalyticSolution:
+def solve_wfb(q: float) -> AnalyticSolution:
     """Optimal single-source policy with erasure feedback.
 
     The optimal structure is threshold-greedy for every q: threshold
     gamma* = lambda* - q/(1-q) on the first attempt after a success,
     greedy retransmissions afterwards. lambda* is the unique zero of
-    p_wfb beyond the breakpoint, and gamma* is always positive.
+    p_wfb beyond the breakpoint d = q/(1-q), and gamma* is always
+    positive. p_wfb(d) = 1 + d > 0, and at hi = sqrt(2 + (2q-q^2)/(1-q)^2),
+    which exceeds d for every q < 1, p_wfb = e^-(hi-d) - 1 < 0.
     """
     q = require_q(q)
     d = q / (1.0 - q)
-    lo = max(d, cfg.bracket_lo)
-    if lo >= cfg.bracket_hi:
-        raise BracketError(
-            f"breakpoint q/(1-q) = {d:g} is at or beyond bracket_hi = {cfg.bracket_hi:g}"
-        )
-    lam = _bisect_checked(lambda x: p_wfb(x, q), lo, cfg.bracket_hi, cfg)
+    hi = math.sqrt(2.0 + (2.0 * q - q * q) / (1.0 - q) ** 2)
+    lam = _bisect_checked(lambda x: p_wfb(x, q), d, hi, _TOL)
     return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lam - d, q=q)
 
 
@@ -196,13 +182,14 @@ def aoi_maf_wfb(q: float, M: int, gamma: float) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float, max_iter: int) -> float:
-    a, b = lo, hi
+def _golden_section(f: Callable[[float], float]) -> float:
+    """The minimizer of a unimodal f on [0, _GAMMA_HI], to within _TOL."""
+    a, b = 0.0, _GAMMA_HI
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(_MAX_ITER):
+        if b - a <= _TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -213,7 +200,7 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float, tol: floa
             d = a + _INVPHI * (b - a)
             fd = f(d)
     else:
-        raise RuntimeError(f"golden-section search did not shrink below tol in {max_iter} iterations")
+        raise RuntimeError(f"golden-section search did not shrink below tol in {_MAX_ITER} iterations")
     return 0.5 * (a + b)
 
 
@@ -233,18 +220,12 @@ def _zero_threshold_optimal(q: float, M: int, setting: Feedback) -> bool:
     return 2 * num >= (3 - M) * den
 
 
-def optimize_gamma(
-    q: float,
-    M: int,
-    setting: Feedback | str,
-    cfg: RootSolverConfig = DEFAULT_SOLVER,
-) -> tuple[float, float]:
+def optimize_gamma(q: float, M: int, setting: Feedback | str) -> tuple[float, float]:
     """Minimize the matching closed form over the threshold gamma.
 
     The sign of the curvature at gamma = 0 decides whether the minimizer
     is exactly 0 (_zero_threshold_optimal); otherwise both closed forms
-    are unimodal in gamma and golden-section search on
-    [bracket_lo, bracket_hi] finds it.
+    are unimodal in gamma and golden-section search on [0, 50] finds it.
     """
     setting = Feedback(setting)
     if setting is Feedback.NOFB:
@@ -254,7 +235,7 @@ def optimize_gamma(
     f0 = f(0.0)  # validates q and M
     if _zero_threshold_optimal(q, int(M), setting):
         return 0.0, f0
-    x = _golden_section(f, max(0.0, cfg.bracket_lo), cfg.bracket_hi, cfg.tol, cfg.max_iter)
+    x = _golden_section(f)
     return x, f(x)
 
 
@@ -266,16 +247,16 @@ def baseline_infinite_battery(q: float, setting: Feedback | str) -> float:
     return 1.0 / (2.0 * (1.0 - q))
 
 
-def feedback_gain(q: float, cfg: RootSolverConfig = DEFAULT_SOLVER) -> float:
+def feedback_gain(q: float) -> float:
     """Absolute single-source AoI reduction from having erasure feedback."""
-    return solve_nofb(q, cfg).lambda_star - solve_wfb(q, cfg).lambda_star
+    return solve_nofb(q).lambda_star - solve_wfb(q).lambda_star
 
 
-def percentage_gain(q: float, M: int, cfg: RootSolverConfig = DEFAULT_SOLVER) -> float:
+def percentage_gain(q: float, M: int) -> float:
     """Relative AoI reduction from feedback with M sources, in percent.
 
     Each setting is evaluated at its own optimal threshold.
     """
-    _, rr = optimize_gamma(q, M, Feedback.NOFB, cfg)
-    _, maf = optimize_gamma(q, M, Feedback.WFB, cfg)
+    _, rr = optimize_gamma(q, M, Feedback.NOFB)
+    _, maf = optimize_gamma(q, M, Feedback.WFB)
     return (1.0 - maf / rr) * 100.0

@@ -4,7 +4,9 @@ Time is a 64-bit float in normalized units: energy arrives as a Poisson
 process of rate 1, transmissions are instantaneous, and the sensor's
 battery stores at most one energy unit. Age of information (AoI) of a
 source grows at slope 1 and drops to 0 exactly when one of its updates
-is successfully received.
+is successfully received. A run takes four model inputs, q, M, the
+feedback setting and the threshold gamma, which SimConfig holds flat
+beside the stopping rule and seeds.
 """
 
 from __future__ import annotations
@@ -58,56 +60,69 @@ def require_m(M: int) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class ChannelSpec:
-    """Erasure channel with Poisson energy arrivals of normalized rate 1."""
+class SimConfig:
+    """One run: erasure probability, sources, setting, threshold, stopping rule, seeds.
+
+    Every input is checked here, once. gamma = 0 encodes greedy. The
+    setting fixes the scheduler. Without feedback the sensor cannot
+    react to erasures, so its attempts follow the fixed round-robin
+    order; with feedback it retransmits the same source greedily until
+    success and picks the next source by maximum age. Exactly one
+    stopping rule is set: target_epochs per source or a wall-clock
+    horizon. erasure_seed, when set, replaces only the erasure substream.
+    """
 
     q: float
-    rate: float = 1.0
+    M: int
+    setting: Feedback
+    gamma: float
+    target_epochs: int | None = None
+    horizon: float | None = None
+    seed: int = 0
+    trace: bool = False
+    erasure_seed: int | None = None
 
     def __post_init__(self) -> None:
         require_q(self.q)
-        if self.rate != 1.0:
-            raise ValueError("energy arrival rate is normalized to 1")
-
-
-@dataclass(frozen=True, slots=True)
-class PolicySpec:
-    """Policy family: threshold gamma (0 encodes greedy) and feedback setting.
-
-    The setting fixes the scheduler. Without feedback the sensor cannot
-    react to erasures, so its attempts follow the fixed round-robin
-    order; with feedback it retransmits the same source greedily until
-    success and picks the next source by maximum age.
-    """
-
-    feedback: Feedback
-    gamma: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "feedback", Feedback(self.feedback))
+        # mean attempts per epoch is 1/(1-q); beyond 1e4 a run is hopeless
+        if self.q > 0.9999:
+            raise ValueError(f"q = {self.q} implies over 1e4 attempts per epoch; refusing")
+        require_m(self.M)
+        object.__setattr__(self, "setting", Feedback(self.setting))
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        if (self.target_epochs is None) == (self.horizon is None):
+            raise ValueError("exactly one stopping rule must be set: target_epochs or horizon")
+        if self.target_epochs is not None and self.target_epochs < 1:
+            raise ValueError("target_epochs must be at least 1")
+        if self.horizon is not None and not self.horizon > 0.0:
+            raise ValueError("horizon must be positive")
 
 
 class Epochs:
     """The renewal cycles of one run as columns, ordered by source, then time.
 
-    y[i] is the time between two consecutive successful deliveries of
-    source source_id[i], attempts[i] the number of transmissions that
-    source made inside the cycle; R, the AoI area over each cycle, is
-    derived. len() is the number of epochs.
+    counts[j] is the number of epochs of source j + 1. y[i] is the time
+    between two consecutive successful deliveries of source source_id[i],
+    attempts[i] the number of transmissions that source made inside the
+    cycle. source_id and R, the AoI area over each cycle, are derived.
+    len() is the number of epochs.
     """
 
-    __slots__ = ("source_id", "y", "attempts")
+    __slots__ = ("counts", "y", "attempts")
 
-    def __init__(self, source_id: np.ndarray, y: np.ndarray, attempts: np.ndarray) -> None:
-        if not source_id.size == y.size == attempts.size:
-            raise ValueError("epoch columns must have equal lengths")
+    def __init__(self, counts: np.ndarray, y: np.ndarray, attempts: np.ndarray) -> None:
+        if not counts.sum() == y.size == attempts.size:
+            raise ValueError("epoch columns must have equal lengths, matching the counts")
         if y.size and (y.min() <= 0.0 or attempts.min() < 1):
             raise ValueError("epochs need y > 0 and attempts >= 1")
-        self.source_id = source_id
+        self.counts = counts
         self.y = y
         self.attempts = attempts
+
+    @property
+    def source_id(self) -> np.ndarray:
+        return np.repeat(np.arange(1, self.counts.size + 1), self.counts)
 
     @property
     def R(self) -> np.ndarray:
@@ -125,7 +140,6 @@ class AnalyticSolution:
     lambda_star: float
     threshold: float
     q: float
-    M: int = 1
 
     def __post_init__(self) -> None:
         if (self.regime is Regime.GREEDY) != (self.threshold == 0.0):

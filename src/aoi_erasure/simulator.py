@@ -1,9 +1,11 @@
 """Seeded simulation of the sensing system.
 
-run_simulation is the one entry point: the CLI and the validation
-oracles in stats all turn a SimConfig into numbers through it. It
-returns the aggregated SimResult, the epochs as columns and, for traced
-runs, the event log. Two engines produce statistically identical runs:
+run_simulation is the one entry point: the CLI and stats.validate turn
+a SimConfig (the flat q, M, setting and gamma of model.SimConfig, with
+its stopping rule and seeds; make_config is the same constructor) into
+numbers through it. It returns the aggregated SimResult, the epochs as
+columns (per-source counts, y and attempts) and, for traced runs, the
+event log. Two engines produce statistically identical runs:
 
 * an epoch engine (default) that exploits the renewal structure: each
   transmission empties the unit battery and arrivals are memoryless, so
@@ -12,7 +14,7 @@ runs, the event log. Two engines produce statistically identical runs:
   writes into one (M, target_epochs) block that run_simulation reads
   without copying. Attempts are drawn and folded in fixed blocks of
   about _BLOCK, so attempt-level memory does not grow with the run;
-  only the returned epoch columns do (24 bytes an epoch). Between
+  only the returned epoch columns do (16 bytes an epoch). Between
   blocks the engines carry the clock and, per source, what the next
   epoch needs: without feedback the successes so far and the time and
   cycle of the last one, with feedback the last round's success times.
@@ -46,13 +48,12 @@ import math
 import warnings
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import stats
-from .model import ChannelSpec, Epochs, Feedback, PolicySpec, SimResult, require_m
+from .model import Epochs, Feedback, SimConfig, SimResult
 
 __all__ = ["SimConfig", "Event", "EventLog", "run_simulation"]
 
@@ -65,32 +66,6 @@ SUCCESS = "Success"
 # an EventLog stores each kind as its index in this tuple
 _KINDS = (ENERGY_ARRIVAL, OVERFLOW, ATTEMPT, ERASURE, SUCCESS)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
-
-
-@dataclass(frozen=True, slots=True)
-class SimConfig:
-    """One run: channel, sources, policy, stopping rule, seed."""
-
-    channel: ChannelSpec
-    M: int
-    policy: PolicySpec
-    target_epochs: int | None = None
-    horizon: float | None = None
-    seed: int = 0
-    trace: bool = False
-    erasure_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        require_m(self.M)
-        if (self.target_epochs is None) == (self.horizon is None):
-            raise ValueError("exactly one stopping rule must be set: target_epochs or horizon")
-        if self.target_epochs is not None and self.target_epochs < 1:
-            raise ValueError("target_epochs must be at least 1")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
-        # mean attempts per epoch is 1/(1-q); beyond 1e4 a run is hopeless
-        if self.channel.q > 0.9999:
-            raise ValueError(f"q = {self.channel.q} implies over 1e4 attempts per epoch; refusing")
 
 
 class Event(NamedTuple):
@@ -451,8 +426,8 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
     if two sources' last successes lay within one rounding unit of the
     age apart.
     """
-    q, M, gamma = cfg.channel.q, cfg.M, cfg.policy.gamma
-    wfb = cfg.policy.feedback is Feedback.WFB
+    q, M, gamma = cfg.q, cfg.M, cfg.gamma
+    wfb = cfg.setting is Feedback.WFB
     target, horizon = cfg.target_epochs, cfg.horizon
     rng_a, rng_e, _ = _spawn_streams(cfg.seed, cfg.erasure_seed)
 
@@ -608,8 +583,8 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
         raw = _run_loop(cfg, keep_events=cfg.trace)
     else:
         rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
-        engine = _epochs_wfb if cfg.policy.feedback is Feedback.WFB else _epochs_nofb
-        raw = engine(cfg.channel.q, cfg.M, cfg.policy.gamma, cfg.target_epochs, rng_a, rng_e, rng_o)
+        engine = _epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb
+        raw = engine(cfg.q, cfg.M, cfg.gamma, cfg.target_epochs, rng_a, rng_e, rng_o)
 
     if cfg.horizon is None:
         # every source has exactly target epochs, so the rows form one block
@@ -631,7 +606,7 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
             )
         per_mean, mean, ci = _horizon_estimates(raw.success_times, raw.end_time)
         n_epochs = min((r.size for r in raw.ys), default=0)
-    epochs = Epochs(np.repeat(np.arange(1, cfg.M + 1), [len(r) for r in raw.ys]), y, att)
+    epochs = Epochs(np.array([len(r) for r in raw.ys]), y, att)
 
     result = SimResult(
         per_source_mean=tuple(per_mean),
@@ -647,25 +622,5 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
     return result, epochs, raw.events
 
 
-def make_config(
-    q: float,
-    M: int,
-    setting: Feedback | str,
-    gamma: float,
-    target_epochs: int | None = None,
-    horizon: float | None = None,
-    seed: int = 0,
-    trace: bool = False,
-    erasure_seed: int | None = None,
-) -> SimConfig:
-    """Convenience constructor from plain values."""
-    return SimConfig(
-        channel=ChannelSpec(q=q),
-        M=M,
-        policy=PolicySpec(feedback=setting, gamma=gamma),
-        target_epochs=target_epochs,
-        horizon=horizon,
-        seed=seed,
-        trace=trace,
-        erasure_seed=erasure_seed,
-    )
+# the name the CLI, stats, the demos and the benchmark probe build runs by
+make_config = SimConfig

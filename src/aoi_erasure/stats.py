@@ -10,46 +10,31 @@ LeVeque, "Algorithms for computing the sample variance" (1983), so no
 estimate needs more than one block of temporaries or a concatenation.
 Raw power sums would cancel catastrophically when y varies little, so
 none are kept. The point estimate stays the ratio of the plain sums of
-R and y. The oracles (validate, grid_oracle_gamma, sim_gamma_curve) get
-their simulated numbers from simulator.run_simulation, the one place
-that turns a seeded configuration into epochs, and read its mean_aoi
-and ci_half_width.
+R and y. validate gets its simulated numbers from
+simulator.run_simulation, the one place that turns a seeded
+configuration into epochs, and reads its mean_aoi and ci_half_width.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .analytic import RootSolverConfig, _bisect_checked, aoi_maf_wfb, aoi_rr_nofb
+from .analytic import _bisect_checked, aoi_maf_wfb, aoi_rr_nofb
 from .model import Feedback, SimResult
 
 __all__ = [
-    "RenewalEstimate",
     "Moments",
     "ratio_estimate",
     "batch_means_ci",
     "closed_form_aoi",
     "ValidationRecord",
     "validate",
-    "grid_oracle_gamma",
-    "sim_gamma_curve",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True, slots=True)
-class RenewalEstimate:
-    """Empirical long-term average AoI from i.i.d. epochs."""
-
-    point: float
-    ci_half_width: float
-    n_epochs: int
-
 
 _CHUNK = 1 << 16  # epochs centered in one pass
 
@@ -150,12 +135,9 @@ def _t_within(x: float, df: int) -> float:
     return 2.0 / math.pi * (theta + s * total)
 
 
-_T_SOLVER = RootSolverConfig(bracket_hi=64.0, tol=1e-13)
-
-
 def _t975(df: int) -> float:
     """Two-sided 95% quantile of Student's t with integer df."""
-    return _bisect_checked(lambda x: _t_within(x, df) - 0.95, 0.0, _T_SOLVER.bracket_hi, _T_SOLVER)
+    return _bisect_checked(lambda x: _t_within(x, df) - 0.95, 0.0, 64.0, 1e-13)
 
 
 def batch_means_ci(batches: np.ndarray) -> float:
@@ -239,48 +221,3 @@ def validate(
         passed=passed,
     )
 
-
-_GRID_HI = 5.0
-
-
-def grid_oracle_gamma(
-    q: float,
-    M: int,
-    setting: Feedback | str,
-    grid_step: float,
-    n_epochs: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Brute-force threshold search on gamma in {0, step, ..., 5}.
-
-    With n_epochs unset the closed form is scanned, giving an optimizer
-    oracle; with n_epochs set each grid point is simulated (one common
-    seed across points, so the curve is smooth in gamma) and the
-    empirical argmin is returned.
-    """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
-    setting = Feedback(setting)
-    gammas = np.arange(0.0, _GRID_HI + 0.5 * grid_step, grid_step)
-    if n_epochs is None:
-        vals = [closed_form_aoi(q, M, setting, g) for g in gammas]
-    else:
-        vals = [_simulate(q, M, setting, g, n_epochs, seed).mean_aoi for g in gammas]
-    return float(gammas[int(np.argmin(vals))])
-
-
-def sim_gamma_curve(
-    q: float,
-    M: int,
-    setting: Feedback | str,
-    gammas: Sequence[float],
-    n_epochs: int,
-    seed: int = 0,
-) -> list[RenewalEstimate]:
-    """Simulated AoI estimates along a gamma grid, common random numbers."""
-    setting = Feedback(setting)
-    out = []
-    for g in gammas:
-        sim = _simulate(q, M, setting, g, n_epochs, seed)
-        out.append(RenewalEstimate(point=sim.mean_aoi, ci_half_width=sim.ci_half_width, n_epochs=n_epochs * M))
-    return out

@@ -20,7 +20,8 @@ from aoi_erasure.analytic import (
     solve_wfb,
 )
 from aoi_erasure.simulator import ATTEMPT, ERASURE, SUCCESS, make_config, run_simulation
-from aoi_erasure.stats import grid_oracle_gamma, sim_gamma_curve, validate
+from aoi_erasure.stats import validate
+from gamma_oracle import grid_oracle_gamma, sim_gamma_curve
 
 SEED = 20260817
 # root of e^(-x) = x^2 / 2, bisected independently to 48 bits

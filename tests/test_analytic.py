@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from aoi_erasure import analytic
 from aoi_erasure.analytic import (
     BracketError,
-    RootSolverConfig,
     _bisect_checked,
+    _zero_threshold_optimal,
     aoi_maf_wfb,
     aoi_rr_nofb,
     baseline_infinite_battery,
@@ -22,27 +25,10 @@ from aoi_erasure.analytic import (
     solve_wfb,
 )
 from aoi_erasure.model import Feedback, Regime
-from aoi_erasure.stats import grid_oracle_gamma
+from gamma_oracle import grid_oracle_gamma
 
 # root of e^-x = x^2/2, the common q = 0 solution of both settings
 ROOT_Q0 = 0.9012010317296648
-
-
-class TestRootSolverConfig:
-    def test_defaults(self):
-        cfg = RootSolverConfig()
-        assert cfg.bracket_lo == 0.0
-        assert cfg.bracket_hi == 50.0
-        assert cfg.tol == 1e-12
-        assert cfg.max_iter == 200
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RootSolverConfig(bracket_lo=2.0, bracket_hi=1.0)
-        with pytest.raises(ValueError):
-            RootSolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            RootSolverConfig(max_iter=0)
 
 
 class TestExpMaxMoments:
@@ -137,7 +123,7 @@ class TestSolveNofb:
 
     def test_bracket_misconfiguration(self):
         with pytest.raises(BracketError):
-            solve_nofb(0.0, RootSolverConfig(bracket_hi=0.1))
+            _bisect_checked(lambda x: p_nofb(x, 0.0), 0.0, 0.1, 1e-12)
 
 
 class TestBisection:
@@ -159,14 +145,15 @@ class TestBisection:
             ref = bisect(lambda x: p_wfb(x, q), q / (1.0 - q), 50.0, xtol=1e-12, maxiter=200)
             assert abs(solve_wfb(q).lambda_star - ref) < 1e-11, q
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_MAX_ITER", 5)
         with pytest.raises(RuntimeError):
-            solve_nofb(0.2, RootSolverConfig(max_iter=5))
+            _bisect_checked(lambda x: p_nofb(x, 0.2), 0.0, 50.0, 1e-12)
 
     @pytest.mark.parametrize("root", [1.0, 2.0, 3.0])
     def test_exact_zeros_returned_as_is(self, root):
         # endpoints and the first midpoint of [1, 3] are exact zeros
-        assert _bisect_checked(lambda x: x - root, 1.0, 3.0, RootSolverConfig()) == root
+        assert _bisect_checked(lambda x: x - root, 1.0, 3.0, 1e-12) == root
 
 
 class TestPwfb:
@@ -210,10 +197,13 @@ class TestSolveWfb:
             assert sol.threshold > 0.0
             assert sol.lambda_star == pytest.approx(sol.threshold + q / (1.0 - q), rel=1e-12)
 
-    def test_bracket_misconfiguration_when_breakpoint_escapes(self):
-        # q/(1-q) = 99 sits beyond the default bracket_hi of 50
-        with pytest.raises(BracketError):
-            solve_wfb(0.99)
+    @pytest.mark.filterwarnings("ignore:q = .* is close to 1:RuntimeWarning")
+    @pytest.mark.parametrize("q", [0.9803, 0.981, 0.99, 0.999, 0.9999])
+    def test_root_beyond_a_large_breakpoint(self, q):
+        # the bracket grows with q/(1-q), so no q < 1 puts the root out of reach
+        sol = solve_wfb(q)
+        assert sol.lambda_star > q / (1.0 - q)
+        assert sol.lambda_star == pytest.approx(optimize_gamma(q, 1, "wfb")[1], rel=1e-9)
 
 
 class TestAoiRrNofb:
@@ -332,6 +322,37 @@ class TestOptimizeGamma:
             g, aoi = optimize_gamma(q, m, setting)
             direct = aoi_rr_nofb(q, m, g) if setting is Feedback.NOFB else aoi_maf_wfb(q, m, g)
             assert aoi == pytest.approx(direct, rel=1e-12)
+
+
+class TestZeroThresholdRule:
+    """_zero_threshold_optimal against the closed forms it decides for."""
+
+    # Both sides allow 1e-12 relative for rounding. q lies on a 1e-3 grid,
+    # where a positive threshold gains at least 2e-10 relative wherever it
+    # gains at all; on a finer grid the gain next to a boundary drops
+    # below rounding, and no evaluation of f could tell the answers apart.
+    # The examples are the boundaries, where the curvature at 0 is zero
+    # (exactly so for q = 0 and 0.5; float 0.2 lies just above 1/5).
+    @given(
+        q=st.integers(0, 990).map(lambda k: k / 1000),
+        M=st.integers(1, 8),
+        setting=st.sampled_from(list(Feedback)),
+    )
+    @example(q=0.2, M=2, setting=Feedback.NOFB)
+    @example(q=0.5, M=2, setting=Feedback.WFB)
+    @example(q=0.5, M=1, setting=Feedback.NOFB)
+    @example(q=0.0, M=3, setting=Feedback.NOFB)
+    @example(q=0.0, M=3, setting=Feedback.WFB)
+    def test_rule_matches_the_closed_form(self, q, M, setting):
+        form = aoi_rr_nofb if setting is Feedback.NOFB else aoi_maf_wfb
+        f = lambda g: form(q, M, g)
+        f0 = f(0.0)
+        if _zero_threshold_optimal(q, M, setting):
+            scan = np.concatenate((np.geomspace(1e-8, 1.0, 1000), np.linspace(1.0, 50.0, 1000)))
+            assert min(f(float(g)) for g in scan) >= f0 * (1.0 - 1e-12)
+        else:
+            x = analytic._golden_section(f)
+            assert f(x) < f0 * (1.0 - 1e-12)
 
 
 class TestBaselines:

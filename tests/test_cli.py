@@ -31,6 +31,11 @@ class TestSolve:
         assert "lambda_star=0.901201" in out
         assert "threshold=0.901201" in out
 
+    def test_feedback_root_beyond_a_large_breakpoint(self, capsys):
+        # the breakpoint q/(1-q) = 99 lies past any fixed bracket of [0, 50]
+        assert main(["solve", "--q", "0.99", "--setting", "wfb"]) == 0
+        assert "lambda_star=99.998684" in capsys.readouterr().out
+
     def test_q_out_of_range(self, capsys):
         assert main(["solve", "--q", "1.0", "--setting", "nofb"]) == 2
         err = capsys.readouterr().err

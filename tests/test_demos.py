@@ -1,6 +1,8 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, and the
+README's library quickstart runs and prints what it documents."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import aoi_erasure
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -25,3 +28,20 @@ def test_demo_exits_cleanly(demo):
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quickstart: library\n+```python\n(.*?)```", readme, re.S)[1]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    # lines of the form `expr  # 1.409196... note` or `expr  # 'PASS'` document a value
+    checked = 0
+    for line in block.splitlines():
+        if m := re.fullmatch(r"(\S.*?)\s+# (\d+\.(\d+))\.\.\..*", line):
+            assert f"{eval(m[1], namespace):.{len(m[3])}f}" == m[2], line
+            checked += 1
+        elif m := re.fullmatch(r"(\S.*?)\s+# '(\w+)'", line):
+            assert eval(m[1], namespace) == m[2], line
+            checked += 1
+    assert checked == 5

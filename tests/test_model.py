@@ -3,32 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from aoi_erasure.model import (
-    AnalyticSolution,
-    ChannelSpec,
-    Epochs,
-    Feedback,
-    PolicySpec,
-    Regime,
-    SimResult,
-)
+from aoi_erasure.model import AnalyticSolution, Epochs, Feedback, Regime, SimConfig, SimResult
 from trace_oracle import BatteryState  # the battery of the literal reference event loop
 
 
+def _config(q=0.3, setting=Feedback.NOFB, gamma=0.1):
+    return SimConfig(q, 1, setting, gamma, target_epochs=1)
+
+
 class TestChannelSpec:
+    """SimConfig's checks of the channel input q."""
+
     def test_accepts_zero_and_interior_q(self):
-        assert ChannelSpec(q=0.0).q == 0.0
-        assert ChannelSpec(q=0.3).q == 0.3
+        assert _config(q=0.0).q == 0.0
+        assert _config(q=0.3).q == 0.3
 
     def test_rejects_q_one_and_negative(self):
         with pytest.raises(ValueError):
-            ChannelSpec(q=1.0)
+            _config(q=1.0)
         with pytest.raises(ValueError):
-            ChannelSpec(q=-0.01)
-
-    def test_rate_is_normalized(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(q=0.1, rate=2.0)
+            _config(q=-0.01)
 
 
 class TestBatteryState:
@@ -55,38 +49,44 @@ class TestBatteryState:
 
 
 class TestPolicySpec:
+    """SimConfig's checks of the policy inputs: the feedback setting and gamma."""
+
     def test_valid_pairings(self):
-        PolicySpec(Feedback.NOFB, 0.5)
-        PolicySpec(Feedback.NOFB, 0.0)
-        PolicySpec(Feedback.WFB, 1.0)
-        PolicySpec(Feedback.WFB, 0.2)
+        _config(setting=Feedback.NOFB, gamma=0.5)
+        _config(setting=Feedback.NOFB, gamma=0.0)
+        _config(setting=Feedback.WFB, gamma=1.0)
+        _config(setting=Feedback.WFB, gamma=0.2)
 
     def test_accepts_plain_strings(self):
-        p = PolicySpec("nofb", 0.1)
-        assert p.feedback is Feedback.NOFB
+        p = _config(setting="nofb")
+        assert p.setting is Feedback.NOFB
 
     @pytest.mark.parametrize("text", ["wfb", "WFB", " wfb\n"])
     def test_feedback_coerces_case_and_whitespace(self, text):
         assert Feedback(text) is Feedback.WFB
-        assert PolicySpec(text, 0.1).feedback is Feedback.WFB
+        assert _config(setting=text).setting is Feedback.WFB
 
     @pytest.mark.parametrize("value", ["fancy", "", 1, None])
     def test_feedback_rejects_unknown_values(self, value):
         with pytest.raises(ValueError):
             Feedback(value)
+        with pytest.raises(ValueError):
+            _config(setting=value)
 
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
-            PolicySpec(Feedback.NOFB, -0.1)
+            _config(gamma=-0.1)
         with pytest.raises(ValueError):
-            PolicySpec(Feedback.NOFB, math.nan)
+            _config(gamma=math.nan)
 
 
 class TestEpochs:
     def test_columns_and_derived_area(self):
-        e = Epochs(np.array([1, 1, 2]), np.array([2.0, 0.5, 1.0]), np.array([1, 3, 2]))
+        e = Epochs(np.array([2, 1]), np.array([2.0, 0.5, 1.0]), np.array([1, 3, 2]))
         assert len(e) == 3
         assert e.R.tolist() == [2.0, 0.125, 0.5]
+        assert e.source_id.tolist() == [1, 1, 2]
+        assert e.source_id.dtype == np.int64
 
     def test_domains(self):
         with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ class TestEpochs:
         with pytest.raises(ValueError):
             Epochs(np.array([1]), np.array([1.0]), np.array([0]))
         with pytest.raises(ValueError):
-            Epochs(np.array([1, 2]), np.array([1.0]), np.array([1]))
+            Epochs(np.array([1, 1]), np.array([1.0]), np.array([1]))
 
 
 class TestAnalyticSolution:

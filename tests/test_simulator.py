@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aoi_erasure import simulator
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, exp_max_moments, solve_wfb
-from aoi_erasure.model import ChannelSpec, Feedback, PolicySpec
+from aoi_erasure.model import Feedback
 from aoi_erasure.simulator import (
     ATTEMPT,
     ENERGY_ARRIVAL,
@@ -28,27 +28,24 @@ from trace_oracle import policy_nofb_single, policy_wfb_single, scheduler_maf, s
 
 class TestSimConfig:
     def test_exactly_one_stopping_rule(self):
-        ch = ChannelSpec(q=0.2)
-        pol = PolicySpec(Feedback.NOFB, 0.0)
+        cell = (0.2, 1, Feedback.NOFB, 0.0)
         with pytest.raises(ValueError):
-            SimConfig(ch, 1, pol)
+            SimConfig(*cell)
         with pytest.raises(ValueError):
-            SimConfig(ch, 1, pol, target_epochs=10, horizon=5.0)
-        SimConfig(ch, 1, pol, target_epochs=10)
-        SimConfig(ch, 1, pol, horizon=5.0)
+            SimConfig(*cell, target_epochs=10, horizon=5.0)
+        SimConfig(*cell, target_epochs=10)
+        SimConfig(*cell, horizon=5.0)
 
     def test_refuses_hopeless_q(self):
-        ch = ChannelSpec(q=0.99995)
         with pytest.raises(ValueError):
-            SimConfig(ch, 1, PolicySpec(Feedback.NOFB, 0.0), target_epochs=1)
+            SimConfig(0.99995, 1, Feedback.NOFB, 0.0, target_epochs=1)
 
     def test_stopping_rule_domains(self):
-        ch = ChannelSpec(q=0.2)
-        pol = PolicySpec(Feedback.NOFB, 0.0)
+        cell = (0.2, 1, Feedback.NOFB, 0.0)
         with pytest.raises(ValueError):
-            SimConfig(ch, 1, pol, target_epochs=0)
+            SimConfig(*cell, target_epochs=0)
         with pytest.raises(ValueError):
-            SimConfig(ch, 1, pol, horizon=0.0)
+            SimConfig(*cell, horizon=0.0)
 
 
 class TestPolicyRules:

@@ -7,16 +7,14 @@ from aoi_erasure.model import Feedback
 from aoi_erasure.simulator import make_config, run_simulation
 from aoi_erasure.stats import (
     Moments,
-    RenewalEstimate,
     ValidationRecord,
     batch_means_ci,
     closed_form_aoi,
-    grid_oracle_gamma,
     ratio_estimate,
-    sim_gamma_curve,
     validate,
 )
 from epoch_oracle import ratio_estimate as cov_ratio_estimate
+from gamma_oracle import RenewalEstimate, grid_oracle_gamma, sim_gamma_curve
 
 
 class TestRatioEstimate:

@@ -112,10 +112,10 @@ class OracleRun(NamedTuple):
 
 def run_loop(cfg: SimConfig, keep_events: bool) -> OracleRun:
     """Event-loop engine: one literal Poisson arrival stream, one battery."""
-    q = cfg.channel.q
+    q = cfg.q
     M = cfg.M
-    gamma = cfg.policy.gamma
-    wfb = cfg.policy.feedback is Feedback.WFB
+    gamma = cfg.gamma
+    wfb = cfg.setting is Feedback.WFB
     target = cfg.target_epochs
     horizon = cfg.horizon
     rng_a, rng_e, _ = _spawn_streams(cfg.seed, cfg.erasure_seed)
