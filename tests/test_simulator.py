@@ -368,3 +368,59 @@ class TestHorizonMode:
         assert all(e.time <= 2000.0 for e in log.events)
         target = aoi_maf_wfb(0.4, 1, 0.5)
         assert abs(res.mean_aoi - target) <= max(3.0 * res.ci_half_width, 0.05 * target)
+
+    @pytest.mark.parametrize(
+        "cell,horizon,seed,mean,ci,per_source",
+        [
+            (
+                (0.3, 4, "wfb", 0.4), 1e4, 1, 3.6093724898790622, 0.08486468322680961,
+                (3.614220153979202, 3.604962091737296, 3.5977848287078835, 3.6205228850918676),
+            ),
+            (
+                (0.3, 2, "nofb", 0.2), 5e4, 17, 2.371937619328288, 0.041190812638567685,
+                (2.38931512088653, 2.354560117770047),
+            ),
+            ((0.4, 1, "wfb", 0.5), 2000.0, 19, 1.5645356404998951, 0.15961131909611068, (1.5645356404998951,)),
+        ],
+    )
+    def test_pinned_estimates(self, cell, horizon, seed, mean, ci, per_source):
+        res, _, _ = run_simulation(make_config(*cell, horizon=horizon, seed=seed))
+        assert repr(float(res.mean_aoi)) == repr(mean)
+        assert repr(float(res.ci_half_width)) == repr(ci)
+        assert repr(tuple(float(x) for x in res.per_source_mean)) == repr(per_source)
+
+
+def _sawtooth_area(s, t):
+    """Age area over [0, t] of a source whose age restarts at 0 at each success time in s."""
+    area, last = 0.0, 0.0
+    for x in s:
+        if x > t:
+            break
+        area += 0.5 * (x - last) ** 2
+        last = x
+    return area + 0.5 * (t - last) ** 2
+
+
+class TestHorizonEstimates:
+    def test_matches_scalar_sawtooth(self):
+        from scipy import stats as sps
+
+        T, B = 5.0, 20
+        s = [np.array([0.7, 1.9, 3.2, 4.4]), np.array([1.1, 2.5])]
+        per_mean, mean, ci = simulator._horizon_estimates(s, T)
+        assert per_mean == pytest.approx([_sawtooth_area(x, T) / T for x in s], rel=1e-12)
+        assert mean == pytest.approx(np.mean([_sawtooth_area(x, T) / T for x in s]), rel=1e-12)
+        edges = [T * b / B for b in range(B + 1)]
+        batches = [
+            sum(_sawtooth_area(x, hi) - _sawtooth_area(x, lo) for x in s) / (hi - lo) / len(s)
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        want = sps.t.ppf(0.975, B - 1) * np.std(batches, ddof=1) / np.sqrt(B)
+        assert ci == pytest.approx(want, rel=1e-12)
+
+    def test_equal_batches_have_zero_interval(self):
+        # successes every 0.5 repeat one sawtooth tooth, so all 20 batches of width 1 agree
+        s = np.arange(1, 41) * 0.5
+        per_mean, mean, ci = simulator._horizon_estimates([s, s], 20.0)
+        assert per_mean == [0.25, 0.25] and mean == 0.25
+        assert ci == pytest.approx(0.0, abs=1e-12)
