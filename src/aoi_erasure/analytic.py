@@ -55,8 +55,8 @@ def exp_max_moments(gamma: float) -> MaxMoments:
     m1 = gamma + e^-gamma and m2 = gamma^2 + 2(gamma+1)e^-gamma; these are
     the building blocks of every threshold-policy AoI expression here.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     e = math.exp(-gamma)
     return MaxMoments(m1=gamma + e, m2=gamma * gamma + 2.0 * (gamma + 1.0) * e)
 
@@ -75,7 +75,7 @@ def p_nofb(lambda_prime: float, q: float) -> float:
     return num / (1.0 - q) ** 2
 
 
-def _bisect_checked(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+def _bisect_checked(f: Callable[[float], float], lo: float, hi: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -94,14 +94,14 @@ def _bisect_checked(f: Callable[[float], float], lo: float, hi: float, tol: floa
         fmid = f(root)
         if fmid * flo >= 0.0:
             lo = root
-        if fmid == 0.0 or width < tol:
+        if fmid == 0.0 or width < _TOL:
             break
     else:
         raise RuntimeError(f"bisection did not converge in {_MAX_ITER} iterations, value is {lo!r}")
-    # bisection converged to tol; the residual should be derivative-small
+    # bisection converged to _TOL; the residual should be derivative-small
     h = 1e-6
     slope = abs(f(root + h) - f(root - h)) / (2.0 * h)
-    if abs(f(root)) > (slope + 1.0) * tol * 1e3:
+    if abs(f(root)) > (slope + 1.0) * _TOL * 1e3:
         raise RuntimeError(f"root residual {f(root):g} exceeds the tolerance-scaled bound")
     return float(root)
 
@@ -119,7 +119,7 @@ def solve_nofb(q: float) -> AnalyticSolution:
     if q >= 0.5:
         lam = 1.0 / (1.0 - q)
         return AnalyticSolution(regime=Regime.GREEDY, lambda_star=lam, threshold=0.0, q=q)
-    lp = _bisect_checked(lambda x: p_nofb(x, q), 0.0, math.sqrt(2.0), _TOL)
+    lp = _bisect_checked(lambda x: p_nofb(x, q), 0.0, math.sqrt(2.0))
     lam = (1.0 + q) / (1.0 - q) * lp + 2.0 * q / (1.0 - q) * math.exp(-lp)
     return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lp, q=q)
 
@@ -152,7 +152,7 @@ def solve_wfb(q: float) -> AnalyticSolution:
     q = require_q(q)
     d = q / (1.0 - q)
     hi = math.sqrt(2.0 + (2.0 * q - q * q) / (1.0 - q) ** 2)
-    lam = _bisect_checked(lambda x: p_wfb(x, q), d, hi, _TOL)
+    lam = _bisect_checked(lambda x: p_wfb(x, q), d, hi)
     return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lam - d, q=q)
 
 

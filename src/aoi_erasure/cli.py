@@ -27,9 +27,10 @@ from .analytic import (
 )
 from .model import Feedback
 from .simulator import make_config, run_simulation
-from .stats import closed_form_aoi, validate
+from .stats import Moments, ValidationRecord, closed_form_aoi, validate
 
 _CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
+_REL_TOL = 0.01  # validate's relative tolerance on every grid cell
 
 
 class UsageError(Exception):
@@ -40,18 +41,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_numbers(text: str, flag: str, kind: type = float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
 
 
 def _parse_settings(text: str) -> list[Feedback]:
@@ -168,11 +163,18 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_solve(opts: dict) -> int:
+def _cell(opts: dict, command: str) -> tuple[float, int, Feedback]:
+    """The one (q, M, setting) of a single-cell command; M defaults to 1."""
     if opts["q"] is None or opts["setting"] is None:
-        raise UsageError("solve requires --q and --setting")
-    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
+        raise UsageError(f"{command} requires --q and --setting")
+    q = _scalar(_parse_numbers(opts["q"], "--q"), "--q")
+    M = _scalar(_parse_numbers(opts["m"] or "1", "--m", int), "--m")
     setting = _scalar(_parse_settings(opts["setting"]), "--setting")
+    return q, M, setting
+
+
+def _cmd_solve(opts: dict) -> int:
+    q, _, setting = _cell(opts, "solve")
     sol = solve_nofb(q) if setting is Feedback.NOFB else solve_wfb(q)
     print(
         f"regime={sol.regime.value} lambda_star={_fmt(sol.lambda_star)} "
@@ -182,11 +184,7 @@ def _cmd_solve(opts: dict) -> int:
 
 
 def _cmd_eval(opts: dict) -> int:
-    if opts["q"] is None or opts["setting"] is None:
-        raise UsageError("eval requires --q and --setting")
-    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
-    M = _scalar(_parse_ints(opts["m"] or "1", "--m"), "--m")
-    setting = _scalar(_parse_settings(opts["setting"]), "--setting")
+    q, M, setting = _cell(opts, "eval")
     gamma_spec = _scalar(_parse_gammas(opts["gamma"] or "optimal"), "--gamma")
     gamma = _resolve_gamma(gamma_spec, q, M, setting)
     aoi = closed_form_aoi(q, M, setting, gamma)
@@ -198,32 +196,22 @@ def _cmd_eval(opts: dict) -> int:
 
 
 def _cmd_optimize(opts: dict) -> int:
-    if opts["q"] is None or opts["setting"] is None:
-        raise UsageError("optimize requires --q and --setting")
-    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
-    M = _scalar(_parse_ints(opts["m"] or "1", "--m"), "--m")
-    setting = _scalar(_parse_settings(opts["setting"]), "--setting")
+    q, M, setting = _cell(opts, "optimize")
     gamma, aoi = optimize_gamma(q, M, setting)
     print(f"q={_fmt(q)} M={M} setting={setting.value} gamma_star={_fmt(gamma)} aoi={_fmt(aoi)}")
     return 0
 
 
 def _cmd_simulate(opts: dict) -> int:
-    if opts["q"] is None or opts["setting"] is None:
-        raise UsageError("simulate requires --q and --setting")
-    q = _scalar(_parse_floats(opts["q"], "--q"), "--q")
-    M = _scalar(_parse_ints(opts["m"] or "1", "--m"), "--m")
-    setting = _scalar(_parse_settings(opts["setting"]), "--setting")
+    q, M, setting = _cell(opts, "simulate")
     gamma_spec = _scalar(_parse_gammas(opts["gamma"] or "optimal"), "--gamma")
     gamma = _resolve_gamma(gamma_spec, q, M, setting)
-    epochs = opts["epochs"] or 10000
+    epochs = 10000 if opts["epochs"] is None else opts["epochs"]
     reps = opts["replications"]
     if reps < 1:
         raise UsageError("--replications must be at least 1")
     if opts["trace"] and reps > 1:
         raise UsageError("--trace supports a single replication")
-
-    from .stats import Moments
 
     pooled = Moments()
     arrivals = overflows = attempts = successes = 0
@@ -257,8 +245,8 @@ def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedb
     gamma_star is optimized once per (q, M, setting) and serves both the
     'optimal' gamma token and the gamma_star column.
     """
-    qs = _parse_floats(opts["q"], "--q")
-    ms = _parse_ints(opts["m"] or "1", "--m")
+    qs = _parse_numbers(opts["q"], "--q")
+    ms = _parse_numbers(opts["m"] or "1", "--m", int)
     settings = _parse_settings(opts["setting"])
     gamma_specs = _parse_gammas(opts["gamma"] or default_gammas)
     cells = []
@@ -278,23 +266,28 @@ def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedb
     return cells
 
 
+def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[str], list[ValidationRecord]]:
+    """The CSV lines of the grid; with epochs, every cell is also simulated and validated."""
+    lines, records = [_CSV_HEADER], []
+    for q, M, setting, gamma, gamma_star in cells:
+        base = baseline_infinite_battery(q, setting)
+        if epochs is None:
+            analytic, sim = closed_form_aoi(q, M, setting, gamma), ",,"
+        else:
+            rec = validate(q, M, setting, gamma, epochs, seed, rel_tol=_REL_TOL)
+            records.append(rec)
+            analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
+        lines.append(
+            f"{_fmt(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
+            f"{_fmt(gamma_star)},{_fmt(base)},{sim}"
+        )
+    return lines, records
+
+
 def _cmd_sweep(opts: dict) -> int:
     if opts["q"] is None or opts["setting"] is None:
         raise UsageError("sweep requires --q and --setting (comma lists allowed)")
-    cells = _grid_cells(opts, default_gammas="optimal")
-    lines = [_CSV_HEADER]
-    for q, M, setting, gamma, gamma_star in cells:
-        analytic = closed_form_aoi(q, M, setting, gamma)
-        base = baseline_infinite_battery(q, setting)
-        if opts["epochs"]:
-            rec = validate(q, M, setting, gamma, opts["epochs"], opts["seed"])
-            sim_mean, sim_ci, verdict = _fmt(rec.sim_mean), _fmt(rec.sim_ci), rec.verdict
-        else:
-            sim_mean = sim_ci = verdict = ""
-        lines.append(
-            f"{_fmt(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
-            f"{_fmt(gamma_star)},{_fmt(base)},{sim_mean},{sim_ci},{verdict}"
-        )
+    lines, _ = _grid_rows(_grid_cells(opts, default_gammas="optimal"), opts["epochs"], opts["seed"])
     _emit(lines, opts["out"])
     return 0
 
@@ -308,30 +301,17 @@ def _cmd_validate(opts: dict) -> int:
     for key, default in _DEFAULT_VALIDATE.items():
         if opts[key] is None:
             opts[key] = default
-    cells = _grid_cells(opts, default_gammas="0,optimal")
-    epochs = opts["epochs"] or 100000
-    rel_tol = 0.01
-    lines = [_CSV_HEADER]
-    all_pass = True
-    wide = 0
-    for q, M, setting, gamma, gamma_star in cells:
-        rec = validate(q, M, setting, gamma, epochs, opts["seed"], rel_tol=rel_tol)
-        base = baseline_infinite_battery(q, setting)
-        all_pass &= rec.passed
-        if 3.0 * rec.sim_ci > rel_tol * rec.analytic:
-            wide += 1
-        lines.append(
-            f"{_fmt(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(rec.analytic)},"
-            f"{_fmt(gamma_star)},{_fmt(base)},{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
-        )
+    epochs = 100000 if opts["epochs"] is None else opts["epochs"]
+    lines, records = _grid_rows(_grid_cells(opts, default_gammas="0,optimal"), epochs, opts["seed"])
     _emit(lines, opts["out"])
+    wide = sum(3.0 * rec.sim_ci > _REL_TOL * rec.analytic for rec in records)
     if wide:
         print(
-            f"warning: CI too wide for the {rel_tol:.0%} tolerance in {wide} of "
-            f"{len(cells)} cells; verdicts there lean on the 3-CI criterion",
+            f"warning: CI too wide for the {_REL_TOL:.0%} tolerance in {wide} of "
+            f"{len(records)} cells; verdicts there lean on the 3-CI criterion",
             file=sys.stderr,
         )
-    return 0 if all_pass else 3
+    return 0 if all(rec.passed for rec in records) else 3
 
 
 _COMMANDS = {
@@ -383,18 +363,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         opts = _merged(args)
         return _COMMANDS[args.command](opts)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BracketError, RuntimeError) as exc:
+    # BracketError is a ValueError, so the exit-1 clause comes first
+    except (BracketError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

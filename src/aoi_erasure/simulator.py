@@ -48,7 +48,7 @@ import math
 import warnings
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,7 +258,6 @@ class _RawRun(NamedTuple):
     attempts: int
     successes: int
     events: EventLog | None
-    end_time: float  # horizon runs only
 
 
 _BLOCK = 1 << 16  # attempts (nofb) or services (wfb) an epoch engine draws per pass
@@ -330,7 +329,7 @@ def _epochs_nofb(
             break
         base += cycles
     attempts = int(done.max())
-    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, successes, None, 0.0)
+    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, successes, None)
 
 
 def _epochs_wfb(
@@ -385,16 +384,14 @@ def _epochs_wfb(
             overflows += _overflows(rng_o, gamma, tau)
     n = M * need
     attempts = n + fails_total
-    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, n, None, 0.0)
+    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, n, None)
 
 
 def _more_arrivals(A: list[float], rng_a: np.random.Generator, n: int) -> None:
     """Append n arrival times, summed in the order of the running sum t += wait."""
     waits = rng_a.exponential(size=n)
-    if A:
-        A.extend(np.cumsum(np.concatenate(([A[-1]], waits)))[1:].tolist())
-    else:
-        A.extend(np.cumsum(waits).tolist())
+    waits[0] += A[-1] if A else 0.0  # the same additions as a cumsum that starts at A[-1]
+    A.extend(np.cumsum(waits).tolist())
 
 
 def _attempts_needed(ok: np.ndarray, M: int, need: int, wfb: bool) -> int | None:
@@ -499,8 +496,7 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
     log = None
     if keep_events:
         log = _event_log(np.array(A[:n_arr]), n_stored, times, knext, ok, src)
-    end = float(horizon) if horizon is not None else 0.0
-    return _RawRun(ys, atts, stimes, n_arr, n_arr - n_stored, n_att, int(ok.sum()), log, end)
+    return _RawRun(ys, atts, stimes, n_arr, n_arr - n_stored, n_att, int(ok.sum()), log)
 
 
 def _event_log(
@@ -535,20 +531,8 @@ def _event_log(
     return EventLog.from_columns(time, kind, source)
 
 
-def _sawtooth_area_fn(s: np.ndarray) -> Callable[[float], float]:
-    """Cumulative AoI area of one source given its success times."""
-    ys = np.diff(np.concatenate(([0.0], s)))
-    c = np.concatenate(([0.0], np.cumsum(0.5 * ys * ys)))
-
-    def area(t: float) -> float:
-        k = int(np.searchsorted(s, t, side="right"))
-        last = float(s[k - 1]) if k > 0 else 0.0
-        return float(c[k]) + 0.5 * (t - last) ** 2
-
-    return area
-
-
 _N_BATCHES = 20
+_T975 = 2.0930240544083176  # two-sided 95% quantile of Student's t, _N_BATCHES - 1 df
 
 
 def _horizon_estimates(
@@ -557,19 +541,25 @@ def _horizon_estimates(
     """Time-windowed AoI means over [0, T], pooled with a batch-means interval.
 
     Unlike the renewal estimator, this one keeps the leading and trailing
-    partial sawtooth segments.
+    partial sawtooth segments. A source's age area up to time t is the
+    whole teeth before its last success s_k <= t plus the open ramp
+    0.5 (t - s_k)^2; it is taken at every batch edge at once.
     """
     M = len(success_times)
     edges = np.linspace(0.0, T, _N_BATCHES + 1)
     per_mean = []
     batch_totals = np.zeros(_N_BATCHES)
     for s in success_times:
-        area = _sawtooth_area_fn(s)
-        vals = np.array([area(e) for e in edges])
-        batch_totals += np.diff(vals) / np.diff(edges)
-        per_mean.append(area(T) / T)
+        s0 = np.concatenate(([0.0], s))
+        ys = np.diff(s0)
+        teeth = np.concatenate(([0.0], np.cumsum(0.5 * ys * ys)))
+        k = np.searchsorted(s, edges, side="right")
+        d = edges - s0[k]
+        area = teeth[k] + 0.5 * d * d
+        batch_totals += np.diff(area) / np.diff(edges)
+        per_mean.append(float(area[-1]) / T)
     mean = float(np.mean(per_mean))
-    ci = stats.batch_means_ci(batch_totals / M)
+    ci = _T975 * (float(np.std(batch_totals / M, ddof=1)) / math.sqrt(_N_BATCHES))
     return per_mean, mean, ci
 
 
@@ -604,7 +594,7 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
             warnings.warn(
                 "horizon too short to complete one epoch on every source", RuntimeWarning
             )
-        per_mean, mean, ci = _horizon_estimates(raw.success_times, raw.end_time)
+        per_mean, mean, ci = _horizon_estimates(raw.success_times, cfg.horizon)
         n_epochs = min((r.size for r in raw.ys), default=0)
     epochs = Epochs(np.array([len(r) for r in raw.ys]), y, att)
 

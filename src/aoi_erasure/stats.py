@@ -1,9 +1,10 @@
 """Renewal-reward estimation and analytic-vs-simulation oracles.
 
-The estimators (Moments, ratio_estimate, batch_means_ci) aggregate the
-epochs of one run. The ratio estimator needs only the count, the sums
-and means of the epochs y and their age areas R = y**2 / 2, and the
-centered sums M2(y), M2(R) and C(R, y). Moments takes them one block of
+The estimators (Moments, ratio_estimate) aggregate the epochs of one
+run; horizon runs average over a time window instead and are estimated
+in the simulator. The ratio estimator needs only the count, the sums and
+means of the epochs y and their age areas R = y**2 / 2, and the centered
+sums M2(y), M2(R) and C(R, y). Moments takes them one block of
 epochs at a time, each block centered on its own mean, and merges
 blocks (and whole runs) with the pairwise update of Chan, Golub &
 LeVeque, "Algorithms for computing the sample variance" (1983), so no
@@ -22,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _bisect_checked, aoi_maf_wfb, aoi_rr_nofb
+from .analytic import aoi_maf_wfb, aoi_rr_nofb
 from .model import Feedback, SimResult
 
 __all__ = [
     "Moments",
     "ratio_estimate",
-    "batch_means_ci",
     "closed_form_aoi",
     "ValidationRecord",
     "validate",
@@ -113,40 +113,6 @@ class Moments:
 def ratio_estimate(y: np.ndarray, R: np.ndarray) -> tuple[float, float]:
     """Ratio-of-sums estimator of E[R]/E[y] with a delta-method 95% CI."""
     return Moments.of(y, R).estimate()
-
-
-def _t_within(x: float, df: int) -> float:
-    """P(|T| <= x) for Student's t with integer df (A&S 26.7.3 and 26.7.4)."""
-    theta = math.atan(x / math.sqrt(df))
-    s, c = math.sin(theta), math.cos(theta)
-    c2 = c * c
-    if df % 2 == 0:
-        term = total = 1.0
-        for k in range(1, df // 2):
-            term *= c2 * (2 * k - 1) / (2 * k)
-            total += term
-        return s * total
-    if df == 1:
-        return 2.0 * theta / math.pi
-    term = total = c
-    for k in range(1, (df - 1) // 2):
-        term *= c2 * (2 * k) / (2 * k + 1)
-        total += term
-    return 2.0 / math.pi * (theta + s * total)
-
-
-def _t975(df: int) -> float:
-    """Two-sided 95% quantile of Student's t with integer df."""
-    return _bisect_checked(lambda x: _t_within(x, df) - 0.95, 0.0, 64.0, 1e-13)
-
-
-def batch_means_ci(batches: np.ndarray) -> float:
-    """95% half-width from batch means (Student t, B - 1 degrees of freedom)."""
-    b = batches.size
-    if b < 2:
-        return 0.0
-    se = float(np.std(batches, ddof=1)) / np.sqrt(b)
-    return _t975(b - 1) * se
 
 
 def closed_form_aoi(q: float, M: int, setting: Feedback | str, gamma: float) -> float:

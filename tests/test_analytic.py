@@ -63,6 +63,14 @@ class TestExpMaxMoments:
         with pytest.raises(ValueError):
             exp_max_moments(-0.5)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            exp_max_moments(gamma)
+        for closed_form in (aoi_rr_nofb, aoi_maf_wfb):
+            with pytest.raises(ValueError):
+                closed_form(0.3, 2, gamma)
+
 
 class TestPnofb:
     def test_at_zero(self):
@@ -123,7 +131,7 @@ class TestSolveNofb:
 
     def test_bracket_misconfiguration(self):
         with pytest.raises(BracketError):
-            _bisect_checked(lambda x: p_nofb(x, 0.0), 0.0, 0.1, 1e-12)
+            _bisect_checked(lambda x: p_nofb(x, 0.0), 0.0, 0.1)
 
 
 class TestBisection:
@@ -148,12 +156,12 @@ class TestBisection:
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(analytic, "_MAX_ITER", 5)
         with pytest.raises(RuntimeError):
-            _bisect_checked(lambda x: p_nofb(x, 0.2), 0.0, 50.0, 1e-12)
+            _bisect_checked(lambda x: p_nofb(x, 0.2), 0.0, 50.0)
 
     @pytest.mark.parametrize("root", [1.0, 2.0, 3.0])
     def test_exact_zeros_returned_as_is(self, root):
         # endpoints and the first midpoint of [1, 3] are exact zeros
-        assert _bisect_checked(lambda x: x - root, 1.0, 3.0, 1e-12) == root
+        assert _bisect_checked(lambda x: x - root, 1.0, 3.0) == root
 
 
 class TestPwfb:

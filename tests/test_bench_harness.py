@@ -49,3 +49,23 @@ def test_traced_finds_every_target(tmp_path):
     spans = tmp_path / "spans.json"
     _run(tmp_path, str(BENCH / "traced.py"), str(spans), "--", "optimize", "--q", "0.3", "--setting", "wfb")
     assert json.loads(spans.read_text())["missing"] == []
+
+
+def _traced_counts(tmp_path: Path, *cli_args: str) -> dict:
+    spans = tmp_path / "spans.json"
+    _run(tmp_path, str(BENCH / "traced.py"), str(spans), "--", *cli_args)
+    return json.loads(spans.read_text())["counts"]
+
+
+def test_traced_counters_read_the_package(tmp_path):
+    # traced.py reads _RawRun and ValidationRecord fields by name with a
+    # default of 0, so a renamed field would zero a counter silently
+    cell = ["--q", "0.3", "--m", "2", "--setting", "wfb", "--gamma", "0.4", "--epochs", "200", "--seed", "1"]
+    counts = _traced_counts(tmp_path, "simulate", *cell, "--trace", "--out", str(tmp_path / "events.log"))
+    assert counts["simulator.attempts"] > 0
+    assert counts["simulator.events"] == counts["simulator.arrivals"] + 2 * counts["simulator.attempts"]
+    assert counts["simulator.dump.events"] == counts["simulator.events"]
+    assert counts["simulator.trace.epochs"] == 400
+    cell = ["--q", "0.3", "--m", "2", "--setting", "nofb", "--epochs", "2000", "--seed", "1"]
+    counts = _traced_counts(tmp_path, "validate", *cell)
+    assert counts["stats.validate.epochs"] == counts["simulator.engine.epochs"] == 4000

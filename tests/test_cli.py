@@ -50,6 +50,10 @@ class TestSolve:
     def test_bad_setting_token(self, capsys):
         assert main(["solve", "--q", "0.3", "--setting", "psychic"]) == 2
 
+    def test_malformed_m_is_usage_error(self, capsys):
+        assert main(["solve", "--q", "0.3", "--m", "two", "--setting", "nofb"]) == 2
+        assert "--m expects comma-separated integers" in capsys.readouterr().err
+
 
 class TestEval:
     def test_known_cell(self, capsys):
@@ -67,6 +71,12 @@ class TestEval:
         out = capsys.readouterr().out
         assert "gamma=0.470471" in out
         assert "analytic_aoi=1.409196" in out
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_is_usage_error(self, capsys, gamma):
+        assert main(["eval", "--q", "0.3", "--setting", "wfb", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma must be finite" in captured.err
 
 
 class TestOptimize:
@@ -120,6 +130,11 @@ class TestSimulate:
                    "--epochs", "100", "--trace", "--replications", "2"])
         assert rc == 2
 
+    def test_zero_epochs_is_usage_error(self, capsys):
+        assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--epochs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "target_epochs must be at least 1" in captured.err
+
 
 class TestSweep:
     ARGS = ["sweep", "--q", "0.3,0.1", "--m", "2,1", "--setting", "nofb",
@@ -168,6 +183,16 @@ class TestSweep:
         assert capsys.readouterr().out == ""
         assert dest.read_text().splitlines()[0] == CSV_HEADER
 
+    def test_zero_epochs_is_usage_error(self, capsys):
+        assert main(self.ARGS + ["--epochs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "target_epochs must be at least 1" in captured.err
+
+    def test_non_finite_gamma_is_usage_error(self, capsys):
+        assert main(["sweep", "--q", "0.3", "--setting", "nofb", "--gamma", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma must be finite" in captured.err
+
 
 class TestValidate:
     def test_small_grid_passes(self, capsys):
@@ -205,6 +230,11 @@ class TestValidate:
                    "--gamma", "0", "--epochs", "100"])
         assert rc == 3
         assert capsys.readouterr().out.strip().splitlines()[1].endswith("FAIL")
+
+    def test_zero_epochs_is_usage_error(self, capsys):
+        assert main(["validate", "--q", "0.3", "--m", "1", "--setting", "nofb", "--epochs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "target_epochs must be at least 1" in captured.err
 
 
 class TestGridCells:
@@ -315,7 +345,7 @@ def _peak_rss_mb(args: list[str]) -> float:
 
 class TestMemory:
     def test_attempt_buffers_do_not_grow_with_the_run(self):
-        # 1e4 -> 1e5 epochs is 2e6 -> 2e7 attempts; only the epoch columns (24 B each) may grow
+        # 1e4 -> 1e5 epochs is 2e6 -> 2e7 attempts; only the epoch columns (16 B each) may grow
         args = ["simulate", "--q", "0.99", "--m", "2", "--setting", "nofb", "--epochs"]
         small = _peak_rss_mb([*args, "10000"])
         large = _peak_rss_mb([*args, "100000"])

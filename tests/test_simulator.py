@@ -388,6 +388,7 @@ class TestHorizonMode:
         assert repr(float(res.mean_aoi)) == repr(mean)
         assert repr(float(res.ci_half_width)) == repr(ci)
         assert repr(tuple(float(x) for x in res.per_source_mean)) == repr(per_source)
+        assert type(res.mean_aoi) is type(res.ci_half_width) is float
 
 
 def _sawtooth_area(s, t):
@@ -402,6 +403,11 @@ def _sawtooth_area(s, t):
 
 
 class TestHorizonEstimates:
+    def test_quantile_matches_scipy(self):
+        from scipy import stats as sps
+
+        assert abs(simulator._T975 - sps.t.ppf(0.975, simulator._N_BATCHES - 1)) <= 1e-12
+
     def test_matches_scalar_sawtooth(self):
         from scipy import stats as sps
 

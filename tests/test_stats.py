@@ -8,7 +8,6 @@ from aoi_erasure.simulator import make_config, run_simulation
 from aoi_erasure.stats import (
     Moments,
     ValidationRecord,
-    batch_means_ci,
     closed_form_aoi,
     ratio_estimate,
     validate,
@@ -97,29 +96,6 @@ class TestMoments:
         before = m.estimate()
         m.merge(Moments())
         assert m.estimate() == before
-
-
-class TestBatchMeans:
-    def test_constant_batches(self):
-        assert batch_means_ci(np.full(20, 3.7)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_degenerate_count(self):
-        assert batch_means_ci(np.array([1.0])) == 0.0
-
-    def test_matches_student_t(self):
-        from scipy import stats as sps
-
-        b = np.array([1.0, 2.0, 3.0, 4.0])
-        se = b.std(ddof=1) / 2.0
-        assert batch_means_ci(b) == pytest.approx(sps.t.ppf(0.975, 3) * se, rel=1e-12)
-
-    def test_quantile_matches_scipy_for_integer_df(self):
-        from scipy import stats as sps
-
-        from aoi_erasure.stats import _t975
-
-        for df in range(1, 201):
-            assert abs(_t975(df) - sps.t.ppf(0.975, df)) <= 1e-10, df
 
 
 class TestClosedFormDispatch:

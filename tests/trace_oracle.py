@@ -107,7 +107,6 @@ class OracleRun(NamedTuple):
     attempts: int
     successes: int
     events: list[Event] | None
-    end_time: float
 
 
 def run_loop(cfg: SimConfig, keep_events: bool) -> OracleRun:
@@ -206,8 +205,7 @@ def run_loop(cfg: SimConfig, keep_events: bool) -> OracleRun:
         ys.append(y)
         atts.append(a)
         stimes.append(s)
-    end = float(horizon) if horizon is not None else 0.0
-    return OracleRun(ys, atts, stimes, arrivals, overflows, attempts, successes, events, end)
+    return OracleRun(ys, atts, stimes, arrivals, overflows, attempts, successes, events)
 
 
 def lines(events: list[Event]) -> list[str]:
