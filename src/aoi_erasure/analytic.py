@@ -3,8 +3,9 @@
 Covers the four setting combinations (single or many sources, with or
 without erasure feedback), the infinite-battery baselines, and the gain
 metrics comparing the two feedback settings. All operations are pure
-functions of their arguments; each solver derives its root bracket
-from q, so none takes a configuration.
+functions of their arguments. Every optimal threshold, for one source or
+many, is the zero of one first-order condition (_foc_root), bisected on a
+bracket that follows from q, so no solver takes a configuration.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ class BracketError(ValueError):
     """The bracket does not straddle a sign change."""
 
 
-_TOL = 1e-12  # bracket width at which bisection and golden-section stop
+_TOL = 1e-12  # bracket width at which bisection stops
 _MAX_ITER = 200
-_GAMMA_HI = 50.0  # optimize_gamma searches [0, _GAMMA_HI]
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,22 +85,22 @@ def _bisect_checked(f: Callable[[float], float], lo: float, hi: float) -> float:
         raise BracketError(
             f"no sign change on [{lo:g}, {hi:g}] (f(lo) = {flo:g}, f(hi) = {fhi:g}); adjust the bracket"
         )
-    # plain bisection; flo keeps the sign of the lower end, so only lo moves
+    # plain bisection; flo keeps the sign of the lower end, so only left moves
     # on a same-sign midpoint and the bracket width halves every step
-    width = hi - lo
+    width, left = hi - lo, lo
     for _ in range(_MAX_ITER):
         width *= 0.5
-        root = lo + width
+        root = left + width
         fmid = f(root)
         if fmid * flo >= 0.0:
-            lo = root
+            left = root
         if fmid == 0.0 or width < _TOL:
             break
     else:
-        raise RuntimeError(f"bisection did not converge in {_MAX_ITER} iterations, value is {lo!r}")
-    # bisection converged to _TOL; the residual should be derivative-small
-    h = 1e-6
-    slope = abs(f(root + h) - f(root - h)) / (2.0 * h)
+        raise RuntimeError(f"bisection did not converge in {_MAX_ITER} iterations, value is {left!r}")
+    # the residual should be slope-small; the probe stays in [lo, hi] (past 1e10, root + 1e-6 == root)
+    x0, x1 = max(root - 1e-6, lo), min(root + 1e-6, hi)
+    slope = abs(f(x1) - f(x0)) / max(x1 - x0, 1e-6)
     if abs(f(root)) > (slope + 1.0) * _TOL * 1e3:
         raise RuntimeError(f"root residual {f(root):g} exceeds the tolerance-scaled bound")
     return float(root)
@@ -119,7 +119,7 @@ def solve_nofb(q: float) -> AnalyticSolution:
     if q >= 0.5:
         lam = 1.0 / (1.0 - q)
         return AnalyticSolution(regime=Regime.GREEDY, lambda_star=lam, threshold=0.0, q=q)
-    lp = _bisect_checked(lambda x: p_nofb(x, q), 0.0, math.sqrt(2.0))
+    lp, _ = _foc_root(q, 1, Feedback.NOFB)
     lam = (1.0 + q) / (1.0 - q) * lp + 2.0 * q / (1.0 - q) * math.exp(-lp)
     return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lp, q=q)
 
@@ -139,6 +139,27 @@ def p_wfb(lam: float, q: float) -> float:
     return math.exp(-(lam - d)) - 0.5 * lam * lam + (2.0 * q - q * q) / (2.0 * (1.0 - q) ** 2)
 
 
+def _foc_root(q: float, M: int, setting: Feedback) -> tuple[float, float]:
+    """The zero of P_M, the first-order condition of the M-source closed form.
+
+    Both closed forms have f'(gamma) = -(1 - e^-gamma) * (a positive factor)
+    * P_M, with P_M the single-source root function less one term: without
+    feedback, P_M(x) = p_nofb(x, q) - (M-1)(1+q)/(2(1-q)^2) * (x + e^-x)^2
+    in x = gamma; with it, P_M(lam) = p_wfb(lam, q) - (M-1)/2 *
+    (lam + e^-(lam-d))^2 in lam = gamma + d, d = q/(1-q). P_M decreases
+    strictly, so gamma* = 0 iff P_M <= 0 at gamma = 0 (_zero_threshold_optimal);
+    else its zero lies in the single-source bracket, as the extra term only
+    lowers P_M. At M = 1 that term is exactly 0.0, so every solver makes
+    the same iterates. Returns the zero and the bracket's low end (0 or d).
+    """
+    if setting is Feedback.NOFB:
+        k = (M - 1) * (1.0 + q) / (2.0 * (1.0 - q) ** 2)
+        return _bisect_checked(lambda x: p_nofb(x, q) - k * (x + math.exp(-x)) ** 2, 0.0, math.sqrt(2.0)), 0.0
+    d, k = q / (1.0 - q), (M - 1) / 2.0
+    hi = math.sqrt(2.0 + (2.0 * q - q * q) / (1.0 - q) ** 2)
+    return _bisect_checked(lambda x: p_wfb(x, q) - k * (x + math.exp(-(x - d))) ** 2, d, hi), d
+
+
 def solve_wfb(q: float) -> AnalyticSolution:
     """Optimal single-source policy with erasure feedback.
 
@@ -150,9 +171,7 @@ def solve_wfb(q: float) -> AnalyticSolution:
     which exceeds d for every q < 1, p_wfb = e^-(hi-d) - 1 < 0.
     """
     q = require_q(q)
-    d = q / (1.0 - q)
-    hi = math.sqrt(2.0 + (2.0 * q - q * q) / (1.0 - q) ** 2)
-    lam = _bisect_checked(lambda x: p_wfb(x, q), d, hi)
+    lam, d = _foc_root(q, 1, Feedback.WFB)
     return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lam - d, q=q)
 
 
@@ -179,40 +198,14 @@ def aoi_maf_wfb(q: float, M: int, gamma: float) -> float:
     return s / (2.0 * a) + (M - 1) * a / 2.0
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(f: Callable[[float], float]) -> float:
-    """The minimizer of a unimodal f on [0, _GAMMA_HI], to within _TOL."""
-    a, b = 0.0, _GAMMA_HI
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_MAX_ITER):
-        if b - a <= _TOL:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    else:
-        raise RuntimeError(f"golden-section search did not shrink below tol in {_MAX_ITER} iterations")
-    return 0.5 * (a + b)
-
-
 def _zero_threshold_optimal(q: float, M: int, setting: Feedback) -> bool:
     """Whether gamma = 0 minimizes the closed form for (q, M, setting).
 
-    Both closed forms have zero slope at gamma = 0, and zero is the
-    minimizer exactly when their curvature there is nonnegative:
-    M(1 + q) >= 3(1 - q) without feedback, M >= 3 - 2q with it. The
-    test runs in integer arithmetic on the exact binary value of q, so
-    no rounding settles a boundary point such as q = 0.2, M = 2 without
-    feedback.
+    Zero is the minimizer exactly when the first-order condition P_M
+    (see _foc_root) is nonpositive at gamma = 0: M(1 + q) >= 3(1 - q)
+    without feedback, M >= 3 - 2q with it. The test runs in integer
+    arithmetic on the exact binary value of q, so no rounding settles a
+    boundary point such as q = 0.2, M = 2 without feedback.
     """
     num, den = float(q).as_integer_ratio()
     if setting is Feedback.NOFB:
@@ -223,20 +216,17 @@ def _zero_threshold_optimal(q: float, M: int, setting: Feedback) -> bool:
 def optimize_gamma(q: float, M: int, setting: Feedback | str) -> tuple[float, float]:
     """Minimize the matching closed form over the threshold gamma.
 
-    The sign of the curvature at gamma = 0 decides whether the minimizer
-    is exactly 0 (_zero_threshold_optimal); otherwise both closed forms
-    are unimodal in gamma and golden-section search on [0, 50] finds it.
+    The minimizer is exactly 0 where _zero_threshold_optimal says so;
+    elsewhere it is the zero of the first-order condition (_foc_root), so
+    at M = 1 it equals the threshold of solve_nofb and solve_wfb exactly.
     """
     setting = Feedback(setting)
-    if setting is Feedback.NOFB:
-        f = lambda g: aoi_rr_nofb(q, M, g)
-    else:
-        f = lambda g: aoi_maf_wfb(q, M, g)
-    f0 = f(0.0)  # validates q and M
+    f = aoi_rr_nofb if setting is Feedback.NOFB else aoi_maf_wfb
+    f0 = f(q, M, 0.0)  # validates q and M
     if _zero_threshold_optimal(q, int(M), setting):
         return 0.0, f0
-    x = _golden_section(f)
-    return x, f(x)
+    root, lo = _foc_root(q, int(M), setting)
+    return root - lo, f(q, M, root - lo)
 
 
 def baseline_infinite_battery(q: float, setting: Feedback | str) -> float:

@@ -212,6 +212,8 @@ def _cmd_simulate(opts: dict) -> int:
         raise UsageError("--replications must be at least 1")
     if opts["trace"] and reps > 1:
         raise UsageError("--trace supports a single replication")
+    if opts["out"] and not opts["trace"]:
+        raise UsageError("--out on simulate needs --trace: it writes the event log")
 
     pooled = Moments()
     arrivals = overflows = attempts = successes = 0
@@ -234,7 +236,7 @@ def _cmd_simulate(opts: dict) -> int:
         f"replications={reps} arrivals={arrivals} overflows={overflows} "
         f"attempts={attempts} successes={successes} seed={opts['seed']}"
     )
-    if opts["trace"] and log is not None and opts["out"]:
+    if opts["out"]:
         log.dump(opts["out"])
     return 0
 

@@ -12,6 +12,7 @@ beside the stopping rule and seeds.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +60,12 @@ def require_m(M: int) -> int:
     return m
 
 
+def _require_seed(name: str, value: object) -> None:
+    # checked here so a bad seed is named, not left to numpy's SeedSequence
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     """One run: erasure probability, sources, setting, threshold, stopping rule, seeds.
@@ -97,6 +104,9 @@ class SimConfig:
             raise ValueError("target_epochs must be at least 1")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
+        _require_seed("seed", self.seed)
+        if self.erasure_seed is not None:
+            _require_seed("erasure_seed", self.erasure_seed)
 
 
 class Epochs:

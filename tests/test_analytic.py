@@ -133,6 +133,11 @@ class TestSolveNofb:
         with pytest.raises(BracketError):
             _bisect_checked(lambda x: p_nofb(x, 0.0), 0.0, 0.1)
 
+    @pytest.mark.parametrize("q", [0.5 - 10.0**-k for k in range(7, 17)] + [math.nextafter(0.5, 0.0)])
+    def test_root_below_the_residual_probe_step(self, q):
+        # the residual check's slope probe must stay inside the bracket
+        assert 0.0 <= solve_nofb(q).threshold <= 1e-6
+
 
 class TestBisection:
     """The hand-rolled bisection against scipy's on the same brackets."""
@@ -270,15 +275,60 @@ class TestOptimizeGamma:
     def test_single_source_matches_nofb_solver(self, q):
         sol = solve_nofb(q)
         g, aoi = optimize_gamma(q, 1, Feedback.NOFB)
-        assert g == pytest.approx(sol.threshold, abs=1e-6)
+        assert g == sol.threshold
         assert aoi == pytest.approx(sol.lambda_star, rel=1e-9)
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.8])
     def test_single_source_matches_wfb_solver(self, q):
         sol = solve_wfb(q)
         g, aoi = optimize_gamma(q, 1, Feedback.WFB)
-        assert g == pytest.approx(sol.threshold, abs=1e-6)
+        assert g == sol.threshold
         assert aoi == pytest.approx(sol.lambda_star, rel=1e-9)
+
+    def test_single_source_threshold_is_the_solvers_on_a_grid(self):
+        # one bisection of one root function: not close, identical
+        for k in range(999):
+            q = k / 1000
+            assert optimize_gamma(q, 1, Feedback.NOFB)[0] == solve_nofb(q).threshold, q
+            assert optimize_gamma(q, 1, Feedback.WFB)[0] == solve_wfb(q).threshold, q
+
+    def test_first_order_condition_changes_sign_at_the_optimum(self):
+        # P_M rebuilt here from the public root functions; gamma* must sit at
+        # its sign change and beat every nearby threshold and a dense scan
+        scan = np.concatenate((np.geomspace(1e-8, 1.0, 400), np.linspace(1.0, 50.0, 400)))
+        cells = 0
+        for k in range(99):
+            q = k / 100
+            d = q / (1.0 - q)
+            for M in range(1, 9):
+                for setting in Feedback:
+                    g, aoi = optimize_gamma(q, M, setting)
+                    if g == 0.0:
+                        continue
+                    cells += 1
+                    if setting is Feedback.NOFB:
+                        f = lambda x: aoi_rr_nofb(q, M, x)
+                        c = (M - 1) * (1 + q) / (2 * (1 - q) ** 2)
+                        pm = lambda x: p_nofb(x, q) - c * (x + math.exp(-x)) ** 2
+                        x = g
+                    else:
+                        f = lambda x: aoi_maf_wfb(q, M, x)
+                        pm = lambda x: p_wfb(x, q) - (M - 1) / 2 * (x + math.exp(-(x - d))) ** 2
+                        x = g + d
+                    h = 1e-10 * (1.0 + x)
+                    assert pm(x - h) > 0.0 > pm(x + h), (q, M, setting)
+                    near = [g + s * t for t in (1e-8, 1e-7, 1e-6, 1e-5) for s in (-1, 1) if g + s * t >= 0.0]
+                    assert aoi <= min(f(float(t)) for t in np.concatenate((near, scan))) * (1 + 1e-15)
+        assert cells == 219
+
+    @pytest.mark.parametrize("edge,M,setting", [(0.5, 1, "nofb"), (0.2, 2, "nofb"), (0.5, 2, "wfb")])
+    def test_floats_just_below_a_zero_threshold_boundary(self, edge, M, setting):
+        form = aoi_rr_nofb if setting == "nofb" else aoi_maf_wfb
+        q = edge
+        for _ in range(2000):
+            q = math.nextafter(q, 0.0)
+            g, aoi = optimize_gamma(q, M, setting)
+            assert g >= 0.0 and aoi <= form(q, M, 0.0), q
 
     def test_greedy_single_source_above_half(self):
         g, aoi = optimize_gamma(0.6, 1, Feedback.NOFB)
@@ -355,12 +405,12 @@ class TestZeroThresholdRule:
         form = aoi_rr_nofb if setting is Feedback.NOFB else aoi_maf_wfb
         f = lambda g: form(q, M, g)
         f0 = f(0.0)
+        scan = np.concatenate((np.geomspace(1e-8, 1.0, 1000), np.linspace(1.0, 50.0, 1000)))
+        best = min(f(float(g)) for g in scan)
         if _zero_threshold_optimal(q, M, setting):
-            scan = np.concatenate((np.geomspace(1e-8, 1.0, 1000), np.linspace(1.0, 50.0, 1000)))
-            assert min(f(float(g)) for g in scan) >= f0 * (1.0 - 1e-12)
+            assert best >= f0 * (1.0 - 1e-12)
         else:
-            x = analytic._golden_section(f)
-            assert f(x) < f0 * (1.0 - 1e-12)
+            assert best < f0 * (1.0 - 1e-12)
 
 
 class TestBaselines:

@@ -36,6 +36,16 @@ class TestSolve:
         assert main(["solve", "--q", "0.99", "--setting", "wfb"]) == 0
         assert "lambda_star=99.998684" in capsys.readouterr().out
 
+    def test_threshold_next_to_the_greedy_boundary(self, capsys):
+        assert main(["solve", "--q", "0.4999999", "--setting", "nofb"]) == 0
+        assert "regime=threshold" in capsys.readouterr().out
+
+    def test_solver_failure_exits_one(self, capsys):
+        # this close to 1, rounding in p_wfb defeats the root check; the probe
+        # points round to the root itself, and the failure is still reported
+        assert main(["solve", "--q", "0.9999999999999994", "--setting", "wfb"]) == 1
+        assert "root residual" in capsys.readouterr().err
+
     def test_q_out_of_range(self, capsys):
         assert main(["solve", "--q", "1.0", "--setting", "nofb"]) == 2
         err = capsys.readouterr().err
@@ -135,6 +145,22 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == "" and "target_epochs must be at least 1" in captured.err
 
+    def test_out_without_trace_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "run.log"
+        args = ["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--epochs", "100"]
+        assert main(args + ["--out", str(out_path)]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {out_path}\n")
+        assert main(args + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("--out on simulate needs --trace") == 2
+        assert not out_path.exists()
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--epochs", "100",
+                     "--seed", "-2"]) == 2
+        assert "seed must be a nonnegative integer, got -2" in capsys.readouterr().err
+
 
 class TestSweep:
     ARGS = ["sweep", "--q", "0.3,0.1", "--m", "2,1", "--setting", "nofb",
@@ -230,6 +256,12 @@ class TestValidate:
                    "--gamma", "0", "--epochs", "100"])
         assert rc == 3
         assert capsys.readouterr().out.strip().splitlines()[1].endswith("FAIL")
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["validate", "--q", "0.3", "--m", "1", "--setting", "nofb", "--epochs", "100",
+                     "--seed", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be a nonnegative integer, got -2" in captured.err
 
     def test_zero_epochs_is_usage_error(self, capsys):
         assert main(["validate", "--q", "0.3", "--m", "1", "--setting", "nofb", "--epochs", "0"]) == 2

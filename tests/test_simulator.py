@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -46,6 +47,14 @@ class TestSimConfig:
             SimConfig(*cell, target_epochs=0)
         with pytest.raises(ValueError):
             SimConfig(*cell, horizon=0.0)
+
+    @pytest.mark.parametrize("name", ["seed", "erasure_seed"])
+    @pytest.mark.parametrize("value", [-1, 1.5, 2.0, "3"])
+    def test_seeds_are_nonnegative_integers(self, name, value):
+        cell = (0.2, 1, Feedback.NOFB, 0.0)
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer, got {value!r}"):
+            SimConfig(*cell, target_epochs=10, **{name: value})
+        SimConfig(*cell, target_epochs=10, **{name: np.int64(7)})
 
 
 class TestPolicyRules:
@@ -145,6 +154,30 @@ class TestEpochEngine:
             gap = abs(a.mean() - b.mean())
             bound = 3.0 * np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
             assert gap <= bound
+
+
+class TestWaldIdentity:
+    """Epoch means against Wald's identity, per source, on every engine.
+
+    Each source's epochs are i.i.d. with mean M * m1 / (1 - q) without
+    feedback and M * (m1 + q / (1 - q)) with it, m1 = gamma + e^-gamma.
+    Sources share one clock, so z is taken per source; |z| <= 4 leaves
+    room for the 26 checks.
+    """
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("q,M,setting,gamma,seed", [
+        (0.3, 1, "nofb", 0.47, 21), (0.5, 3, "nofb", 0.4, 22), (0.1, 2, "nofb", 1.0, 23),
+        (0.3, 2, "wfb", 0.25, 24), (0.6, 1, "wfb", 1.2, 25), (0.0, 4, "wfb", 0.5, 26),
+    ])
+    def test_epoch_mean(self, q, M, setting, gamma, seed, trace):
+        _, epochs, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=20000, seed=seed,
+                                                  trace=trace))
+        m1 = exp_max_moments(gamma).m1
+        mean = M * m1 / (1.0 - q) if setting == "nofb" else M * (m1 + q / (1.0 - q))
+        for y in np.split(epochs.y, np.cumsum(epochs.counts)[:-1]):
+            z = (y.mean() - mean) / (y.std(ddof=1) / math.sqrt(y.size))
+            assert abs(z) <= 4.0, (z, y.size)
 
 
 def _run_with_block(block, cfg):
