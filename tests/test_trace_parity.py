@@ -115,7 +115,9 @@ def test_golden_simulate_command(tmp_path, capsys):
         "epochs_per_source=3000 replications=1 arrivals=8683 overflows=201 attempts=8482 "
         "successes=6002 seed=5\n"
     )
-    assert _sha(path.read_bytes()) == "512581340c9213a7aad0e8e0459431f4778c27cb26bf7ccd3248038b839759fa"
+    # the optimal threshold is the bisected root 0.2539340525478827; this is
+    # the log the same command writes with --gamma set to that value
+    assert _sha(path.read_bytes()) == "030bc8ff07c03f4d6e9a1c4330526f459f20ba1dd8d99d2c9069ecb5af7b36ca"
 
 
 def _reference_bytes(time, kind, source):
