@@ -173,8 +173,15 @@ def _cell(opts: dict, command: str) -> tuple[float, int, Feedback]:
     return q, M, setting
 
 
+def _print_only(opts: dict, command: str) -> tuple[float, int, Feedback]:
+    """The cell of a command that prints one line and writes no file."""
+    if opts["out"]:
+        raise UsageError(f"--out is not supported by {command}: it prints one line to stdout")
+    return _cell(opts, command)
+
+
 def _cmd_solve(opts: dict) -> int:
-    q, _, setting = _cell(opts, "solve")
+    q, _, setting = _print_only(opts, "solve")
     sol = solve_nofb(q) if setting is Feedback.NOFB else solve_wfb(q)
     print(
         f"regime={sol.regime.value} lambda_star={_fmt(sol.lambda_star)} "
@@ -184,7 +191,7 @@ def _cmd_solve(opts: dict) -> int:
 
 
 def _cmd_eval(opts: dict) -> int:
-    q, M, setting = _cell(opts, "eval")
+    q, M, setting = _print_only(opts, "eval")
     gamma_spec = _scalar(_parse_gammas(opts["gamma"] or "optimal"), "--gamma")
     gamma = _resolve_gamma(gamma_spec, q, M, setting)
     aoi = closed_form_aoi(q, M, setting, gamma)
@@ -196,7 +203,7 @@ def _cmd_eval(opts: dict) -> int:
 
 
 def _cmd_optimize(opts: dict) -> int:
-    q, M, setting = _cell(opts, "optimize")
+    q, M, setting = _print_only(opts, "optimize")
     gamma, aoi = optimize_gamma(q, M, setting)
     print(f"q={_fmt(q)} M={M} setting={setting.value} gamma_star={_fmt(gamma)} aoi={_fmt(aoi)}")
     return 0

@@ -30,10 +30,14 @@ event log. Two engines produce statistically identical runs:
   uniforms, a loop over attempts (not events) applies the threshold
   rule with the float expressions of a literal battery replay and finds
   the next stored arrival by bisection, and every arrival in between is
-  an overflow. The event log is then laid out as three numpy columns
-  (time, kind, source) by index arithmetic, so no Python object is made
-  per event or per epoch. tests/trace_oracle.py keeps the literal
-  one-event-at-a-time loop this engine must match bit for bit.
+  an overflow. Arrivals and attempts live in typed buffers, not as
+  Python objects: 8 bytes an arrival, and 16 an attempt (its time and
+  the index of the next stored arrival). The event log is then laid
+  out as three numpy columns (time, kind, source; 17 bytes an event) by
+  index arithmetic over zero-copy views of those buffers, so no Python
+  object is kept per arrival, attempt, event or epoch.
+  tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
+  engine must match bit for bit.
 
 Reproducibility contract: a SimConfig seed feeds a SeedSequence that is
 split into three substreams (arrival waits, erasure draws, overflow
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
@@ -121,36 +126,43 @@ class EventLog:
                 fh.write(chunk)
 
     def check_invariants(self) -> None:
-        """Replay the log against the battery and ordering rules."""
-        level = 0
-        pending_attempt: Event | None = None
-        prev_t = 0.0
-        for e in self.events:
-            if e.time < prev_t:
-                raise ValueError(f"event times decrease at {e}")
-            prev_t = e.time
-            if pending_attempt is not None:
-                if e.kind not in (SUCCESS, ERASURE):
-                    raise ValueError(f"attempt at {pending_attempt} lacks an immediate outcome")
-                if e.time != pending_attempt.time or e.source_id != pending_attempt.source_id:
-                    raise ValueError(f"outcome {e} does not match attempt {pending_attempt}")
-                pending_attempt = None
-                continue
-            if e.kind == ENERGY_ARRIVAL:
-                if level != 0:
-                    raise ValueError(f"arrival stored into a full battery at {e}")
-                level = 1
-            elif e.kind == OVERFLOW:
-                if level != 1:
-                    raise ValueError(f"overflow with room in the battery at {e}")
-            elif e.kind == ATTEMPT:
-                if level != 1:
-                    raise ValueError(f"attempt with an empty battery at {e}")
-                level = 0
-                pending_attempt = e
-            else:
-                raise ValueError(f"outcome event {e} without a preceding attempt")
-        if pending_attempt is not None:
+        """Check the log against the battery and ordering rules, column-wise.
+
+        Up to its first violation the log is valid, so the replay state
+        there follows from the columns: an event must be an outcome
+        exactly when the one before it is an attempt, and the battery
+        level is the running sum of +1 per stored arrival and -1 per
+        attempt. Every rule is tested at every index under that state;
+        the first failing index raises what an event-at-a-time replay
+        (tests/trace_oracle.py) raises there.
+        """
+        time, kind, source = self.time, self.kind, self.source
+        if time.size == 0:
+            return
+        attempt = kind == _CODE[ATTEMPT]
+        stored = kind == _CODE[ENERGY_ARRIVAL]
+        slot = np.concatenate(([False], attempt[:-1]))  # the outcome of the attempt before
+        outcome = (kind == _CODE[SUCCESS]) | (kind == _CODE[ERASURE])
+        step = stored.view(np.int8) - attempt.view(np.int8)
+        # before each event; int8 is enough, as only levels up to the first violation count
+        level = np.cumsum(step, dtype=np.int8) - step
+        prev_time = np.concatenate(([0.0], time[:-1]))
+        prev_source = np.concatenate(([0], source[:-1]))
+        rules = (  # in the order a replay tests them at one event
+            (time < prev_time, "event times decrease at {e}"),
+            (slot & ~outcome, "attempt at {p} lacks an immediate outcome"),
+            (slot & ((time != prev_time) | (source != prev_source)), "outcome {e} does not match attempt {p}"),
+            (~slot & stored & (level != 0), "arrival stored into a full battery at {e}"),
+            (~slot & (kind == _CODE[OVERFLOW]) & (level != 1), "overflow with room in the battery at {e}"),
+            (~slot & attempt & (level != 1), "attempt with an empty battery at {e}"),
+            (~slot & outcome, "outcome event {e} without a preceding attempt"),
+        )
+        failed = [(int(bad.argmax()), order) for order, (bad, _) in enumerate(rules) if bad.any()]
+        if failed:
+            i, order = min(failed)
+            events = self.events
+            raise ValueError(rules[order][1].format(e=events[i], p=events[i - 1]))
+        if attempt[-1]:
             raise ValueError("log ends with an attempt missing its outcome")
 
 
@@ -175,7 +187,7 @@ class _EventView(Sequence):
         return map(Event._make, zip(log.time.tolist(), kinds, log.source.tolist()))
 
 
-_CHUNK = 65536  # log lines formatted and written at a time
+_CHUNK = 8192  # log lines formatted and written at a time
 # below this, t * 1e9 < 2**52, where the rounding in _format_lines is exact
 _FAST_MAX = 4.5e6
 _KIND_WIDTH = max(len(k) for k in _KINDS)
@@ -387,11 +399,11 @@ def _epochs_wfb(
     return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, n, None)
 
 
-def _more_arrivals(A: list[float], rng_a: np.random.Generator, n: int) -> None:
+def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
     """Append n arrival times, summed in the order of the running sum t += wait."""
     waits = rng_a.exponential(size=n)
     waits[0] += A[-1] if A else 0.0  # the same additions as a cumsum that starts at A[-1]
-    A.extend(np.cumsum(waits).tolist())
+    A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
 
 
 def _attempts_needed(ok: np.ndarray, M: int, need: int, wfb: bool) -> int | None:
@@ -428,7 +440,7 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
     target, horizon = cfg.target_epochs, cfg.horizon
     rng_a, rng_e, _ = _spawn_streams(cfg.seed, cfg.erasure_seed)
 
-    A: list[float] = []  # arrival times
+    A = array("d")  # arrival times
     if horizon is None:
         n0 = int(M * (target + 1) / (1.0 - q) * 1.1) + 64
         ok = rng_e.random(n0) > q
@@ -446,10 +458,10 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
         limit = horizon
     # the threshold applies to every attempt without feedback, and with
     # feedback to the first attempt after a success
-    gate = np.concatenate(([True], ok[:-1])).tolist() if wfb else [True] * n_max
+    gate = np.concatenate(([True], ok[:-1])).tobytes() if wfb else b"\x01" * n_max
 
-    T: list[float] = []  # attempt times
-    K: list[int] = []  # index of the arrival stored after each attempt
+    T = array("d")  # attempt times
+    K = array("q")  # index of the arrival stored after each attempt
     k, prev, n_a = 0, 0.0, len(A)
     for i in range(n_max):
         fill = A[k]
@@ -472,9 +484,10 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
         K.append(kn)
         prev, k = t, kn
 
+    # views, not copies: nothing is appended to A, T or K from here on
     n_att = len(T)
-    times = np.array(T)
-    knext = np.array(K, dtype=np.int64)
+    times = np.frombuffer(T, np.float64)
+    knext = np.frombuffer(K, np.int64)
     ok = ok[:n_att]
     n_arr = k if horizon is None else bisect_right(A, horizon)
     # a horizon can cut between a stored arrival and its attempt
@@ -495,7 +508,7 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
 
     log = None
     if keep_events:
-        log = _event_log(np.array(A[:n_arr]), n_stored, times, knext, ok, src)
+        log = _event_log(np.frombuffer(A, np.float64, n_arr), n_stored, times, knext, ok, src)
     return _RawRun(ys, atts, stimes, n_arr, n_arr - n_stored, n_att, int(ok.sum()), log)
 
 
@@ -510,20 +523,20 @@ def _event_log(
     """Interleave the arrivals with the attempt/outcome pairs, in log order.
 
     Attempt i comes right after the knext[i] arrivals up to its time, so
-    its pair sits at knext[i] + 2i, and arrival j sits at j plus two per
-    attempt before it. The stored arrivals are the first one and each
-    knext[i]; every other arrival is an overflow.
+    its pair sits at knext[i] + 2i, and the arrivals fill the other slots
+    in order. The stored arrivals are the first one and each knext[i],
+    which follows pair i at once; every other arrival is an overflow.
     """
     n_arr, n_att = arrivals.size, times.size
     time = np.empty(n_arr + 2 * n_att)
     kind = np.empty(time.size, np.uint8)
     source = np.zeros(time.size, np.int64)
-    j = np.arange(n_arr)
-    at = j + 2 * np.searchsorted(knext, j, side="right")
-    time[at] = arrivals
-    kind[at] = _CODE[OVERFLOW]
-    kind[at[np.concatenate(([0], knext))[:n_stored]]] = _CODE[ENERGY_ARRIVAL]
     pair = knext + 2 * np.arange(n_att)
+    is_arr = np.ones(time.size, bool)
+    is_arr[pair] = is_arr[pair + 1] = False
+    time[is_arr] = arrivals
+    kind[is_arr] = _CODE[OVERFLOW]
+    kind[np.concatenate(([0], pair + 2))[:n_stored]] = _CODE[ENERGY_ARRIVAL]
     time[pair] = time[pair + 1] = times
     kind[pair] = _CODE[ATTEMPT]
     kind[pair + 1] = np.where(ok, _CODE[SUCCESS], _CODE[ERASURE])

@@ -18,6 +18,18 @@ from aoi_erasure.stats import ValidationRecord
 CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
 
 
+def _assert_out_refused(command, args, tmp_path, capsys):
+    """--out, as a flag or as `out =` in a config file, is a usage error naming the command."""
+    out_path = tmp_path / "out.txt"
+    assert main([command, *args, "--out", str(out_path)]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {out_path}\n")
+    assert main([command, *args, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count(f"--out is not supported by {command}") == 2
+    assert not out_path.exists()
+
+
 class TestSolve:
     def test_greedy_regime(self, capsys):
         assert main(["solve", "--q", "0.6", "--setting", "nofb"]) == 0
@@ -64,6 +76,9 @@ class TestSolve:
         assert main(["solve", "--q", "0.3", "--m", "two", "--setting", "nofb"]) == 2
         assert "--m expects comma-separated integers" in capsys.readouterr().err
 
+    def test_out_is_usage_error(self, tmp_path, capsys):
+        _assert_out_refused("solve", ["--q", "0.3", "--setting", "nofb"], tmp_path, capsys)
+
 
 class TestEval:
     def test_known_cell(self, capsys):
@@ -88,6 +103,9 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == "" and "gamma must be finite" in captured.err
 
+    def test_out_is_usage_error(self, tmp_path, capsys):
+        _assert_out_refused("eval", ["--q", "0.3", "--setting", "nofb", "--gamma", "0"], tmp_path, capsys)
+
 
 class TestOptimize:
     def test_interior_optimum(self, capsys):
@@ -98,6 +116,9 @@ class TestOptimize:
     def test_boundary_optimum(self, capsys):
         assert main(["optimize", "--q", "0.3", "--m", "3", "--setting", "nofb"]) == 0
         assert "gamma_star=0.000000" in capsys.readouterr().out
+
+    def test_out_is_usage_error(self, tmp_path, capsys):
+        _assert_out_refused("optimize", ["--q", "0.3", "--setting", "wfb"], tmp_path, capsys)
 
 
 class TestSimulate:
@@ -383,6 +404,16 @@ class TestMemory:
         large = _peak_rss_mb([*args, "100000"])
         assert large - small < 30.0, (small, large)
         assert large < 100.0, large
+
+    def test_trace_engine_holds_typed_buffers(self, tmp_path):
+        # 1e4 -> 1e5 traced epochs is about 86k -> 860k log events; what grows is
+        # 8 B per arrival and 16 B per attempt in the engine plus 17 B per logged event
+        args = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--trace",
+                "--out", str(tmp_path / "events.log"), "--epochs"]
+        small = _peak_rss_mb([*args, "10000"])
+        large = _peak_rss_mb([*args, "100000"])
+        assert large - small < 48.0, (small, large)
+        assert large < 90.0, large
 
 
 class TestConfigFile:

@@ -24,7 +24,8 @@ from aoi_erasure.simulator import (
 from aoi_erasure.stats import ratio_estimate
 from epoch_oracle import epochs_nofb, epochs_wfb
 from epoch_oracle import ratio_estimate as cov_ratio_estimate
-from trace_oracle import policy_nofb_single, policy_wfb_single, scheduler_maf, scheduler_rr
+from trace_oracle import check_invariants as replay_invariants
+from trace_oracle import lines, policy_nofb_single, policy_wfb_single, scheduler_maf, scheduler_rr
 
 
 class TestSimConfig:
@@ -378,6 +379,77 @@ class TestEventLogChecker:
         double_store = EventLog([Event(0.2, ENERGY_ARRIVAL, 0), Event(0.4, ENERGY_ARRIVAL, 0)])
         with pytest.raises(ValueError):
             double_store.check_invariants()
+
+    @settings(max_examples=400)
+    @given(
+        cell=st.sampled_from([(0.3, 1, "nofb", 0.47), (0.5, 3, "nofb", 0.0), (0.4, 2, "wfb", 0.5),
+                              (0.7, 3, "wfb", 2.0)]),
+        stop=st.sampled_from([dict(target_epochs=8), dict(horizon=60.5)]),
+        op=st.sampled_from(["swap", "drop", "cut", "retag", "source", "time", "none"]),
+        data=st.data(),
+    )
+    def test_first_error_matches_event_replay(self, cell, stop, op, data):
+        _, _, log = run_simulation(make_config(*cell, seed=3, trace=True, **stop))
+        time, kind, source = log.time.copy(), log.kind.copy(), log.source.copy()
+        n = time.size
+        i = data.draw(st.integers(0, n - 1))
+        if op == "swap":
+            j = data.draw(st.one_of(st.integers(max(0, i - 2), min(n - 1, i + 2)), st.integers(0, n - 1)))
+            for col in (time, kind, source):
+                col[[i, j]] = col[[j, i]]
+        elif op in ("drop", "cut"):
+            keep = np.arange(n) != i if op == "drop" else np.arange(n) <= i
+            time, kind, source = time[keep], kind[keep], source[keep]
+        elif op == "retag":
+            kind[i] = data.draw(st.integers(0, 4))
+        elif op == "source":
+            source[i] = data.draw(st.integers(0, cell[1] + 1))
+        elif op == "time":
+            t = time[i]
+            time[i] = data.draw(st.sampled_from([time[i - 1] if i else 0.0, np.nextafter(t, -1.0),
+                                                 np.nextafter(t, np.inf), t - 0.5, t + 0.5, -1.0, np.nan]))
+        mutated = EventLog.from_columns(time, kind, source)
+
+        def first_error(check):
+            try:
+                check()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        want = first_error(lambda: replay_invariants(mutated.events))
+        assert first_error(mutated.check_invariants) == want
+        if op == "none":
+            assert want is None
+
+
+class TestDumpChunks:
+    """dump and to_lines write the same bytes whatever the chunk size.
+
+    The run ends at a horizon cut, and a copy of it shifted past
+    _FAST_MAX puts chunks on both sides of the exact range and one
+    across it, so the f-string fallback is covered too.
+    """
+
+    @settings(max_examples=24)
+    @given(
+        chunk=st.sampled_from([1, 7, 8192, 65536]),
+        cell=st.sampled_from([(0.2, 1, "nofb", 5.0), (0.4, 3, "wfb", 0.5)]),
+        shift=st.booleans(),
+    )
+    def test_chunk_size_changes_no_byte(self, tmp_path_factory, chunk, cell, shift):
+        _, _, log = run_simulation(make_config(*cell, horizon=300.0, seed=3, trace=True))
+        if shift:
+            offset = simulator._FAST_MAX - log.time[len(log) // 2]
+            log = EventLog.from_columns(log.time + offset, log.kind, log.source)
+            assert log.time[0] < simulator._FAST_MAX <= log.time[-1]
+        want = lines(list(log.events))
+        path = tmp_path_factory.mktemp("dump") / "events.log"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", chunk)
+            log.dump(str(path))
+            assert log.to_lines() == want
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestHorizonMode:

@@ -4,12 +4,14 @@ This is the simulator's original event loop, kept as a slow oracle: one
 scalar draw per energy arrival and per erasure, one battery call and one
 Event per event, the policy rules and schedulers called as written. The
 production engine in aoi_erasure.simulator must reproduce its output
-bit for bit (tests/test_trace_parity.py).
+bit for bit (tests/test_trace_parity.py). check_invariants is the
+matching one-event-at-a-time audit of a log, which EventLog's columnar
+check must agree with.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -211,3 +213,37 @@ def run_loop(cfg: SimConfig, keep_events: bool) -> OracleRun:
 def lines(events: list[Event]) -> list[str]:
     """The log format, written out with the f-string that defines it."""
     return [f"{e.time:.9f}\t{e.kind}\t{e.source_id}" for e in events]
+
+
+def check_invariants(events: Iterable[Event]) -> None:
+    """Replay a log against the battery and ordering rules, one event at a time."""
+    level = 0
+    pending_attempt: Event | None = None
+    prev_t = 0.0
+    for e in events:
+        if e.time < prev_t:
+            raise ValueError(f"event times decrease at {e}")
+        prev_t = e.time
+        if pending_attempt is not None:
+            if e.kind not in (SUCCESS, ERASURE):
+                raise ValueError(f"attempt at {pending_attempt} lacks an immediate outcome")
+            if e.time != pending_attempt.time or e.source_id != pending_attempt.source_id:
+                raise ValueError(f"outcome {e} does not match attempt {pending_attempt}")
+            pending_attempt = None
+            continue
+        if e.kind == ENERGY_ARRIVAL:
+            if level != 0:
+                raise ValueError(f"arrival stored into a full battery at {e}")
+            level = 1
+        elif e.kind == OVERFLOW:
+            if level != 1:
+                raise ValueError(f"overflow with room in the battery at {e}")
+        elif e.kind == ATTEMPT:
+            if level != 1:
+                raise ValueError(f"attempt with an empty battery at {e}")
+            level = 0
+            pending_attempt = e
+        else:
+            raise ValueError(f"outcome event {e} without a preceding attempt")
+    if pending_attempt is not None:
+        raise ValueError("log ends with an attempt missing its outcome")
