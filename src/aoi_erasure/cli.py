@@ -293,7 +293,16 @@ def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[
     return lines, records
 
 
+def _one_run_per_cell(opts: dict, command: str) -> None:
+    """Refuse the flags of a single run, which a grid command would ignore."""
+    if opts["trace"]:
+        raise UsageError(f"--trace is not supported by {command}: grid cells run untraced")
+    if opts["replications"] != 1:
+        raise UsageError(f"--replications is not supported by {command}: each cell is one run")
+
+
 def _cmd_sweep(opts: dict) -> int:
+    _one_run_per_cell(opts, "sweep")
     if opts["q"] is None or opts["setting"] is None:
         raise UsageError("sweep requires --q and --setting (comma lists allowed)")
     lines, _ = _grid_rows(_grid_cells(opts, default_gammas="optimal"), opts["epochs"], opts["seed"])
@@ -305,6 +314,7 @@ _DEFAULT_VALIDATE = {"q": "0.1,0.3,0.5,0.7", "m": "1,2,4,8", "setting": "nofb,wf
 
 
 def _cmd_validate(opts: dict) -> int:
+    _one_run_per_cell(opts, "validate")
     # with no grid flags this runs the full default validation grid
     opts = dict(opts)
     for key, default in _DEFAULT_VALIDATE.items():

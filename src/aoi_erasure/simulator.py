@@ -13,16 +13,20 @@ event log. Two engines produce statistically identical runs:
   Every source then has exactly target_epochs epochs, which the engine
   writes into one (M, target_epochs) block that run_simulation reads
   without copying. Attempts are drawn and folded in fixed blocks of
-  about _BLOCK, so attempt-level memory does not grow with the run;
-  only the returned epoch columns do (16 bytes an epoch). Between
-  blocks the engines carry the clock and, per source, what the next
-  epoch needs: without feedback the successes so far and the time and
-  cycle of the last one, with feedback the last round's success times.
-  The feedback engine also holds every first wait (8 bytes an epoch):
-  its retry waits are gamma draws on the same stream as the first
-  waits, and they come after all of them. Each stream is consumed in
-  the order of an all-at-once draw, so the block size changes no
-  number;
+  about _BLOCK, into buffers reused from block to block, so
+  attempt-level memory does not grow with the run; only the returned
+  epoch columns do (16 bytes an epoch: y and attempts). stats.validate
+  reads no epochs, so its runs keep no attempts column (8 bytes an
+  epoch). Between blocks the engines carry the clock and, per source,
+  what the next epoch needs: without feedback the successes so far and
+  the time and cycle of the last one, with feedback the last round's
+  success times. The feedback engine also holds every first wait (8
+  bytes an epoch): its retry waits are gamma draws on the same stream
+  as the first waits, and they come after all of them. Each stream is
+  consumed in the order of an all-at-once draw, so the block size
+  changes no number. Exponentials are drawn with standard_exponential,
+  which gives the values and the stream state of exponential() at less
+  cost;
 * a trace engine (`_run_loop`) for traced runs and wall-clock-horizon
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
@@ -263,7 +267,7 @@ def _spawn_streams(
 class _RawRun(NamedTuple):
     # one row per source; the epoch engines fill one (M, target) block
     ys: Sequence[np.ndarray]  # epoch lengths
-    atts: Sequence[np.ndarray]  # attempts per epoch, aligned with ys
+    atts: Sequence[np.ndarray] | None  # attempts per epoch, aligned with ys; None if not kept
     success_times: Sequence[np.ndarray]  # includes the first success; trace engine only
     arrivals: int
     overflows: int
@@ -293,6 +297,7 @@ def _epochs_nofb(
     rng_a: np.random.Generator,
     rng_e: np.random.Generator,
     rng_o: np.random.Generator,
+    keep_attempts: bool = True,
 ) -> _RawRun:
     """Epoch engine, no feedback: attempts walk the round-robin cycle.
 
@@ -301,21 +306,27 @@ def _epochs_nofb(
     per source, the successes so far and the time and cycle of the last
     one. The run ends at the need-th success of the last source to get
     there; successes and overflows count the attempts before that cut.
+    Every block is drawn and folded into the same buffers.
     """
     need = target + 1
     cycles = max(1, _BLOCK // M)
     ys = np.empty((M, target))
-    atts = np.empty((M, target), np.int64)
+    atts = np.empty((M, target), np.int64) if keep_attempts else None
     wins = np.zeros(M, np.int64)  # successes so far, at most need
     last_t = np.zeros(M)
     last_k = np.zeros(M, np.int64)  # cycle of the last success
     done = np.zeros(M, np.int64)  # attempts up to each source's need-th success
+    tau, u, t = np.empty((3, cycles * M))
+    ok = np.empty(tau.size, bool)
     clock = 0.0
     base = successes = overflows = 0  # base: cycles before this block
     while True:
-        tau = rng_a.exponential(size=cycles * M)
-        ok = rng_e.random(size=cycles * M) < (1.0 - q)
-        t = np.cumsum(np.concatenate(([clock], np.maximum(gamma, tau))))[1:]
+        rng_a.standard_exponential(out=tau)
+        np.less(rng_e.random(out=u), 1.0 - q, out=ok)
+        # attempt times, summed in the order of one running sum that starts at the clock
+        np.maximum(tau, gamma, out=t)
+        t[0] += clock
+        np.cumsum(t, out=t)
         clock = t[-1]
         for j in np.flatnonzero(wins < need):
             k = np.flatnonzero(ok[j::M])[: need - wins[j]]
@@ -327,14 +338,15 @@ def _epochs_nofb(
             if lo < 0:  # the source's first success opens its first epoch
                 s, a, lo = s[1:], a[1:], 0
             np.subtract(s[1:], s[:-1], out=ys[j, lo : lo + s.size - 1])
-            np.subtract(a[1:], a[:-1], out=atts[j, lo : lo + a.size - 1])
+            if atts is not None:
+                np.subtract(a[1:], a[:-1], out=atts[j, lo : lo + a.size - 1])
             wins[j] += k.size
             last_t[j], last_k[j] = s[-1], a[-1]
             if wins[j] == need:
                 done[j] = a[-1] * M + j + 1
         finished = wins.min() == need
         n = int(done.max()) - base * M if finished else tau.size
-        successes += int(ok[:n].sum())
+        successes += int(np.count_nonzero(ok[:n]))
         if gamma > 0.0:
             overflows += _overflows(rng_o, gamma, tau[:n])
         if finished:
@@ -352,6 +364,7 @@ def _epochs_wfb(
     rng_a: np.random.Generator,
     rng_e: np.random.Generator,
     rng_o: np.random.Generator,
+    keep_attempts: bool = True,
 ) -> _RawRun:
     """Epoch engine, with feedback: one service (a success) per turn.
 
@@ -359,39 +372,42 @@ def _epochs_wfb(
     1..M: a success makes its source the youngest, so the stalest source
     is always the least recently served one. Each turn needs a geometric
     number of attempts; the extra waits beyond the first are a sum of
-    unit exponentials, drawn as one gamma variate. Those gamma draws
-    follow every first wait on the same stream, so the first waits are
-    drawn up front (8 bytes per epoch); the rest runs in blocks of whole
-    rounds of M services, carrying the clock and the last round's
-    success times.
+    unit exponentials, drawn as one gamma variate (shape 0 gives 0.0 and
+    draws nothing). Those gamma draws follow every first wait on the
+    same stream, so the first waits are drawn up front (8 bytes per
+    epoch); the rest runs in blocks of whole rounds of M services,
+    carrying the clock and the last round's success times.
     """
     need = target + 1
-    tau1 = rng_a.exponential(size=M * need)  # service s belongs to source s mod M
+    tau1 = rng_a.standard_exponential(size=M * need)  # service s belongs to source s mod M
     rounds = max(1, _BLOCK // M)
     ys = np.empty((M, target))
-    atts = np.empty((M, target), np.int64)
+    atts = np.empty((M, target), np.int64) if keep_attempts else None
+    t = np.empty((rounds + 1, M))  # row 0: the last round of the block before
+    shape, extra = np.empty((2, rounds * M))
     clock = 0.0
-    prev = np.empty((0, M))  # success times of the round before the block
     fails_total = overflows = 0
     for lo in range(0, need, rounds):
         tau = tau1[lo * M : (lo + rounds) * M]
-        w = np.maximum(gamma, tau)
+        size = tau.size
+        w = t[1 : size // M + 1].reshape(-1)  # this block's services, then success times
+        np.maximum(tau, gamma, out=w)
         if q > 0.0:
-            fails = rng_e.geometric(1.0 - q, size=tau.size) - 1
-            retry = fails > 0
-            w[retry] += rng_a.standard_gamma(fails[retry].astype(np.float64))
-        else:
-            fails = np.zeros(tau.size, np.int64)
-        t = np.cumsum(np.concatenate(([clock], w)))[1:].reshape(-1, M)  # row: one round
-        clock = t[-1, -1]
-        first = lo - prev.shape[0]
-        t = np.concatenate((prev, t))  # rounds first, first + 1, ...
-        # round r >= 1 closes epoch r - 1 of every source
-        epochs = slice(first, first + t.shape[0] - 1)
-        np.subtract(t[1:].T, t[:-1].T, out=ys[:, epochs])
-        np.add(fails.reshape(-1, M)[first + 1 - lo :].T, 1, out=atts[:, epochs])
-        prev = t[-1:]
-        fails_total += int(fails.sum())
+            tries = rng_e.geometric(1.0 - q, size=size)  # attempts per service
+            np.subtract(tries, 1, out=shape[:size])
+            w += rng_a.standard_gamma(shape[:size], out=extra[:size])
+            fails_total += int(tries.sum()) - size
+        w[0] += clock
+        np.cumsum(w, out=w)
+        clock = w[-1]
+        # round r >= 1 of the run closes epoch r - 1 of every source
+        r0 = 0 if lo else 1
+        rows = t[r0 : size // M + 1]
+        epochs = slice(lo - 1 + r0, lo + size // M - 1)
+        np.subtract(rows[1:].T, rows[:-1].T, out=ys[:, epochs])
+        if atts is not None:
+            atts[:, epochs] = tries.reshape(-1, M)[r0:].T if q > 0.0 else 1
+        t[0] = rows[-1]
         if gamma > 0.0:
             overflows += _overflows(rng_o, gamma, tau)
     n = M * need
@@ -401,7 +417,7 @@ def _epochs_wfb(
 
 def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
     """Append n arrival times, summed in the order of the running sum t += wait."""
-    waits = rng_a.exponential(size=n)
+    waits = rng_a.standard_exponential(size=n)
     waits[0] += A[-1] if A else 0.0  # the same additions as a cumsum that starts at A[-1]
     A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
 
@@ -576,18 +592,23 @@ def _horizon_estimates(
     return per_mean, mean, ci
 
 
-def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
+def run_simulation(
+    cfg: SimConfig, *, _with_epochs: bool = True
+) -> tuple[SimResult, Epochs | None, EventLog | None]:
     """Run one seeded simulation and aggregate it.
 
     Returns the aggregated result, the epochs as columns (ordered by
     source, then time), and the event log when tracing was requested.
+    stats.validate reads only the result: it passes _with_epochs=False,
+    gets None for the epochs, and the epoch engines skip their attempts
+    block.
     """
     if cfg.trace or cfg.horizon is not None:
         raw = _run_loop(cfg, keep_events=cfg.trace)
     else:
         rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
         engine = _epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb
-        raw = engine(cfg.q, cfg.M, cfg.gamma, cfg.target_epochs, rng_a, rng_e, rng_o)
+        raw = engine(cfg.q, cfg.M, cfg.gamma, cfg.target_epochs, rng_a, rng_e, rng_o, _with_epochs)
 
     if cfg.horizon is None:
         # every source has exactly target epochs, so the rows form one block
@@ -599,17 +620,14 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
             per_mean.append(moments.point)
             pooled.merge(moments)
         mean, ci = pooled.estimate()
-        y, att = ys.ravel(), np.ravel(raw.atts)
         n_epochs = cfg.target_epochs
     else:
-        y, att = np.concatenate(raw.ys), np.concatenate(raw.atts)
         if any(s.size < 2 for s in raw.success_times):
             warnings.warn(
                 "horizon too short to complete one epoch on every source", RuntimeWarning
             )
         per_mean, mean, ci = _horizon_estimates(raw.success_times, cfg.horizon)
         n_epochs = min((r.size for r in raw.ys), default=0)
-    epochs = Epochs(np.array([len(r) for r in raw.ys]), y, att)
 
     result = SimResult(
         per_source_mean=tuple(per_mean),
@@ -622,7 +640,13 @@ def run_simulation(cfg: SimConfig) -> tuple[SimResult, Epochs, EventLog | None]:
         epochs_per_source=n_epochs,
         seed=cfg.seed,
     )
-    return result, epochs, raw.events
+    if not _with_epochs:
+        return result, None, raw.events
+    if cfg.horizon is None:
+        y, att = ys.ravel(), np.ravel(raw.atts)
+    else:
+        y, att = np.concatenate(raw.ys), np.concatenate(raw.atts)
+    return result, Epochs(np.array([len(r) for r in raw.ys]), y, att), raw.events
 
 
 # the name the CLI, stats, the demos and the benchmark probe build runs by

@@ -149,7 +149,8 @@ def _simulate(q: float, M: int, setting: Feedback, gamma: float, n_epochs: int, 
     # imported at call time
     from .simulator import make_config, run_simulation
 
-    result, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n_epochs, seed=seed))
+    cfg = make_config(q, M, setting, gamma, target_epochs=n_epochs, seed=seed)
+    result, _, _ = run_simulation(cfg, _with_epochs=False)
     return result
 
 

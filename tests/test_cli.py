@@ -30,6 +30,24 @@ def _assert_out_refused(command, args, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def _assert_single_run_flags_refused(command, args, tmp_path, capsys):
+    """--trace and --replications N != 1, as flags or in a config file, are usage errors naming the flag."""
+    cfg = tmp_path / "run.cfg"
+    for flag, extra, line in (
+        ("--trace", ["--trace"], "trace = true"),
+        ("--replications", ["--replications", "3"], "replications = 3"),
+        ("--replications", ["--replications", "0"], "replications = 0"),
+    ):
+        assert main([command, *args, *extra]) == 2
+        cfg.write_text(line + "\n")
+        assert main([command, *args, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count(f"{flag} is not supported by {command}") == 2
+    cfg.write_text("replications = 1\ntrace = false\n")
+    assert main([command, *args, "--config", str(cfg), "--replications", "1"]) == 0
+    assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+
 class TestSolve:
     def test_greedy_regime(self, capsys):
         assert main(["solve", "--q", "0.6", "--setting", "nofb"]) == 0
@@ -235,6 +253,9 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == "" and "target_epochs must be at least 1" in captured.err
 
+    def test_single_run_flags_are_usage_errors(self, tmp_path, capsys):
+        _assert_single_run_flags_refused("sweep", ["--q", "0.3", "--setting", "nofb"], tmp_path, capsys)
+
     def test_non_finite_gamma_is_usage_error(self, capsys):
         assert main(["sweep", "--q", "0.3", "--setting", "nofb", "--gamma", "nan"]) == 2
         captured = capsys.readouterr()
@@ -288,6 +309,10 @@ class TestValidate:
         assert main(["validate", "--q", "0.3", "--m", "1", "--setting", "nofb", "--epochs", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "target_epochs must be at least 1" in captured.err
+
+    def test_single_run_flags_are_usage_errors(self, tmp_path, capsys):
+        args = ["--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "20000"]
+        _assert_single_run_flags_refused("validate", args, tmp_path, capsys)
 
 
 class TestGridCells:
@@ -414,6 +439,14 @@ class TestMemory:
         large = _peak_rss_mb([*args, "100000"])
         assert large - small < 48.0, (small, large)
         assert large < 90.0, large
+
+    def test_validate_cell_keeps_no_attempts_column(self):
+        # a validate cell holds 8 B per epoch of y (plus 8 B of first waits with
+        # feedback) and no attempts column: 50.8 MB measured, the import included;
+        # with the attempts column it read 58 MB
+        args = ["validate", "--q", "0.7", "--m", "8", "--setting", "nofb,wfb", "--epochs", "100000"]
+        peak = _peak_rss_mb(args)
+        assert peak < 54.0, peak
 
 
 class TestConfigFile:

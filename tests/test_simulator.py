@@ -208,8 +208,8 @@ class TestEngineBlocks:
     @settings(max_examples=120)
     @given(
         setting=st.sampled_from(["nofb", "wfb"]),
-        M=st.sampled_from([1, 2, 3, 5]),
-        q=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+        M=st.sampled_from([1, 2, 3, 5, 8]),
+        q=st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.95]),
         gamma=st.sampled_from([0.0, 0.4, 2.0]),
         target=st.sampled_from([1, 2, 7, 3000]),
         seed=st.integers(0, 2**32 - 1),
@@ -253,6 +253,101 @@ class TestEngineBlocks:
         target = simulator._BLOCK // M - 1 + past
         cfg = make_config(q, M, setting, 0.4, target_epochs=target, seed=M)
         _assert_same_run(run_simulation(cfg), _run_with_block(1 << 12, cfg))
+
+
+class TestNumpyContracts:
+    """The numpy behaviour the epoch engines rely on to keep every number.
+
+    If numpy changes one of these, these tests fail, not a golden digest.
+    """
+
+    @pytest.mark.parametrize("n", [1, 7, 65536, 100003])
+    def test_standard_exponential_is_exponential(self, n):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        assert a.standard_exponential(size=n).tobytes() == b.exponential(size=n).tobytes()
+        out = np.empty(n)
+        a.standard_exponential(out=out)
+        assert out.tobytes() == b.exponential(size=n).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_uniforms_into_a_buffer(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        out = np.empty(65536)
+        a.random(out=out)
+        assert out.tobytes() == b.random(size=out.size).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_zero_gamma_shapes_draw_nothing(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        shape = np.array([0.0, 2.0, 0.0, 0.0, 1.0, 3.0, 0.0, 17.0, 0.0])
+        out = np.empty(shape.size)
+        a.standard_gamma(shape, out=out)
+        assert np.all(out[shape == 0.0] == 0.0)
+        assert out[shape > 0.0].tobytes() == b.standard_gamma(shape[shape > 0.0]).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.standard_exponential() == b.standard_exponential()
+
+    @pytest.mark.parametrize("clock", [0.0, 0.1, 123.456, 9.87e5])
+    def test_in_place_running_sum(self, clock):
+        w = np.maximum(np.random.default_rng(9).exponential(size=65536), 0.4)
+        want = np.cumsum(np.concatenate(([clock], w)))[1:]
+        w[0] += clock
+        np.cumsum(w, out=w)
+        assert w.tobytes() == want.tobytes()
+
+
+_FIRST_SUCCESS_MAX = 400  # attempts searched for a source's first success; P(miss) <= 0.9**400
+
+
+class TestErasureSeed:
+    """Without feedback, attempt times follow the arrival substream alone.
+
+    Replacing erasure_seed reshuffles only the outcomes, on both engines.
+    """
+
+    @settings(max_examples=40)
+    @given(
+        q=st.floats(0.0, 0.9),
+        M=st.integers(1, 5),
+        gamma=st.floats(0.0, 2.0),
+        target=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        erasure_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+    )
+    def test_trace_attempt_times(self, q, M, gamma, target, seed, erasure_seeds):
+        times = []
+        for erasure_seed in erasure_seeds:
+            cfg = make_config(q, M, "nofb", gamma, target_epochs=target, seed=seed, trace=True,
+                              erasure_seed=erasure_seed)
+            _, _, log = run_simulation(cfg)
+            times.append(log.time[log.kind == simulator._CODE[ATTEMPT]])
+        n = min(t.size for t in times)
+        assert n >= M * (target + 1)
+        np.testing.assert_array_equal(times[0][:n], times[1][:n])
+
+    @settings(max_examples=40)
+    @given(
+        q=st.floats(0.0, 0.9),
+        M=st.integers(1, 5),
+        gamma=st.floats(0.0, 2.0),
+        target=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        erasure_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    def test_epochs_lie_on_the_arrival_grid(self, q, M, gamma, target, seed, erasure_seed):
+        cfg = make_config(q, M, "nofb", gamma, target_epochs=target, seed=seed, erasure_seed=erasure_seed)
+        res, epochs, _ = run_simulation(cfg)
+        rng_a, _, _ = simulator._spawn_streams(seed, None)
+        # attempt i belongs to source i mod M and happens at grid[i]
+        grid = np.cumsum(np.maximum(gamma, rng_a.exponential(size=res.attempts)))
+        for j, (y, att) in enumerate(zip(np.split(epochs.y, M), np.split(epochs.attempts, M))):
+            mine = grid[j::M]
+            steps = np.concatenate(([0], np.cumsum(att)))  # successes after the first
+            for first in range(min(_FIRST_SUCCESS_MAX, mine.size - steps[-1])):
+                if np.array_equal(np.diff(mine[first + steps]), y):
+                    break
+            else:
+                pytest.fail(f"source {j + 1}: no first success puts its epochs on the grid")
 
 
 class TestTraceEngine:

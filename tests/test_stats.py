@@ -206,3 +206,16 @@ class TestOneEntryPoint:
         gammas = np.arange(0.0, 5.5, 1.0)
         means = [_pooled(q, M, setting, g, n, seed)[0] for g in gammas]
         assert grid_oracle_gamma(q, M, setting, 1.0, n_epochs=n, seed=seed) == gammas[int(np.argmin(means))]
+
+    @pytest.mark.parametrize("setting", ["nofb", "wfb"])
+    @pytest.mark.parametrize("M", [1, 2, 4, 8])
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7])
+    def test_validate_path_on_the_default_grid(self, q, M, setting):
+        # validate's runs skip the attempts column; every number must stay
+        n, seed = 2000, 3
+        gamma_star, _ = optimize_gamma(q, M, setting)
+        for gamma in (0.0, gamma_star):
+            res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
+            assert stats._simulate(q, M, Feedback(setting), gamma, n, seed) == res
+            rec = validate(q, M, setting, gamma, n_epochs=n, seed=seed)
+            assert (rec.sim_mean, rec.sim_ci) == (res.mean_aoi, res.ci_half_width)
