@@ -4,8 +4,8 @@ Covers the four setting combinations (single or many sources, with or
 without erasure feedback), the infinite-battery baselines, and the gain
 metrics comparing the two feedback settings. All operations are pure
 functions of their arguments. Every optimal threshold, for one source or
-many, is the zero of one first-order condition (_foc_root), bisected on a
-bracket that follows from q, so no solver takes a configuration.
+many, is the zero in gamma of one first-order condition (_foc_root),
+bisected on the one bracket [0, sqrt(2)] for every q < 1 and every M.
 """
 
 from __future__ import annotations
@@ -65,14 +65,31 @@ def p_nofb(lambda_prime: float, q: float) -> float:
     """Root function whose zero gives the optimal no-feedback threshold.
 
     Positive below the optimal threshold, negative above it; strictly
-    decreasing in lambda_prime.
+    decreasing in lambda_prime. It is P_1(lambda_prime) / (1-q) (_first_order).
     """
     q = require_q(q)
     if lambda_prime < 0.0:
         raise ValueError("lambda_prime must be nonnegative")
-    e = math.exp(-lambda_prime)
-    num = (1.0 - q) * (e - 0.5 * lambda_prime * lambda_prime) - q * (lambda_prime + e) ** 2
-    return num / (1.0 - q) ** 2
+    return _first_order(q, 1, Feedback.NOFB)(lambda_prime) / (1.0 - q)
+
+
+def _first_order(q: float, M: int, setting: Feedback) -> Callable[[float], float]:
+    """P_M(gamma) = e^-gamma - gamma^2/2 + a(1-gamma) - c(gamma + b + e^-gamma)^2.
+
+    The first-order condition of the M-source closed form f: f'(gamma) =
+    -(1 - e^-gamma) P_M(gamma) / (gamma + b + e^-gamma)^2, with (a, b, c) =
+    (0, 0, (q + (M-1)(1+q)/2)/(1-q)) without feedback and (d, d, (M-1)/2)
+    with it, d = q/(1-q). a(1-gamma) is one product: expanded, it cancels.
+    """
+    nofb = setting is Feedback.NOFB
+    a = b = 0.0 if nofb else q / (1.0 - q)
+    c = (q + (M - 1) * (1.0 + q) / 2.0) / (1.0 - q) if nofb else (M - 1) / 2.0
+
+    def p_m(gamma: float) -> float:
+        e = math.exp(-gamma)
+        return e - 0.5 * gamma * gamma + a * (1.0 - gamma) - c * (gamma + b + e) ** 2
+
+    return p_m
 
 
 def _bisect_checked(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -98,7 +115,7 @@ def _bisect_checked(f: Callable[[float], float], lo: float, hi: float) -> float:
             break
     else:
         raise RuntimeError(f"bisection did not converge in {_MAX_ITER} iterations, value is {left!r}")
-    # the residual should be slope-small; the probe stays in [lo, hi] (past 1e10, root + 1e-6 == root)
+    # the residual should be slope-small; the probe stays in [lo, hi]
     x0, x1 = max(root - 1e-6, lo), min(root + 1e-6, hi)
     slope = abs(f(x1) - f(x0)) / max(x1 - x0, 1e-6)
     if abs(f(root)) > (slope + 1.0) * _TOL * 1e3:
@@ -110,16 +127,13 @@ def solve_nofb(q: float) -> AnalyticSolution:
     """Optimal single-source policy without erasure feedback.
 
     For q >= 1/2 the optimum is greedy with average AoI 1/(1-q). Below
-    that, the optimal threshold lambda' is the unique zero of p_nofb and
-    the optimal AoI follows from it in closed form. The zero lies in
-    [0, sqrt(2)]: p_nofb(0) > 0, and the numerator of p_nofb is below
-    (1-q)(1 - x^2/2), which is negative past sqrt(2).
+    that, the optimal threshold lambda' is the zero of P_1 (_foc_root),
+    and the optimal AoI follows from it in closed form.
     """
     q = require_q(q)
     if q >= 0.5:
-        lam = 1.0 / (1.0 - q)
-        return AnalyticSolution(regime=Regime.GREEDY, lambda_star=lam, threshold=0.0, q=q)
-    lp, _ = _foc_root(q, 1, Feedback.NOFB)
+        return AnalyticSolution(regime=Regime.GREEDY, lambda_star=1.0 / (1.0 - q), threshold=0.0, q=q)
+    lp = _foc_root(q, 1, Feedback.NOFB)
     lam = (1.0 + q) / (1.0 - q) * lp + 2.0 * q / (1.0 - q) * math.exp(-lp)
     return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lp, q=q)
 
@@ -127,52 +141,38 @@ def solve_nofb(q: float) -> AnalyticSolution:
 def p_wfb(lam: float, q: float) -> float:
     """Root function for the with-feedback setting, piecewise in lam.
 
-    The breakpoint sits at q/(1-q), the mean retransmission overhead of
-    the greedy phase.
+    The breakpoint sits at d = q/(1-q), the mean retransmission overhead
+    of the greedy phase; beyond it p_wfb(lam) = P_1(lam - d) (_first_order).
     """
     q = require_q(q)
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     d = q / (1.0 - q)
     if lam < d:
-        return 1.0 - lam / (1.0 - q) + (2.0 * q - q * q) / (1.0 - q) ** 2
-    return math.exp(-(lam - d)) - 0.5 * lam * lam + (2.0 * q - q * q) / (2.0 * (1.0 - q) ** 2)
+        return (1.0 + d) * (1.0 - (lam - d))
+    return _first_order(q, 1, Feedback.WFB)(lam - d)
 
 
-def _foc_root(q: float, M: int, setting: Feedback) -> tuple[float, float]:
-    """The zero of P_M, the first-order condition of the M-source closed form.
+def _foc_root(q: float, M: int, setting: Feedback) -> float:
+    """The zero in gamma of P_M, the first-order condition (_first_order).
 
-    Both closed forms have f'(gamma) = -(1 - e^-gamma) * (a positive factor)
-    * P_M, with P_M the single-source root function less one term: without
-    feedback, P_M(x) = p_nofb(x, q) - (M-1)(1+q)/(2(1-q)^2) * (x + e^-x)^2
-    in x = gamma; with it, P_M(lam) = p_wfb(lam, q) - (M-1)/2 *
-    (lam + e^-(lam-d))^2 in lam = gamma + d, d = q/(1-q). P_M decreases
-    strictly, so gamma* = 0 iff P_M <= 0 at gamma = 0 (_zero_threshold_optimal);
-    else its zero lies in the single-source bracket, as the extra term only
-    lowers P_M. At M = 1 that term is exactly 0.0, so every solver makes
-    the same iterates. Returns the zero and the bracket's low end (0 or d).
+    P_M decreases strictly, so gamma* = 0 iff P_M(0) <= 0 (_zero_threshold_optimal);
+    else the zero lies in [0, sqrt(2)] for every q < 1 and M, as P_M(sqrt(2)) < 0.
     """
-    if setting is Feedback.NOFB:
-        k = (M - 1) * (1.0 + q) / (2.0 * (1.0 - q) ** 2)
-        return _bisect_checked(lambda x: p_nofb(x, q) - k * (x + math.exp(-x)) ** 2, 0.0, math.sqrt(2.0)), 0.0
-    d, k = q / (1.0 - q), (M - 1) / 2.0
-    hi = math.sqrt(2.0 + (2.0 * q - q * q) / (1.0 - q) ** 2)
-    return _bisect_checked(lambda x: p_wfb(x, q) - k * (x + math.exp(-(x - d))) ** 2, d, hi), d
+    return _bisect_checked(_first_order(q, M, setting), 0.0, math.sqrt(2.0))
 
 
 def solve_wfb(q: float) -> AnalyticSolution:
     """Optimal single-source policy with erasure feedback.
 
     The optimal structure is threshold-greedy for every q: threshold
-    gamma* = lambda* - q/(1-q) on the first attempt after a success,
-    greedy retransmissions afterwards. lambda* is the unique zero of
-    p_wfb beyond the breakpoint d = q/(1-q), and gamma* is always
-    positive. p_wfb(d) = 1 + d > 0, and at hi = sqrt(2 + (2q-q^2)/(1-q)^2),
-    which exceeds d for every q < 1, p_wfb = e^-(hi-d) - 1 < 0.
+    gamma* on the first attempt after a success, greedy retransmissions
+    afterwards. gamma* is the zero of P_1 (_foc_root), positive as
+    P_1(0) = 1 + q/(1-q) > 0, and the optimal AoI is gamma* + q/(1-q).
     """
     q = require_q(q)
-    lam, d = _foc_root(q, 1, Feedback.WFB)
-    return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=lam, threshold=lam - d, q=q)
+    gamma = _foc_root(q, 1, Feedback.WFB)
+    return AnalyticSolution(regime=Regime.THRESHOLD, lambda_star=gamma + q / (1.0 - q), threshold=gamma, q=q)
 
 
 def aoi_rr_nofb(q: float, M: int, gamma: float) -> float:
@@ -202,7 +202,7 @@ def _zero_threshold_optimal(q: float, M: int, setting: Feedback) -> bool:
     """Whether gamma = 0 minimizes the closed form for (q, M, setting).
 
     Zero is the minimizer exactly when the first-order condition P_M
-    (see _foc_root) is nonpositive at gamma = 0: M(1 + q) >= 3(1 - q)
+    (see _first_order) is nonpositive at gamma = 0: M(1 + q) >= 3(1 - q)
     without feedback, M >= 3 - 2q with it. The test runs in integer
     arithmetic on the exact binary value of q, so no rounding settles a
     boundary point such as q = 0.2, M = 2 without feedback.
@@ -225,8 +225,8 @@ def optimize_gamma(q: float, M: int, setting: Feedback | str) -> tuple[float, fl
     f0 = f(q, M, 0.0)  # validates q and M
     if _zero_threshold_optimal(q, int(M), setting):
         return 0.0, f0
-    root, lo = _foc_root(q, int(M), setting)
-    return root - lo, f(q, M, root - lo)
+    gamma = _foc_root(q, int(M), setting)
+    return gamma, f(q, M, gamma)
 
 
 def baseline_infinite_battery(q: float, setting: Feedback | str) -> float:

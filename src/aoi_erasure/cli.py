@@ -142,7 +142,10 @@ def _merged(args: argparse.Namespace) -> dict:
         out[name] = val
     trace = pick("trace", False)
     if isinstance(trace, str):
-        trace = trace.lower() in ("1", "true", "yes", "on")
+        word = trace.lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise UsageError(f"trace must be one of 1/true/yes/on or 0/false/no/off, got {trace!r}")
+        trace = word in ("1", "true", "yes", "on")
     out["trace"] = bool(trace)
     return out
 

@@ -100,10 +100,13 @@ class SimConfig:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         if (self.target_epochs is None) == (self.horizon is None):
             raise ValueError("exactly one stopping rule must be set: target_epochs or horizon")
-        if self.target_epochs is not None and self.target_epochs < 1:
-            raise ValueError("target_epochs must be at least 1")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if self.target_epochs is not None:
+            if isinstance(self.target_epochs, bool) or not isinstance(self.target_epochs, numbers.Integral):
+                raise ValueError(f"target_epochs must be an integer, got {self.target_epochs!r}")
+            if self.target_epochs < 1:
+                raise ValueError("target_epochs must be at least 1")
+        if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         _require_seed("seed", self.seed)
         if self.erasure_seed is not None:
             _require_seed("erasure_seed", self.erasure_seed)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -213,10 +214,116 @@ class TestSolveWfb:
     @pytest.mark.filterwarnings("ignore:q = .* is close to 1:RuntimeWarning")
     @pytest.mark.parametrize("q", [0.9803, 0.981, 0.99, 0.999, 0.9999])
     def test_root_beyond_a_large_breakpoint(self, q):
-        # the bracket grows with q/(1-q), so no q < 1 puts the root out of reach
+        # the root is sought in gamma on [0, sqrt(2)], whatever the breakpoint q/(1-q)
         sol = solve_wfb(q)
         assert sol.lambda_star > q / (1.0 - q)
         assert sol.lambda_star == pytest.approx(optimize_gamma(q, 1, "wfb")[1], rel=1e-9)
+
+
+class TestNearOne:
+    """Every threshold solves as q -> 1; P_M in gamma has no d-sized terms that cancel."""
+
+    QS = [1.0 - 10.0 ** -(5 + k / 20) for k in range(221)]  # e = 5, 5.05, ..., 16
+
+    @pytest.mark.filterwarnings("ignore:q = .* is close to 1:RuntimeWarning")
+    def test_feedback_threshold_to_q_one(self):
+        for q in self.QS:
+            sol = solve_wfb(q)
+            assert 0.0 < sol.threshold <= 1.0, q
+            # one Newton step on P_1 from gamma = 1; its error is O(((1-q)/q)^3)
+            newton = 1.0 + (math.exp(-1.0) - 0.5) / (q / (1.0 - q) + 1.0 + math.exp(-1.0))
+            assert sol.threshold == pytest.approx(newton, abs=2e-12), q
+            assert optimize_gamma(q, 1, Feedback.WFB)[0] == sol.threshold, q
+            assert sol.lambda_star == sol.threshold + q / (1.0 - q), q
+            assert feedback_gain(q) >= 0.0, q
+            assert math.isfinite(percentage_gain(q, 1)), q
+
+
+def _symbolic_forms():
+    """The closed forms and P_M in the symbols q, M, gamma, keyed by setting.
+
+    Each entry is (f, P_M, b): the closed form as aoi_rr_nofb / aoi_maf_wfb
+    write it, the first-order condition as analytic._first_order writes it,
+    and b, the shift in its squared term.
+    """
+    q, M, g = sp.symbols("q M gamma", positive=True)
+    E = sp.exp(-g)
+    d = q / (1 - q)
+    m1, m2 = g + E, g**2 + 2 * (g + 1) * E
+
+    def p_m(a, b, c):
+        return E - g**2 / 2 + a * (1 - g) - c * (g + b + E) ** 2
+
+    s = m2 + 2 * m1 * d + 2 * q / (1 - q) ** 2
+    forms = {
+        Feedback.NOFB: (
+            m2 / (2 * m1) + ((M - 1) / 2 + M * q / (1 - q)) * m1,
+            p_m(0, 0, (q + (M - 1) * (1 + q) / 2) / (1 - q)),
+            0,
+        ),
+        Feedback.WFB: (s / (2 * (m1 + d)) + (M - 1) * (m1 + d) / 2, p_m(d, d, sp.Rational(1, 2) * (M - 1)), d),
+    }
+    return (q, M, g), forms
+
+
+class TestSymbolicCertificates:
+    """sympy derives, in q, M and gamma, the facts the threshold solver rests on."""
+
+    CELLS = [(q, M, g) for q in (0.0, 0.3, 0.9) for M in (1, 2, 5) for g in (0.0, 0.4, 1.3)]
+
+    @pytest.mark.parametrize("setting", list(Feedback))
+    def test_symbols_are_the_code(self, setting):
+        (q, M, g), forms = _symbolic_forms()
+        f, pm, _ = forms[setting]
+        form = aoi_rr_nofb if setting is Feedback.NOFB else aoi_maf_wfb
+        f_num, pm_num = sp.lambdify((q, M, g), f), sp.lambdify((q, M, g), pm)
+        for cell in self.CELLS:
+            assert form(*cell) == pytest.approx(f_num(*cell), rel=1e-13), cell
+            assert analytic._first_order(cell[0], cell[1], setting)(cell[2]) == pytest.approx(
+                pm_num(*cell), rel=1e-13, abs=1e-13
+            ), cell
+
+    @pytest.mark.parametrize("setting", list(Feedback))
+    def test_derivative_factors_through_p_m(self, setting):
+        # f'(gamma) = -(1 - e^-gamma) P_M / (gamma + b + e^-gamma)^2, the factor
+        # 1/m1^2 without feedback and 1/(m1 + d)^2 with it
+        (q, M, g), forms = _symbolic_forms()
+        f, pm, b = forms[setting]
+        E = sp.exp(-g)
+        assert sp.simplify(sp.diff(f, g) + (1 - E) * pm / (g + b + E) ** 2) == 0
+
+    def test_zero_threshold_rule_is_p_m_at_zero(self):
+        (q, M, g), forms = _symbolic_forms()
+        p0 = {s: forms[s][1].subs(g, 0) for s in Feedback}
+        # positive multiples of P_M(0): the integer rules of _zero_threshold_optimal
+        assert sp.simplify(2 * (1 - q) * p0[Feedback.NOFB] - (3 * (1 - q) - M * (1 + q))) == 0
+        assert sp.simplify(2 * (1 - q) ** 2 * p0[Feedback.WFB] - (3 - 2 * q - M)) == 0
+        for qf in (0.0, 0.1, 0.2, math.nextafter(0.2, 0.0), 0.3, 0.5, math.nextafter(0.5, 0.0), 0.7):
+            exact = sp.Rational(*qf.as_integer_ratio())
+            for m in range(1, 9):
+                for setting in Feedback:
+                    zero = bool(p0[setting].subs({q: exact, M: m}) <= 0)
+                    assert _zero_threshold_optimal(qf, m, setting) is zero, (qf, m, setting)
+
+    def test_root_functions_are_p_1(self):
+        # p_nofb and p_wfb as the lambda-form derivation writes them
+        (q, M, g), forms = _symbolic_forms()
+        p1 = {s: forms[s][1].subs(M, 1) for s in Feedback}
+        lam, E, d = sp.Symbol("lam", positive=True), sp.exp(-g), q / (1 - q)
+        nofb = ((1 - q) * (E - g**2 / 2) - q * (g + E) ** 2) / (1 - q) ** 2
+        upper = sp.exp(-(lam - d)) - lam**2 / 2 + (2 * q - q**2) / (2 * (1 - q) ** 2)
+        lower = 1 - lam / (1 - q) + (2 * q - q**2) / (1 - q) ** 2
+        assert sp.simplify(nofb - p1[Feedback.NOFB] / (1 - q)) == 0
+        assert sp.simplify(upper.subs(lam, g + d) - p1[Feedback.WFB]) == 0
+        assert sp.simplify(lower - (1 + d) * (1 - (lam - d))) == 0
+        nofb_num, upper_num, lower_num = (sp.lambdify(args, e) for args, e in
+                                          (((q, g), nofb), ((q, lam), upper), ((q, lam), lower)))
+        for qf in (0.0, 0.3, 0.9):
+            dq = qf / (1.0 - qf)
+            for x in (0.0, 0.4, 1.3):
+                assert p_nofb(x, qf) == pytest.approx(nofb_num(qf, x), rel=1e-12, abs=1e-12)
+                assert p_wfb(x + dq, qf) == pytest.approx(upper_num(qf, x + dq), rel=1e-12, abs=1e-12)
+                assert p_wfb(x * dq / 2, qf) == pytest.approx(lower_num(qf, x * dq / 2), rel=1e-12, abs=1e-12)
 
 
 class TestAoiRrNofb:

@@ -70,11 +70,12 @@ class TestSolve:
         assert main(["solve", "--q", "0.4999999", "--setting", "nofb"]) == 0
         assert "regime=threshold" in capsys.readouterr().out
 
-    def test_solver_failure_exits_one(self, capsys):
-        # this close to 1, rounding in p_wfb defeats the root check; the probe
-        # points round to the root itself, and the failure is still reported
-        assert main(["solve", "--q", "0.9999999999999994", "--setting", "wfb"]) == 1
-        assert "root residual" in capsys.readouterr().err
+    @pytest.mark.filterwarnings("ignore:q = .* is close to 1:RuntimeWarning")
+    def test_feedback_threshold_next_to_q_one(self, capsys):
+        # the root is bisected in gamma, so no d = q/(1-q)-sized terms cancel
+        assert main(["solve", "--q", "0.9999999999999994", "--setting", "wfb"]) == 0
+        threshold = float(re.search(r"threshold=(\S+)", capsys.readouterr().out).group(1))
+        assert 0.99 < threshold <= 1.0
 
     def test_q_out_of_range(self, capsys):
         assert main(["solve", "--q", "1.0", "--setting", "nofb"]) == 2
@@ -233,6 +234,13 @@ class TestSweep:
         assert row[9] == "PASS"
         assert float(row[7]) == pytest.approx(1.428571, rel=0.05)
         assert float(row[8]) > 0.0
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No such file or directory" in captured.err
+        assert not out_path.parent.exists()
 
     def test_reruns_are_byte_identical(self, capsys):
         args = ["sweep", "--q", "0.2,0.4", "--m", "1,2", "--setting", "nofb,wfb",
@@ -472,6 +480,22 @@ class TestConfigFile:
         cfg.write_text("q = 0.3\nbogus = 1\n")
         assert main(["solve", "--config", str(cfg), "--setting", "nofb"]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word,traced", [("ON", True), ("Yes", True), ("true", True), ("1", True),
+                                             ("OFF", False), ("No", False), ("false", False), ("0", False)])
+    def test_trace_words(self, tmp_path, capsys, word, traced):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{self.BODY}trace = {word}\n")
+        assert cli._merged(cli._build_parser().parse_args(["simulate", "--config", str(cfg)]))["trace"] is traced
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
+    def test_other_trace_words_are_usage_errors(self, tmp_path, capsys, word):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{self.BODY}trace = {word}\nout = {tmp_path / 'events.log'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"trace must be one of 1/true/yes/on or 0/false/no/off, got {word!r}" in captured.err
+        assert not (tmp_path / "events.log").exists()
 
     def test_malformed_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -25,6 +25,30 @@ class TestChannelSpec:
             _config(q=-0.01)
 
 
+class TestStoppingRule:
+    """SimConfig's checks of the stopping rule: an integer epoch target or a finite horizon."""
+
+    CELL = (0.2, 1, Feedback.NOFB, 0.0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "10"])
+    def test_target_epochs_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=f"target_epochs must be an integer, got {value!r}"):
+            SimConfig(*self.CELL, target_epochs=value)
+
+    def test_integer_targets_accepted(self):
+        assert SimConfig(*self.CELL, target_epochs=np.int64(3)).target_epochs == 3
+        assert SimConfig(*self.CELL, target_epochs=1).target_epochs == 1
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    def test_horizon_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match=f"horizon must be finite and positive, got {value!r}"):
+            SimConfig(*self.CELL, horizon=value)
+
+    def test_finite_horizons_accepted(self):
+        assert SimConfig(*self.CELL, horizon=1e9).horizon == 1e9
+        assert SimConfig(*self.CELL, horizon=3).horizon == 3
+
+
 class TestBatteryState:
     def test_harvest_then_discharge(self):
         b = BatteryState()
