@@ -62,7 +62,7 @@ def require_m(M: int) -> int:
 
 def _require_seed(name: str, value: object) -> None:
     # checked here so a bad seed is named, not left to numpy's SeedSequence
-    if not (isinstance(value, numbers.Integral) and value >= 0):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 

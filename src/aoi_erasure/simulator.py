@@ -35,11 +35,13 @@ event log. Two engines produce statistically identical runs:
   rule with the float expressions of a literal battery replay and finds
   the next stored arrival by bisection, and every arrival in between is
   an overflow. Arrivals and attempts live in typed buffers, not as
-  Python objects: 8 bytes an arrival, and 16 an attempt (its time and
-  the index of the next stored arrival). The event log is then laid
-  out as three numpy columns (time, kind, source; 17 bytes an event) by
-  index arithmetic over zero-copy views of those buffers, so no Python
-  object is kept per arrival, attempt, event or epoch.
+  Python objects: 8 bytes an arrival and 8 an attempt (its time). The
+  index of the next stored arrival is not stored: a traced run derives
+  it for every attempt at once after the loop. The event log is then
+  laid out as three numpy columns (time, kind, and source in the
+  smallest unsigned type that holds M; 10 bytes an event up to M = 255)
+  by index arithmetic, in place, over zero-copy views of those buffers,
+  so no Python object is kept per arrival, attempt, event or epoch.
   tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
   engine must match bit for bit.
 
@@ -87,8 +89,9 @@ class EventLog:
     """Ordered audit trail of one traced run, held as three columns.
 
     time (float64), kind (uint8 index into the kind names) and source
-    (0 for battery events, 1..M otherwise). `events` is a read-only
-    Event sequence over them.
+    (0 for battery events, 1..M otherwise; the trace engine stores it in
+    np.min_scalar_type(M), a log built from Events in int64). `events` is
+    a read-only Event sequence over them.
     """
 
     __slots__ = ("time", "kind", "source")
@@ -477,7 +480,6 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
     gate = np.concatenate(([True], ok[:-1])).tobytes() if wfb else b"\x01" * n_max
 
     T = array("d")  # attempt times
-    K = array("q")  # index of the arrival stored after each attempt
     k, prev, n_a = 0, 0.0, len(A)
     for i in range(n_max):
         fill = A[k]
@@ -497,21 +499,24 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
                 n_a = len(A)
                 kn = bisect_right(A, t, kn)
         T.append(t)
-        K.append(kn)
         prev, k = t, kn
 
-    # views, not copies: nothing is appended to A, T or K from here on
+    # views, not copies: nothing is appended to A or T from here on
     n_att = len(T)
     times = np.frombuffer(T, np.float64)
-    knext = np.frombuffer(K, np.int64)
     ok = ok[:n_att]
     n_arr = k if horizon is None else bisect_right(A, horizon)
     # a horizon can cut between a stored arrival and its attempt
     n_stored = n_att + int(k < n_arr)
-    src = (np.cumsum(ok) - ok) % M if wfb else np.arange(n_att) % M
+    # the source (1..M) of each attempt, in the log's source dtype
+    dt = np.min_scalar_type(M)
+    if wfb:
+        src = ((np.cumsum(ok) - ok) % M + 1).astype(dt)
+    else:
+        src = np.resize(np.arange(1, M + 1, dtype=dt), n_att)
 
     ys, atts, stimes = [], [], []
-    for j in range(M):
+    for j in range(1, M + 1):
         mine = np.flatnonzero(src == j)
         wins = np.flatnonzero(ok[mine])
         s = times[mine[wins]]
@@ -524,39 +529,68 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
 
     log = None
     if keep_events:
-        log = _event_log(np.frombuffer(A, np.float64, n_arr), n_stored, times, knext, ok, src)
+        arrivals = np.frombuffer(A, np.float64, n_arr)
+        log = _event_log(arrivals, n_stored, times, _pair_slots(arrivals, times), ok, src)
     return _RawRun(ys, atts, stimes, n_arr, n_arr - n_stored, n_att, int(ok.sum()), log)
+
+
+def _pair_slots(arrivals: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Where each attempt/outcome pair starts in the log, in the searchsorted buffer.
+
+    The arrival stored after attempt i is knext[i] = max(knext[i-1] + 1,
+    s[i]), with knext[-1] = 0 and s[i] the number of arrivals up to
+    times[i]: the loop's bisect_right(A, t, k + 1). So knext[i] - (i + 1)
+    is the running maximum of max(0, s[j] - (j + 1)) over j <= i. The
+    knext[i] arrivals and the i pairs before attempt i put its pair at
+    knext[i] + 2i.
+    """
+    slots = np.searchsorted(arrivals, times, "right")
+    i = np.arange(times.size)
+    slots -= i
+    slots -= 1
+    np.maximum(slots, 0, out=slots)
+    np.maximum.accumulate(slots, out=slots)
+    i *= 3
+    slots += i
+    slots += 1
+    return slots
 
 
 def _event_log(
     arrivals: np.ndarray,
     n_stored: int,
     times: np.ndarray,
-    knext: np.ndarray,
+    slots: np.ndarray,
     ok: np.ndarray,
     src: np.ndarray,
 ) -> EventLog:
     """Interleave the arrivals with the attempt/outcome pairs, in log order.
 
-    Attempt i comes right after the knext[i] arrivals up to its time, so
-    its pair sits at knext[i] + 2i, and the arrivals fill the other slots
-    in order. The stored arrivals are the first one and each knext[i],
-    which follows pair i at once; every other arrival is an overflow.
+    Attempt i sits at slots[i] (see _pair_slots), its outcome right after
+    it, and the arrivals fill the other slots in order. The stored
+    arrivals are the first one and the one that follows each outcome at
+    once; every other arrival is an overflow. The columns take 10 bytes an
+    event (time, kind and a source narrowed to the smallest unsigned type
+    that holds M), and slots is shifted in place from the attempts to the
+    outcomes to the stored arrivals, so no int64 index is made per event.
     """
     n_arr, n_att = arrivals.size, times.size
     time = np.empty(n_arr + 2 * n_att)
-    kind = np.empty(time.size, np.uint8)
-    source = np.zeros(time.size, np.int64)
-    pair = knext + 2 * np.arange(n_att)
-    is_arr = np.ones(time.size, bool)
-    is_arr[pair] = is_arr[pair + 1] = False
-    time[is_arr] = arrivals
-    kind[is_arr] = _CODE[OVERFLOW]
-    kind[np.concatenate(([0], pair + 2))[:n_stored]] = _CODE[ENERGY_ARRIVAL]
-    time[pair] = time[pair + 1] = times
-    kind[pair] = _CODE[ATTEMPT]
-    kind[pair + 1] = np.where(ok, _CODE[SUCCESS], _CODE[ERASURE])
-    source[pair] = source[pair + 1] = src + 1
+    kind = np.full(time.size, _CODE[OVERFLOW], np.uint8)
+    source = np.zeros(time.size, src.dtype)
+    time[slots] = times
+    kind[slots] = _CODE[ATTEMPT]
+    source[slots] = src
+    slots += 1
+    time[slots] = times
+    kind[slots] = ok.view(np.uint8) + np.uint8(_CODE[ERASURE])  # Success is Erasure + 1
+    source[slots] = src
+    time[kind == _CODE[OVERFLOW]] = arrivals
+    if n_stored:  # the first arrival, and the one right after each of the first n_stored - 1 outcomes
+        kind[0] = _CODE[ENERGY_ARRIVAL]
+        stored = slots[: n_stored - 1]
+        stored += 1
+        kind[stored] = _CODE[ENERGY_ARRIVAL]
     return EventLog.from_columns(time, kind, source)
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestSimConfig:
             SimConfig(*cell, horizon=0.0)
 
     @pytest.mark.parametrize("name", ["seed", "erasure_seed"])
-    @pytest.mark.parametrize("value", [-1, 1.5, 2.0, "3"])
+    @pytest.mark.parametrize("value", [-1, 1.5, 2.0, "3", True, False, np.True_])
     def test_seeds_are_nonnegative_integers(self, name, value):
         cell = (0.2, 1, Feedback.NOFB, 0.0)
         with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer, got {value!r}"):
@@ -351,6 +352,19 @@ class TestErasureSeed:
 
 
 class TestTraceEngine:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrivals=st.lists(st.floats(0.0, 50.0), max_size=60),
+           times=st.lists(st.floats(0.0, 60.0), max_size=60))
+    def test_pair_slots_match_the_loop_bisection(self, arrivals, times):
+        # the engine's loop finds the arrival stored after each attempt by bisect_right(A, t, k + 1)
+        A, T = sorted(arrivals), sorted(times)
+        want, k = [], 0
+        for i, t in enumerate(T):
+            k = bisect_right(A, t, k + 1)
+            want.append(k + 2 * i)
+        got = simulator._pair_slots(np.array(A, float), np.array(T, float))
+        assert got.dtype == np.int64 and got.tolist() == want
+
     def test_byte_identical_logs_for_identical_seeds(self):
         mk = lambda: make_config(0.3, 2, "nofb", 0.3, target_epochs=500, seed=42, trace=True)
         _, _, la = run_simulation(mk())

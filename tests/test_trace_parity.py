@@ -137,13 +137,16 @@ def test_formatter_matches_fstring():
         [0.0, 5e-10, 1.5e-9, 999999.9999999995, 4.4999e6, 4.5e6, 1.23456789e7],
     ))
     kind = rng.integers(0, 5, size=time.size).astype(np.uint8)
-    source = rng.integers(0, 12, size=time.size)
     fast = time < 4.5e6
     assert fast.sum() > 0.9 * time.size
-    assert _format_lines(time[fast], kind[fast], source[fast]) == _reference_bytes(
-        time[fast], kind[fast], source[fast])
-    # a chunk holding a time past the exact range is formatted by f-string
-    assert _format_lines(time, kind, source) == _reference_bytes(time, kind, source)
+    # the engine's source column is uint8 up to M = 255 and uint16 up to 65535;
+    # logs built from Event lists keep int64, where a negative source stays valid
+    for dtype, high in ((np.int64, 12), (np.uint8, 256), (np.uint16, 65536)):
+        source = rng.integers(0, high, size=time.size, dtype=dtype)
+        assert _format_lines(time[fast], kind[fast], source[fast]) == _reference_bytes(
+            time[fast], kind[fast], source[fast])
+        # a chunk holding a time past the exact range is formatted by f-string
+        assert _format_lines(time, kind, source) == _reference_bytes(time, kind, source)
 
 
 def test_event_log_from_events_round_trips():
@@ -163,8 +166,11 @@ def test_event_log_from_events_round_trips():
 
 
 def test_log_lines_keep_their_shape():
-    _, _, log = run_simulation(make_config(0.3, 12, "nofb", 0.1, target_epochs=30, seed=4, trace=True))
     pat = re.compile(r"^\d+\.\d{9}\t(EnergyArrival|Overflow|Attempt|Erasure|Success)\t\d+$")
-    text = log.to_lines()
-    assert all(pat.match(line) for line in text)
-    assert {line.rsplit("\t", 1)[1] for line in text} == {str(s) for s in range(13)}
+    cells = ((12, 30, np.uint8), (255, 2, np.uint8), (256, 2, np.uint16), (300, 3, np.uint16))
+    for M, target, dtype in cells:
+        _, _, log = run_simulation(make_config(0.3, M, "nofb", 0.1, target_epochs=target, seed=4, trace=True))
+        assert log.source.dtype == np.min_scalar_type(M) == dtype
+        text = log.to_lines()
+        assert all(pat.match(line) for line in text)
+        assert {line.rsplit("\t", 1)[1] for line in text} == {str(s) for s in range(M + 1)}
