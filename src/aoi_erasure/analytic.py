@@ -126,12 +126,13 @@ def _bisect_checked(f: Callable[[float], float], lo: float, hi: float) -> float:
 def solve_nofb(q: float) -> AnalyticSolution:
     """Optimal single-source policy without erasure feedback.
 
-    For q >= 1/2 the optimum is greedy with average AoI 1/(1-q). Below
-    that, the optimal threshold lambda' is the zero of P_1 (_foc_root),
-    and the optimal AoI follows from it in closed form.
+    For q >= 1/2 (_zero_threshold_optimal at M = 1) the optimum is
+    greedy with average AoI 1/(1-q). Below that, the optimal threshold
+    lambda' is the zero of P_1 (_foc_root), and the optimal AoI follows
+    from it in closed form.
     """
     q = require_q(q)
-    if q >= 0.5:
+    if _zero_threshold_optimal(q, 1, Feedback.NOFB):
         return AnalyticSolution(regime=Regime.GREEDY, lambda_star=1.0 / (1.0 - q), threshold=0.0, q=q)
     lp = _foc_root(q, 1, Feedback.NOFB)
     lam = (1.0 + q) / (1.0 - q) * lp + 2.0 * q / (1.0 - q) * math.exp(-lp)

@@ -6,17 +6,20 @@ commands (sweep, validate) emit CSV with the fixed column set
     q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict
 
 in deterministic row order (ascending q, then M, then setting, then
-gamma); real-valued fields use fixed 6-decimal formatting. A flat
-`key = value` config file can supply any flag's value; explicit flags
-win. Exit codes: 0 ok, 1 solver or simulation failure, 2 usage error,
-3 validation FAIL.
+gamma); real-valued fields use fixed 6-decimal formatting. Each flag is
+declared once (_FLAGS), with the defaults of single commands beside it
+(_COMMANDS). A flat `key = value` config file supplies flags by name:
+argparse parses each line as the flag `--key=value`, placed before the
+explicit flags, so flags override config values, which override the
+defaults. A comma-list flag refuses an empty list. Exit codes: 0 ok,
+1 solver or simulation failure, 2 usage error, 3 validation FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analytic import (
     BracketError,
@@ -41,48 +44,49 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _parse_list(text: str, flag: str, parse: Callable) -> list:
+    """The values of a comma list; blank tokens are skipped and an empty list is refused."""
+    values = [parse(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise UsageError(f"{flag} is empty")
+    return values
+
+
 def _parse_numbers(text: str, flag: str, kind: type = float) -> list:
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        return _parse_list(text, flag, kind)
     except ValueError:
         noun = "integers" if kind is int else "numbers"
         raise UsageError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
 
 
+def _setting(tok: str) -> Feedback:
+    try:
+        return Feedback(tok)
+    except ValueError:
+        raise UsageError(f"--setting must be nofb or wfb, got {tok!r}") from None
+
+
 def _parse_settings(text: str) -> list[Feedback]:
-    out = []
-    for tok in text.split(","):
-        if tok.strip() == "":
-            continue
-        try:
-            out.append(Feedback(tok))
-        except ValueError:
-            raise UsageError(f"--setting must be nofb or wfb, got {tok!r}") from None
-    if not out:
-        raise UsageError("--setting is empty")
-    return out
+    return _parse_list(text, "--setting", _setting)
+
+
+def _gamma(tok: str) -> float | str:
+    tok = tok.strip().lower()
+    if tok == "optimal":
+        return tok
+    try:
+        val = float(tok)
+    except ValueError:
+        raise UsageError(f"--gamma expects numbers or 'optimal', got {tok!r}") from None
+    if val < 0.0:
+        raise UsageError("--gamma must be nonnegative")
+    return val
 
 
 def _parse_gammas(text: str) -> list[float | str]:
     """Comma list of thresholds; the token 'optimal' is resolved per cell."""
-    out: list[float | str] = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
-        if tok == "":
-            continue
-        if tok == "optimal":
-            out.append("optimal")
-            continue
-        try:
-            val = float(tok)
-        except ValueError:
-            raise UsageError(f"--gamma expects numbers or 'optimal', got {tok!r}") from None
-        if val < 0.0:
-            raise UsageError("--gamma must be nonnegative")
-        out.append(val)
-    if not out:
-        raise UsageError("--gamma is empty")
-    return out
+    return _parse_list(text, "--gamma", _gamma)
 
 
 def _scalar(values: list, flag: str):
@@ -91,11 +95,12 @@ def _scalar(values: list, flag: str):
     return values[0]
 
 
-_CONFIG_KEYS = ("q", "m", "setting", "gamma", "epochs", "seed", "replications", "out", "trace")
+_TRACE_ON, _TRACE_OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_flags(path: str) -> list[str]:
+    """The lines of a flat `key = value` file as `--key=value` flags."""
+    flags: list[str] = []
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -108,53 +113,23 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = stripped.partition("=")
-        key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
+        key, val = key.strip().lower(), val.strip()
+        if key == "config" or key not in _FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = val.strip()
-    return values
+        if key != "trace":
+            flags.append(f"--{key}={val}")
+        elif val.lower() in _TRACE_ON:
+            flags.append("--trace")
+        elif val.lower() not in _TRACE_OFF:
+            raise UsageError(f"trace must be one of 1/true/yes/on or 0/false/no/off, got {val!r}")
+    return flags
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    """Flags override config values, which override built-in defaults."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name: str, default):
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            return flag_val
-        return cfg.get(name, default)
-
-    out = {
-        "q": pick("q", None),
-        "m": pick("m", None),
-        "setting": pick("setting", None),
-        "gamma": pick("gamma", None),
-        "out": pick("out", None),
-    }
-    for name, default in (("epochs", None), ("seed", 1), ("replications", 1)):
-        val = pick(name, default)
-        if isinstance(val, str):
-            try:
-                val = int(val)
-            except ValueError:
-                raise UsageError(f"{name} must be an integer, got {val!r}") from None
-        out[name] = val
-    trace = pick("trace", False)
-    if isinstance(trace, str):
-        word = trace.lower()
-        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise UsageError(f"trace must be one of 1/true/yes/on or 0/false/no/off, got {trace!r}")
-        trace = word in ("1", "true", "yes", "on")
-    out["trace"] = bool(trace)
-    return out
-
-
-def _resolve_gamma(spec: float | str, q: float, M: int, setting: Feedback) -> float:
-    if spec == "optimal":
-        gamma, _ = optimize_gamma(q, M, setting)
-        return gamma
-    return float(spec)
+def _resolve_gamma(spec: float | str, q: float, M: int, setting: Feedback, star: float | None = None) -> float:
+    """The threshold a spec names; 'optimal' is gamma_star: star if given, else optimized here."""
+    if spec != "optimal":
+        return float(spec)
+    return optimize_gamma(q, M, setting)[0] if star is None else star
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -166,25 +141,18 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             fh.write(text)
 
 
-def _cell(opts: dict, command: str) -> tuple[float, int, Feedback]:
-    """The one (q, M, setting) of a single-cell command; M defaults to 1."""
-    if opts["q"] is None or opts["setting"] is None:
-        raise UsageError(f"{command} requires --q and --setting")
-    q = _scalar(_parse_numbers(opts["q"], "--q"), "--q")
-    M = _scalar(_parse_numbers(opts["m"] or "1", "--m", int), "--m")
-    setting = _scalar(_parse_settings(opts["setting"]), "--setting")
+def _cell(opts: argparse.Namespace) -> tuple[float, int, Feedback]:
+    """The one (q, M, setting) of a single-cell command."""
+    if opts.q is None or opts.setting is None:
+        raise UsageError(f"{opts.command} requires --q and --setting")
+    q = _scalar(_parse_numbers(opts.q, "--q"), "--q")
+    M = _scalar(_parse_numbers(opts.m, "--m", int), "--m")
+    setting = _scalar(_parse_settings(opts.setting), "--setting")
     return q, M, setting
 
 
-def _print_only(opts: dict, command: str) -> tuple[float, int, Feedback]:
-    """The cell of a command that prints one line and writes no file."""
-    if opts["out"]:
-        raise UsageError(f"--out is not supported by {command}: it prints one line to stdout")
-    return _cell(opts, command)
-
-
-def _cmd_solve(opts: dict) -> int:
-    q, _, setting = _print_only(opts, "solve")
+def _cmd_solve(opts: argparse.Namespace) -> int:
+    q, _, setting = _cell(opts)
     sol = solve_nofb(q) if setting is Feedback.NOFB else solve_wfb(q)
     print(
         f"regime={sol.regime.value} lambda_star={_fmt(sol.lambda_star)} "
@@ -193,10 +161,9 @@ def _cmd_solve(opts: dict) -> int:
     return 0
 
 
-def _cmd_eval(opts: dict) -> int:
-    q, M, setting = _print_only(opts, "eval")
-    gamma_spec = _scalar(_parse_gammas(opts["gamma"] or "optimal"), "--gamma")
-    gamma = _resolve_gamma(gamma_spec, q, M, setting)
+def _cmd_eval(opts: argparse.Namespace) -> int:
+    q, M, setting = _cell(opts)
+    gamma = _resolve_gamma(_scalar(_parse_gammas(opts.gamma), "--gamma"), q, M, setting)
     aoi = closed_form_aoi(q, M, setting, gamma)
     print(
         f"q={_fmt(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
@@ -205,33 +172,29 @@ def _cmd_eval(opts: dict) -> int:
     return 0
 
 
-def _cmd_optimize(opts: dict) -> int:
-    q, M, setting = _print_only(opts, "optimize")
+def _cmd_optimize(opts: argparse.Namespace) -> int:
+    q, M, setting = _cell(opts)
     gamma, aoi = optimize_gamma(q, M, setting)
     print(f"q={_fmt(q)} M={M} setting={setting.value} gamma_star={_fmt(gamma)} aoi={_fmt(aoi)}")
     return 0
 
 
-def _cmd_simulate(opts: dict) -> int:
-    q, M, setting = _cell(opts, "simulate")
-    gamma_spec = _scalar(_parse_gammas(opts["gamma"] or "optimal"), "--gamma")
-    gamma = _resolve_gamma(gamma_spec, q, M, setting)
-    epochs = 10000 if opts["epochs"] is None else opts["epochs"]
-    reps = opts["replications"]
+def _cmd_simulate(opts: argparse.Namespace) -> int:
+    q, M, setting = _cell(opts)
+    gamma = _resolve_gamma(_scalar(_parse_gammas(opts.gamma), "--gamma"), q, M, setting)
+    epochs, reps = opts.epochs, opts.replications
     if reps < 1:
         raise UsageError("--replications must be at least 1")
-    if opts["trace"] and reps > 1:
+    if opts.trace and reps > 1:
         raise UsageError("--trace supports a single replication")
-    if opts["out"] and not opts["trace"]:
+    if opts.out and not opts.trace:
         raise UsageError("--out on simulate needs --trace: it writes the event log")
 
     pooled = Moments()
     arrivals = overflows = attempts = successes = 0
     log = None
     for r in range(reps):
-        cfg = make_config(
-            q, M, setting, gamma, target_epochs=epochs, seed=opts["seed"] + r, trace=opts["trace"]
-        )
+        cfg = make_config(q, M, setting, gamma, target_epochs=epochs, seed=opts.seed + r, trace=opts.trace)
         result, run_epochs, log = run_simulation(cfg)
         if reps > 1:
             pooled.merge(Moments.of(run_epochs.y, run_epochs.R))
@@ -244,23 +207,25 @@ def _cmd_simulate(opts: dict) -> int:
         f"q={_fmt(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
         f"sim_mean={_fmt(point)} sim_ci={_fmt(ci)} epochs_per_source={epochs} "
         f"replications={reps} arrivals={arrivals} overflows={overflows} "
-        f"attempts={attempts} successes={successes} seed={opts['seed']}"
+        f"attempts={attempts} successes={successes} seed={opts.seed}"
     )
-    if opts["out"]:
-        log.dump(opts["out"])
+    if opts.out:
+        log.dump(opts.out)
     return 0
 
 
-def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedback, float, float]]:
+def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, float, float]]:
     """Deduplicated, sorted (q, M, setting, gamma, gamma_star) grid cells.
 
     gamma_star is optimized once per (q, M, setting) and serves both the
     'optimal' gamma token and the gamma_star column.
     """
-    qs = _parse_numbers(opts["q"], "--q")
-    ms = _parse_numbers(opts["m"] or "1", "--m", int)
-    settings = _parse_settings(opts["setting"])
-    gamma_specs = _parse_gammas(opts["gamma"] or default_gammas)
+    if opts.q is None or opts.setting is None:
+        raise UsageError(f"{opts.command} requires --q and --setting (comma lists allowed)")
+    qs = _parse_numbers(opts.q, "--q")
+    ms = _parse_numbers(opts.m, "--m", int)
+    settings = _parse_settings(opts.setting)
+    gamma_specs = _parse_gammas(opts.gamma)
     cells = []
     seen = set()
     for q in qs:
@@ -268,7 +233,7 @@ def _grid_cells(opts: dict, default_gammas: str) -> list[tuple[float, int, Feedb
             for setting in settings:
                 gamma_star, _ = optimize_gamma(q, M, setting)
                 for spec in gamma_specs:
-                    gamma = gamma_star if spec == "optimal" else float(spec)
+                    gamma = _resolve_gamma(spec, q, M, setting, gamma_star)
                     key = (round(q, 12), M, setting, round(gamma, 12))
                     if key in seen:
                         continue
@@ -296,36 +261,15 @@ def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[
     return lines, records
 
 
-def _one_run_per_cell(opts: dict, command: str) -> None:
-    """Refuse the flags of a single run, which a grid command would ignore."""
-    if opts["trace"]:
-        raise UsageError(f"--trace is not supported by {command}: grid cells run untraced")
-    if opts["replications"] != 1:
-        raise UsageError(f"--replications is not supported by {command}: each cell is one run")
-
-
-def _cmd_sweep(opts: dict) -> int:
-    _one_run_per_cell(opts, "sweep")
-    if opts["q"] is None or opts["setting"] is None:
-        raise UsageError("sweep requires --q and --setting (comma lists allowed)")
-    lines, _ = _grid_rows(_grid_cells(opts, default_gammas="optimal"), opts["epochs"], opts["seed"])
-    _emit(lines, opts["out"])
+def _cmd_sweep(opts: argparse.Namespace) -> int:
+    lines, _ = _grid_rows(_grid_cells(opts), opts.epochs, opts.seed)
+    _emit(lines, opts.out)
     return 0
 
 
-_DEFAULT_VALIDATE = {"q": "0.1,0.3,0.5,0.7", "m": "1,2,4,8", "setting": "nofb,wfb"}
-
-
-def _cmd_validate(opts: dict) -> int:
-    _one_run_per_cell(opts, "validate")
-    # with no grid flags this runs the full default validation grid
-    opts = dict(opts)
-    for key, default in _DEFAULT_VALIDATE.items():
-        if opts[key] is None:
-            opts[key] = default
-    epochs = 100000 if opts["epochs"] is None else opts["epochs"]
-    lines, records = _grid_rows(_grid_cells(opts, default_gammas="0,optimal"), epochs, opts["seed"])
-    _emit(lines, opts["out"])
+def _cmd_validate(opts: argparse.Namespace) -> int:
+    lines, records = _grid_rows(_grid_cells(opts), opts.epochs, opts.seed)
+    _emit(lines, opts.out)
     wide = sum(3.0 * rec.sim_ci > _REL_TOL * rec.analytic for rec in records)
     if wide:
         print(
@@ -336,13 +280,38 @@ def _cmd_validate(opts: dict) -> int:
     return 0 if all(rec.passed for rec in records) else 3
 
 
+# every command takes every flag; all but --config are also config keys
+_FLAGS = {
+    "q": dict(help="erasure probability; comma list on grid commands (default %(default)s)"),
+    "m": dict(default="1", help="number of sources; comma list on grid commands (default %(default)s)"),
+    "setting": dict(help="nofb or wfb; comma list on grid commands (default %(default)s)"),
+    "gamma": dict(default="optimal", help="threshold value(s) or 'optimal' (default %(default)s)"),
+    "epochs": dict(type=int, help="target epochs per source (default %(default)s)"),
+    "seed": dict(type=int, default=1, help="RNG seed (default %(default)s)"),
+    "replications": dict(type=int, default=1, help="independent runs to pool (default %(default)s)"),
+    "out": dict(help="output path (default stdout)"),
+    "config": dict(help="flat key=value config file; flags override it"),
+    "trace": dict(action="store_true", help="keep the event log"),
+}
+
+# command: (function, help, defaults other than those in _FLAGS)
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "eval": _cmd_eval,
-    "optimize": _cmd_optimize,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
+    "solve": (_cmd_solve, "solve the optimal single-source policy for one q", {}),
+    "eval": (_cmd_eval, "evaluate the closed-form AoI at one (q, M, setting, gamma)", {}),
+    "optimize": (_cmd_optimize, "find the AoI-minimizing threshold for one (q, M, setting)", {}),
+    "simulate": (_cmd_simulate, "run the discrete-event simulator for one cell", {"epochs": 10000}),
+    "sweep": (_cmd_sweep, "emit a CSV over a (q, M, setting, gamma) grid", {}),
+    # with no grid flags, validate runs the full default validation grid
+    "validate": (_cmd_validate, "simulate a grid and compare against the closed forms", {
+        "q": "0.1,0.3,0.5,0.7", "m": "1,2,4,8", "setting": "nofb,wfb", "gamma": "0,optimal", "epochs": 100000,
+    }),
+}
+
+# flag: (commands that refuse it, values that change nothing, why)
+_REFUSED = {
+    "out": (("solve", "eval", "optimize"), (None, ""), "it prints one line to stdout"),
+    "trace": (("sweep", "validate"), (False,), "grid cells run untraced"),
+    "replications": (("sweep", "validate"), (1,), "each cell is one run"),
 }
 
 
@@ -353,38 +322,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "unit-battery energy-harvesting sensor on an erasure channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "solve": "solve the optimal single-source policy for one q",
-        "eval": "evaluate the closed-form AoI at one (q, M, setting, gamma)",
-        "optimize": "find the AoI-minimizing threshold for one (q, M, setting)",
-        "simulate": "run the discrete-event simulator for one cell",
-        "sweep": "emit a CSV over a (q, M, setting, gamma) grid",
-        "validate": "simulate a grid and compare against the closed forms",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--q", help="erasure probability; comma list on grid commands")
-        p.add_argument("--m", help="number of sources (default 1); comma list on grid commands")
-        p.add_argument("--setting", help="nofb or wfb; comma list on grid commands")
-        p.add_argument("--gamma", help="threshold value(s) or 'optimal'")
-        p.add_argument("--epochs", type=int, help="target epochs per source")
-        p.add_argument("--seed", type=int, help="RNG seed (default 1)")
-        p.add_argument("--replications", type=int, help="independent runs to pool (default 1)")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--trace", action="store_true", default=None, help="keep the event log")
+        for flag, spec in _FLAGS.items():
+            p.add_argument(f"--{flag}", **spec)
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config flags go right after the command, so explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args.config), *argv[at:]])
+        for flag, (commands, harmless, why) in _REFUSED.items():
+            if args.command in commands and getattr(args, flag) not in harmless:
+                raise UsageError(f"--{flag} is not supported by {args.command}: {why}")
+        return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)
-    try:
-        opts = _merged(args)
-        return _COMMANDS[args.command](opts)
     # BracketError is a ValueError, so the exit-1 clause comes first
     except (BracketError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

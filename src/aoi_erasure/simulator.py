@@ -395,11 +395,10 @@ def _epochs_wfb(
         size = tau.size
         w = t[1 : size // M + 1].reshape(-1)  # this block's services, then success times
         np.maximum(tau, gamma, out=w)
-        if q > 0.0:
-            tries = rng_e.geometric(1.0 - q, size=size)  # attempts per service
-            np.subtract(tries, 1, out=shape[:size])
-            w += rng_a.standard_gamma(shape[:size], out=extra[:size])
-            fails_total += int(tries.sum()) - size
+        tries = rng_e.geometric(1.0 - q, size=size)  # attempts per service
+        np.subtract(tries, 1, out=shape[:size])
+        w += rng_a.standard_gamma(shape[:size], out=extra[:size])
+        fails_total += int(tries.sum()) - size
         w[0] += clock
         np.cumsum(w, out=w)
         clock = w[-1]
@@ -409,7 +408,7 @@ def _epochs_wfb(
         epochs = slice(lo - 1 + r0, lo + size // M - 1)
         np.subtract(rows[1:].T, rows[:-1].T, out=ys[:, epochs])
         if atts is not None:
-            atts[:, epochs] = tries.reshape(-1, M)[r0:].T if q > 0.0 else 1
+            atts[:, epochs] = tries.reshape(-1, M)[r0:].T
         t[0] = rows[-1]
         if gamma > 0.0:
             overflows += _overflows(rng_o, gamma, tau)

@@ -14,7 +14,7 @@ from aoi_erasure import cli
 from aoi_erasure.analytic import optimize_gamma
 from aoi_erasure.cli import main
 from aoi_erasure.model import Feedback, SimConfig
-from aoi_erasure.simulator import _run_loop
+from aoi_erasure.simulator import _run_loop, run_simulation
 from aoi_erasure.stats import ValidationRecord
 
 CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
@@ -344,6 +344,52 @@ class TestGridCells:
             assert gamma_star == f"{expected:.6f}"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ("sweep --q 0.3 --setting ,", "--setting is empty"),
+            ("sweep --q 0.3 --setting nofb --gamma ,", "--gamma is empty"),
+            ("eval --q 0.3 --setting nofb --gamma abc", "--gamma expects numbers or 'optimal', got 'abc'"),
+            ("eval --q 0.3 --setting nofb --gamma -1", "--gamma must be nonnegative"),
+            ("solve --q 0.3 --setting nofb,wfb", "--setting expects a single value for this command"),
+            ("simulate --q 0.3 --setting nofb --gamma 0 --replications 0", "--replications must be at least 1"),
+            ("sweep --setting nofb", "sweep requires --q and --setting (comma lists allowed)"),
+        ],
+    )
+    def test_message_and_exit_code(self, capsys, args, message):
+        assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag,args",
+        [
+            ("--q", ["validate", "--q", ""]),
+            ("--m", ["validate", "--m", ","]),
+            ("--setting", ["validate", "--setting", " , "]),
+            ("--gamma", ["validate", "--gamma", ""]),
+            ("--m", ["sweep", "--q", "0.3", "--m", ",", "--setting", "nofb"]),
+            ("--q", ["solve", "--q", "", "--setting", "nofb"]),
+            ("--m", ["eval", "--q", "0.3", "--m", "", "--setting", "nofb"]),
+            ("--gamma", ["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", ""]),
+        ],
+    )
+    def test_empty_list_is_refused(self, capsys, flag, args):
+        # an empty grid would print only the CSV header and pass validation
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} is empty\n")
+
+    def test_help_shows_each_commands_defaults(self, capsys):
+        assert main(["validate", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for default in ("0.1,0.3,0.5,0.7", "1,2,4,8", "nofb,wfb", "0,optimal", "100000"):
+            assert f"(default {default})" in text
+        assert main(["simulate", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default 1)" in text and "(default optimal)" in text and "(default 10000)" in text
+
+
 class TestPinnedOutputs:
     """Outputs recorded before validation was routed through run_simulation."""
 
@@ -500,19 +546,46 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("word,traced", [("ON", True), ("Yes", True), ("true", True), ("1", True),
                                              ("OFF", False), ("No", False), ("false", False), ("0", False)])
-    def test_trace_words(self, tmp_path, capsys, word, traced):
+    def test_trace_words(self, tmp_path, capsys, monkeypatch, word, traced):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg.trace)
+            return run_simulation(cfg)
+
+        monkeypatch.setattr(cli, "run_simulation", capture)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{self.BODY}trace = {word}\n")
-        assert cli._merged(cli._build_parser().parse_args(["simulate", "--config", str(cfg)]))["trace"] is traced
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert seen == [traced]
 
     @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
     def test_other_trace_words_are_usage_errors(self, tmp_path, capsys, word):
+        # refused also where --trace would override the word
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{self.BODY}trace = {word}\nout = {tmp_path / 'events.log'}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
+        assert main(["simulate", "--config", str(cfg), "--trace"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"trace must be one of 1/true/yes/on or 0/false/no/off, got {word!r}" in captured.err
+        message = f"trace must be one of 1/true/yes/on or 0/false/no/off, got {word!r}"
+        assert captured.out == "" and captured.err.count(message) == 2
         assert not (tmp_path / "events.log").exists()
+
+    def test_empty_value_is_an_empty_list(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q =\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "error: --q is empty\n")
+
+    def test_non_integer_value_is_usage_error(self, tmp_path, capsys):
+        # config lines are parsed as flags, so a flag overriding the value does not hide it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{self.BODY}epochs = abc\n")
+        for extra in ([], ["--epochs", "5000"]):
+            assert main(["simulate", "--config", str(cfg), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith("error: argument --epochs: invalid int value: 'abc'\n")
 
     def test_malformed_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -288,6 +288,11 @@ class TestNumpyContracts:
         assert a.bit_generator.state == b.bit_generator.state
         assert a.standard_exponential() == b.standard_exponential()
 
+    def test_certain_success_takes_one_attempt(self):
+        # at q = 0 the feedback engine draws geometric(1.0) attempts per service
+        tries = np.random.default_rng(6).geometric(1.0, size=65536)
+        assert tries.dtype == np.int64 and np.all(tries == 1)
+
     @pytest.mark.parametrize("clock", [0.0, 0.1, 123.456, 9.87e5])
     def test_in_place_running_sum(self, clock):
         w = np.maximum(np.random.default_rng(9).exponential(size=65536), 0.4)
@@ -471,8 +476,37 @@ class TestTraceEngine:
         _, _, lb = run_simulation(mk())
         assert la.to_lines() == lb.to_lines()
 
+    @pytest.mark.parametrize("setting", ["wfb", "nofb"])
+    def test_arrival_top_up_changes_nothing(self, tmp_path, monkeypatch, setting):
+        # a first draw of n // 50 arrivals makes the loop top the stream up; the
+        # chunked draws continue the same stream and running sum, so no output moves
+        cfg = make_config(0.3, 2, setting, 0.4, target_epochs=2000, seed=3, trace=True)
+        want = run_simulation(cfg)
+        real, calls = simulator._more_arrivals, []
+
+        def short_first_draw(A, rng_a, n):
+            calls.append(n)
+            real(A, rng_a, n // 50 if len(calls) == 1 else n)
+
+        monkeypatch.setattr(simulator, "_more_arrivals", short_first_draw)
+        got = run_simulation(cfg)
+        assert len(calls) > 1
+        _assert_same_run(got, want)
+        got[2].dump(str(tmp_path / "got.log"))
+        want[2].dump(str(tmp_path / "want.log"))
+        assert (tmp_path / "got.log").read_bytes() == (tmp_path / "want.log").read_bytes()
+
 
 class TestEventLogChecker:
+    def test_empty_log(self, tmp_path):
+        log = EventLog([])
+        log.check_invariants()
+        path = tmp_path / "events.log"
+        log.dump(str(path))
+        assert path.read_bytes() == b""
+        assert log.to_lines() == []
+        assert simulator._format_lines(log.time, log.kind, log.source) == b""
+
     def test_rejects_broken_sequences(self):
         from aoi_erasure.simulator import Event
 
