@@ -8,7 +8,7 @@ the trace is replayed through the invariant checker, which re-derives
 the battery level from the events alone.
 """
 
-from aoi_erasure import make_config, run_simulation, validate
+from aoi_erasure import SimConfig, run_simulation, validate
 
 print("validation: simulated mean vs closed form (100k epochs per source)")
 print(f"{'q':>5} {'M':>3} {'set':>5} {'gamma':>7} | {'analytic':>9} {'sim':>9} {'ci':>7} verdict")
@@ -30,7 +30,7 @@ for q, M, setting, gamma in cells:
 # a tiny traced run; every attempt consumes the stored unit and is
 # followed at the same instant by its channel outcome
 print("\nfirst 14 events of a traced 2-source feedback run (seed 3):")
-cfg = make_config(0.4, 2, "wfb", 0.5, target_epochs=5, seed=3, trace=True)
+cfg = SimConfig(0.4, 2, "wfb", 0.5, target_epochs=5, seed=3, trace=True)
 res, epochs, log = run_simulation(cfg)
 for line in log.to_lines()[:14]:
     print("  " + line)

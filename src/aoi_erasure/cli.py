@@ -7,10 +7,11 @@ commands (sweep, validate) emit CSV with the fixed column set
 
 in deterministic row order (ascending q, then M, then setting, then
 gamma); real-valued fields use fixed 6-decimal formatting. Each flag is
-declared once (_FLAGS), with the defaults of single commands beside it
-(_COMMANDS). A flat `key = value` config file supplies flags by name:
-argparse parses each line as the flag `--key=value`, placed before the
-explicit flags, so flags override config values, which override the
+declared once (_FLAGS); each command takes only the flags it reads, named
+in _COMMANDS beside its defaults, plus --config, and argparse refuses any
+other. A flat `key = value` config file supplies the command's flags by
+name: argparse parses each line as the flag `--key=value`, placed before
+the explicit flags, so flags override config values, which override the
 defaults. A comma-list flag refuses an empty list. Exit codes: 0 ok,
 1 solver or simulation failure, 2 usage error, 3 validation FAIL.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from .analytic import (
@@ -28,8 +30,8 @@ from .analytic import (
     solve_nofb,
     solve_wfb,
 )
-from .model import Feedback
-from .simulator import make_config, run_simulation
+from .model import Feedback, SimConfig
+from .simulator import run_simulation
 from .stats import Moments, ValidationRecord, closed_form_aoi, validate
 
 _CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
@@ -98,8 +100,8 @@ def _scalar(values: list, flag: str):
 _TRACE_ON, _TRACE_OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _config_flags(path: str) -> list[str]:
-    """The lines of a flat `key = value` file as `--key=value` flags."""
+def _config_flags(path: str, command: str) -> list[str]:
+    """The lines of a flat `key = value` file as `--key=value` flags of command."""
     flags: list[str] = []
     try:
         with open(path) as fh:
@@ -114,8 +116,8 @@ def _config_flags(path: str) -> list[str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = stripped.partition("=")
         key, val = key.strip().lower(), val.strip()
-        if key == "config" or key not in _FLAGS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in _COMMANDS[command][2]:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
         if key != "trace":
             flags.append(f"--{key}={val}")
         elif val.lower() in _TRACE_ON:
@@ -142,11 +144,11 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def _cell(opts: argparse.Namespace) -> tuple[float, int, Feedback]:
-    """The one (q, M, setting) of a single-cell command."""
+    """The one (q, M, setting) of a single-cell command; M is 1 where it takes no --m."""
     if opts.q is None or opts.setting is None:
         raise UsageError(f"{opts.command} requires --q and --setting")
     q = _scalar(_parse_numbers(opts.q, "--q"), "--q")
-    M = _scalar(_parse_numbers(opts.m, "--m", int), "--m")
+    M = _scalar(_parse_numbers(opts.m, "--m", int), "--m") if "m" in opts else 1
     setting = _scalar(_parse_settings(opts.setting), "--setting")
     return q, M, setting
 
@@ -181,7 +183,7 @@ def _cmd_optimize(opts: argparse.Namespace) -> int:
 
 def _cmd_simulate(opts: argparse.Namespace) -> int:
     q, M, setting = _cell(opts)
-    gamma = _resolve_gamma(_scalar(_parse_gammas(opts.gamma), "--gamma"), q, M, setting)
+    spec = _scalar(_parse_gammas(opts.gamma), "--gamma")
     epochs, reps = opts.epochs, opts.replications
     if reps < 1:
         raise UsageError("--replications must be at least 1")
@@ -189,13 +191,15 @@ def _cmd_simulate(opts: argparse.Namespace) -> int:
         raise UsageError("--trace supports a single replication")
     if opts.out and not opts.trace:
         raise UsageError("--out on simulate needs --trace: it writes the event log")
+    # the run is checked before gamma is optimized, so a q it refuses draws no warning
+    cfg = SimConfig(q, M, setting, 0.0, target_epochs=epochs, seed=opts.seed, trace=opts.trace)
+    gamma = _resolve_gamma(spec, q, M, setting)
 
     pooled = Moments()
     arrivals = overflows = attempts = successes = 0
     log = None
     for r in range(reps):
-        cfg = make_config(q, M, setting, gamma, target_epochs=epochs, seed=opts.seed + r, trace=opts.trace)
-        result, run_epochs, log = run_simulation(cfg)
+        result, run_epochs, log = run_simulation(replace(cfg, gamma=gamma, seed=opts.seed + r))
         if reps > 1:
             pooled.merge(Moments.of(run_epochs.y, run_epochs.R))
         arrivals += result.arrivals
@@ -280,7 +284,7 @@ def _cmd_validate(opts: argparse.Namespace) -> int:
     return 0 if all(rec.passed for rec in records) else 3
 
 
-# every command takes every flag; all but --config are also config keys
+# each command takes --config and the flags _COMMANDS names for it, which are also its config keys
 _FLAGS = {
     "q": dict(help="erasure probability; comma list on grid commands (default %(default)s)"),
     "m": dict(default="1", help="number of sources; comma list on grid commands (default %(default)s)"),
@@ -294,24 +298,21 @@ _FLAGS = {
     "trace": dict(action="store_true", help="keep the event log"),
 }
 
-# command: (function, help, defaults other than those in _FLAGS)
+_GRID = ("q", "m", "setting", "gamma", "epochs", "seed", "out")  # grid cells are untraced single runs
+# command: (function, help, flags it reads, defaults other than those in _FLAGS)
 _COMMANDS = {
-    "solve": (_cmd_solve, "solve the optimal single-source policy for one q", {}),
-    "eval": (_cmd_eval, "evaluate the closed-form AoI at one (q, M, setting, gamma)", {}),
-    "optimize": (_cmd_optimize, "find the AoI-minimizing threshold for one (q, M, setting)", {}),
-    "simulate": (_cmd_simulate, "run the discrete-event simulator for one cell", {"epochs": 10000}),
-    "sweep": (_cmd_sweep, "emit a CSV over a (q, M, setting, gamma) grid", {}),
+    "solve": (_cmd_solve, "solve the optimal single-source policy for one q", ("q", "setting"), {}),
+    "eval": (_cmd_eval, "evaluate the closed-form AoI at one (q, M, setting, gamma)",
+             ("q", "m", "setting", "gamma"), {}),
+    "optimize": (_cmd_optimize, "find the AoI-minimizing threshold for one (q, M, setting)",
+                 ("q", "m", "setting"), {}),
+    "simulate": (_cmd_simulate, "run the discrete-event simulator for one cell",
+                 (*_GRID, "replications", "trace"), {"epochs": 10000}),
+    "sweep": (_cmd_sweep, "emit a CSV over a (q, M, setting, gamma) grid", _GRID, {}),
     # with no grid flags, validate runs the full default validation grid
-    "validate": (_cmd_validate, "simulate a grid and compare against the closed forms", {
+    "validate": (_cmd_validate, "simulate a grid and compare against the closed forms", _GRID, {
         "q": "0.1,0.3,0.5,0.7", "m": "1,2,4,8", "setting": "nofb,wfb", "gamma": "0,optimal", "epochs": 100000,
     }),
-}
-
-# flag: (commands that refuse it, values that change nothing, why)
-_REFUSED = {
-    "out": (("solve", "eval", "optimize"), (None, ""), "it prints one line to stdout"),
-    "trace": (("sweep", "validate"), (False,), "grid cells run untraced"),
-    "replications": (("sweep", "validate"), (1,), "each cell is one run"),
 }
 
 
@@ -322,10 +323,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "unit-battery energy-harvesting sensor on an erasure channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, defaults) in _COMMANDS.items():
+    for name, (_, help_text, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, spec in _FLAGS.items():
-            p.add_argument(f"--{flag}", **spec)
+            if flag in flags or flag == "config":
+                p.add_argument(f"--{flag}", **spec)
         p.set_defaults(**defaults)
     return parser
 
@@ -338,10 +340,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config:
             # config flags go right after the command, so explicit flags win
             at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_flags(args.config), *argv[at:]])
-        for flag, (commands, harmless, why) in _REFUSED.items():
-            if args.command in commands and getattr(args, flag) not in harmless:
-                raise UsageError(f"--{flag} is not supported by {args.command}: {why}")
+            args = parser.parse_args([*argv[:at], *_config_flags(args.config, args.command), *argv[at:]])
         return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)

@@ -90,10 +90,11 @@ class SimConfig:
     erasure_seed: int | None = None
 
     def __post_init__(self) -> None:
-        require_q(self.q)
-        # mean attempts per epoch is 1/(1-q); beyond 1e4 a run is hopeless
-        if self.q > 0.9999:
+        # mean attempts per epoch is 1/(1-q); beyond 1e4 a run is hopeless,
+        # refused before require_q would warn that q is close to 1
+        if 0.9999 < self.q < 1.0:
             raise ValueError(f"q = {self.q} implies over 1e4 attempts per epoch; refusing")
+        require_q(self.q)
         require_m(self.M)
         object.__setattr__(self, "setting", Feedback(self.setting))
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):

@@ -1,8 +1,7 @@
 """Seeded simulation of the sensing system.
 
 run_simulation is the one entry point: the CLI and stats.validate turn
-a SimConfig (the flat q, M, setting and gamma of model.SimConfig, with
-its stopping rule and seeds; make_config is the same constructor) into
+a model.SimConfig (q, M, setting, gamma, stopping rule and seeds) into
 numbers through it. It returns the aggregated SimResult, the epochs as
 columns (per-source counts, y and attempts) and, for traced runs, the
 event log. Two engines produce statistically identical runs:
@@ -682,5 +681,5 @@ def run_simulation(
     return result, Epochs(np.array([len(r) for r in raw.ys]), y, att), raw.events
 
 
-# the name the CLI, stats, the demos and the benchmark probe build runs by
+# kept only for perfbench/probe.py, which builds its run by this name; it goes when the probe stops using it
 make_config = SimConfig

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import aoi_maf_wfb, aoi_rr_nofb
-from .model import Feedback, SimResult
+from .model import Feedback, SimConfig, SimResult
 
 __all__ = [
     "Moments",
@@ -147,9 +147,9 @@ class ValidationRecord:
 def _simulate(q: float, M: int, setting: Feedback, gamma: float, n_epochs: int, seed: int) -> SimResult:
     # the simulator imports this module for its estimators, so it is
     # imported at call time
-    from .simulator import make_config, run_simulation
+    from .simulator import run_simulation
 
-    cfg = make_config(q, M, setting, gamma, target_epochs=n_epochs, seed=seed)
+    cfg = SimConfig(q, M, setting, gamma, target_epochs=n_epochs, seed=seed)
     result, _, _ = run_simulation(cfg, _with_epochs=False)
     return result
 

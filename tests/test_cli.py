@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,34 +21,40 @@ from aoi_erasure.stats import ValidationRecord
 CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
 
 
+def _assert_flag_refused(capsys, extra):
+    """argparse refused the flags in extra: the command does not take them."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
+
+
+def _assert_key_refused(capsys, cfg, key, command):
+    """The first line of the config file cfg was refused: command does not take key."""
+    assert capsys.readouterr() == ("", f"error: {cfg}:1: unknown config key {key!r} for {command}\n")
+
+
 def _assert_out_refused(command, args, tmp_path, capsys):
-    """--out, as a flag or as `out =` in a config file, is a usage error naming the command."""
+    """--out, as a flag or as `out =` in a config file, is a usage error: the command prints one line."""
     out_path = tmp_path / "out.txt"
     assert main([command, *args, "--out", str(out_path)]) == 2
+    _assert_flag_refused(capsys, ["--out", str(out_path)])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"out = {out_path}\n")
     assert main([command, *args, "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count(f"--out is not supported by {command}") == 2
+    _assert_key_refused(capsys, cfg, "out", command)
     assert not out_path.exists()
 
 
 def _assert_single_run_flags_refused(command, args, tmp_path, capsys):
-    """--trace and --replications N != 1, as flags or in a config file, are usage errors naming the flag."""
-    cfg = tmp_path / "run.cfg"
-    for flag, extra, line in (
-        ("--trace", ["--trace"], "trace = true"),
-        ("--replications", ["--replications", "3"], "replications = 3"),
-        ("--replications", ["--replications", "0"], "replications = 0"),
-    ):
+    """--trace and --replications, as flags or in a config file, are usage errors whatever their value."""
+    for extra in (["--trace"], ["--replications", "3"], ["--replications", "0"], ["--replications", "1"]):
         assert main([command, *args, *extra]) == 2
-        cfg.write_text(line + "\n")
+        _assert_flag_refused(capsys, extra)
+    cfg = tmp_path / "run.cfg"
+    for key, val in (("trace", "true"), ("trace", "false"), ("replications", "3"), ("replications", "0"),
+                     ("replications", "1")):
+        cfg.write_text(f"{key} = {val}\n")
         assert main([command, *args, "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count(f"{flag} is not supported by {command}") == 2
-    cfg.write_text("replications = 1\ntrace = false\n")
-    assert main([command, *args, "--config", str(cfg), "--replications", "1"]) == 0
-    assert capsys.readouterr().out.startswith(CSV_HEADER)
+        _assert_key_refused(capsys, cfg, key, command)
 
 
 class TestSolve:
@@ -94,8 +101,10 @@ class TestSolve:
         assert main(["solve", "--q", "0.3", "--setting", "psychic"]) == 2
 
     def test_malformed_m_is_usage_error(self, capsys):
-        assert main(["solve", "--q", "0.3", "--m", "two", "--setting", "nofb"]) == 2
-        assert "--m expects comma-separated integers" in capsys.readouterr().err
+        # a single-source problem: solve takes no --m, well-formed or not
+        for m in ("two", "2"):
+            assert main(["solve", "--q", "0.3", "--m", m, "--setting", "nofb"]) == 2
+            _assert_flag_refused(capsys, ["--m", m])
 
     def test_out_is_usage_error(self, tmp_path, capsys):
         _assert_out_refused("solve", ["--q", "0.3", "--setting", "nofb"], tmp_path, capsys)
@@ -202,6 +211,14 @@ class TestSimulate:
         assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--epochs", "100",
                      "--seed", "-2"]) == 2
         assert "seed must be a nonnegative integer, got -2" in capsys.readouterr().err
+
+    def test_hopeless_q_is_refused_without_a_warning(self, capsys):
+        # refused before the optimizer resolves --gamma optimal and warns that q is close to 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--q", "0.99995", "--setting", "nofb"]) == 2
+        assert caught == []
+        assert capsys.readouterr() == ("", "error: q = 0.99995 implies over 1e4 attempts per epoch; refusing\n")
 
 
 class TestSweep:
@@ -388,6 +405,80 @@ class TestUsageErrors:
         assert main(["simulate", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "(default 1)" in text and "(default optimal)" in text and "(default 10000)" in text
+
+
+# the flags each command reads, besides --config; every one is also a config key of the command
+READS = {
+    "solve": ("q", "setting"),
+    "eval": ("q", "m", "setting", "gamma"),
+    "optimize": ("q", "m", "setting"),
+    "simulate": ("q", "m", "setting", "gamma", "epochs", "seed", "replications", "out", "trace"),
+    "sweep": ("q", "m", "setting", "gamma", "epochs", "seed", "out"),
+    "validate": ("q", "m", "setting", "gamma", "epochs", "seed", "out"),
+}
+FLAGS = READS["simulate"]
+
+
+class TestFlagSets:
+    """Each command takes the flags it reads and --config; it refuses every other flag and config key."""
+
+    BASE = {
+        "solve": ["--q", "0.3", "--setting", "nofb"],
+        "eval": ["--q", "0.3", "--setting", "nofb"],
+        "optimize": ["--q", "0.3", "--setting", "nofb"],
+        "simulate": ["--q", "0.3", "--setting", "nofb", "--epochs", "200"],
+        "sweep": ["--q", "0.3", "--setting", "nofb", "--epochs", "200"],
+        "validate": ["--q", "0.3", "--m", "1", "--setting", "nofb", "--gamma", "0", "--epochs", "200"],
+    }
+    # values that differ from every command's default and from BASE
+    VALUES = {"q": "0.4", "m": "2", "setting": "wfb", "gamma": "0.1", "epochs": "300", "seed": "2",
+              "replications": "2", "trace": "true"}
+
+    def _value(self, flag, tmp_path):
+        return str(tmp_path / "out.txt") if flag == "out" else self.VALUES[flag]
+
+    def _flag(self, flag, tmp_path):
+        if flag == "trace":
+            return ["--trace"]
+        if flag == "config":
+            cfg = tmp_path / "q.cfg"
+            cfg.write_text("q = 0.4\n")
+            return ["--config", str(cfg)]
+        return [f"--{flag}", self._value(flag, tmp_path)]
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, fs in READS.items() for f in (*fs, "config")])
+    def test_read_flag_changes_the_output(self, tmp_path, capsys, command, flag):
+        args = [command, *self.BASE[command]]
+        assert main(args) in (0, 3)
+        before = capsys.readouterr().out
+        if flag == "config":  # its q = 0.4 stands in for --q 0.3, which would override it
+            assert args[1:3] == ["--q", "0.3"]
+            del args[1:3]
+        rc = main(args + self._flag(flag, tmp_path))
+        captured = capsys.readouterr()
+        if (command, flag) == ("simulate", "out"):  # the event log needs --trace
+            assert rc == 2 and captured.out == "" and "--out" in captured.err
+        else:
+            assert rc in (0, 3)
+            assert captured.out != before or (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, fs in READS.items() for f in FLAGS if f not in fs])
+    def test_unread_flag_is_refused(self, tmp_path, capsys, command, flag):
+        args = [command, *self.BASE[command]]
+        extra = self._flag(flag, tmp_path)
+        assert main(args + extra) == 2
+        _assert_flag_refused(capsys, extra)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {self._value(flag, tmp_path)}\n")
+        assert main(args + ["--config", str(cfg)]) == 2
+        _assert_key_refused(capsys, cfg, flag, command)
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
+        assert listed == {f"--{flag}" for flag in (*READS[command], "config")}
 
 
 class TestPinnedOutputs:

@@ -40,8 +40,16 @@ class TestSimConfig:
         SimConfig(*cell, horizon=5.0)
 
     def test_refuses_hopeless_q(self):
-        with pytest.raises(ValueError):
-            SimConfig(0.99995, 1, Feedback.NOFB, 0.0, target_epochs=1)
+        # refused before require_q would warn that q is close to 1; q >= 1 keeps require_q's message
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="q = 0.99995 implies over 1e4 attempts per epoch"):
+                SimConfig(0.99995, 1, Feedback.NOFB, 0.0, target_epochs=1)
+            with pytest.raises(ValueError, match="q must be < 1 and >= 0, got 1.0"):
+                SimConfig(1.0, 1, Feedback.NOFB, 0.0, target_epochs=1)
+        assert caught == []
+        with pytest.warns(RuntimeWarning, match="close to 1"):
+            SimConfig(0.9999, 1, Feedback.NOFB, 0.0, target_epochs=1)
 
     def test_stopping_rule_domains(self):
         cell = (0.2, 1, Feedback.NOFB, 0.0)
