@@ -1,8 +1,9 @@
 """Closed-form AoI evaluators and threshold solvers.
 
 Covers the four setting combinations (single or many sources, with or
-without erasure feedback), the infinite-battery baselines, and the gain
-metrics comparing the two feedback settings. All operations are pure
+without erasure feedback) and the dispatch between them
+(closed_form_aoi), the infinite-battery baselines, and the gain metrics
+comparing the two feedback settings. All operations are pure
 functions of their arguments. Every optimal threshold, for one source or
 many, is the zero in gamma of one first-order condition (_foc_root),
 bisected on the one bracket [0, sqrt(2)] for every q < 1 and every M.
@@ -26,6 +27,7 @@ __all__ = [
     "solve_wfb",
     "aoi_rr_nofb",
     "aoi_maf_wfb",
+    "closed_form_aoi",
     "optimize_gamma",
     "baseline_infinite_battery",
     "feedback_gain",
@@ -197,6 +199,14 @@ def aoi_maf_wfb(q: float, M: int, gamma: float) -> float:
     a = mm.m1 + d
     s = mm.m2 + 2.0 * mm.m1 * d + 2.0 * q / (1.0 - q) ** 2
     return s / (2.0 * a) + (M - 1) * a / 2.0
+
+
+def closed_form_aoi(q: float, M: int, setting: Feedback | str, gamma: float) -> float:
+    """Dispatch to the closed form matching the feedback setting."""
+    setting = Feedback(setting)
+    if setting is Feedback.NOFB:
+        return aoi_rr_nofb(q, M, gamma)
+    return aoi_maf_wfb(q, M, gamma)
 
 
 def _zero_threshold_optimal(q: float, M: int, setting: Feedback) -> bool:

@@ -8,12 +8,15 @@ commands (sweep, validate) emit CSV with the fixed column set
 in deterministic row order (ascending q, then M, then setting, then
 gamma); real-valued fields use fixed 6-decimal formatting. Each flag is
 declared once (_FLAGS); each command takes only the flags it reads, named
-in _COMMANDS beside its defaults, plus --config, and argparse refuses any
-other. A flat `key = value` config file supplies the command's flags by
-name: argparse parses each line as the flag `--key=value`, placed before
-the explicit flags, so flags override config values, which override the
-defaults. A comma-list flag refuses an empty list. Exit codes: 0 ok,
-1 solver or simulation failure, 2 usage error, 3 validation FAIL.
+in _COMMANDS beside its defaults, plus --config, and the command's own
+parser refuses any other flag, abbreviations included. A flat
+`key = value` config file supplies the command's flags by name: argparse
+parses each line as the flag `--key=value`, placed before the explicit
+flags, so flags override config values, which override the defaults. A
+comma-list flag refuses an empty list. Exit codes: 0 ok, 1 solver or
+simulation failure, 2 usage error, 3 validation FAIL. The simulator and
+stats modules, and numpy with them, are imported only by the commands
+that simulate (simulate, validate, sweep --epochs).
 """
 
 from __future__ import annotations
@@ -21,18 +24,20 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .analytic import (
     BracketError,
     baseline_infinite_battery,
+    closed_form_aoi,
     optimize_gamma,
     solve_nofb,
     solve_wfb,
 )
 from .model import Feedback, SimConfig
-from .simulator import run_simulation
-from .stats import Moments, ValidationRecord, closed_form_aoi, validate
+
+if TYPE_CHECKING:
+    from .stats import ValidationRecord
 
 _CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
 _REL_TOL = 0.01  # validate's relative tolerance on every grid cell
@@ -182,6 +187,9 @@ def _cmd_optimize(opts: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(opts: argparse.Namespace) -> int:
+    from .simulator import run_simulation
+    from .stats import Moments
+
     q, M, setting = _cell(opts)
     spec = _scalar(_parse_gammas(opts.gamma), "--gamma")
     epochs, reps = opts.epochs, opts.replications
@@ -250,6 +258,8 @@ def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, fl
 def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[str], list[ValidationRecord]]:
     """The CSV lines of the grid; with epochs, every cell is also simulated and validated."""
     lines, records = [_CSV_HEADER], []
+    if epochs is not None:
+        from .stats import validate
     for q, M, setting, gamma, gamma_star in cells:
         base = baseline_infinite_battery(q, setting)
         if epochs is None:
@@ -284,21 +294,23 @@ def _cmd_validate(opts: argparse.Namespace) -> int:
     return 0 if all(rec.passed for rec in records) else 3
 
 
-# each command takes --config and the flags _COMMANDS names for it, which are also its config keys
+# each command takes --config and the flags _COMMANDS names for it, which are also its config keys;
+# the parser adds "; comma list" on the grid commands and the default where there is one
 _FLAGS = {
-    "q": dict(help="erasure probability; comma list on grid commands (default %(default)s)"),
-    "m": dict(default="1", help="number of sources; comma list on grid commands (default %(default)s)"),
-    "setting": dict(help="nofb or wfb; comma list on grid commands (default %(default)s)"),
-    "gamma": dict(default="optimal", help="threshold value(s) or 'optimal' (default %(default)s)"),
-    "epochs": dict(type=int, help="target epochs per source (default %(default)s)"),
-    "seed": dict(type=int, default=1, help="RNG seed (default %(default)s)"),
-    "replications": dict(type=int, default=1, help="independent runs to pool (default %(default)s)"),
+    "q": dict(help="erasure probability"),
+    "m": dict(default="1", help="number of sources"),
+    "setting": dict(help="nofb or wfb"),
+    "gamma": dict(default="optimal", help="threshold or 'optimal'"),
+    "epochs": dict(type=int, help="target epochs per source"),
+    "seed": dict(type=int, default=1, help="RNG seed"),
+    "replications": dict(type=int, default=1, help="independent runs to pool"),
     "out": dict(help="output path (default stdout)"),
     "config": dict(help="flat key=value config file; flags override it"),
     "trace": dict(action="store_true", help="keep the event log"),
 }
 
-_GRID = ("q", "m", "setting", "gamma", "epochs", "seed", "out")  # grid cells are untraced single runs
+_LISTS = ("q", "m", "setting", "gamma")  # comma lists on the grid commands, one value elsewhere
+_GRID = (*_LISTS, "epochs", "seed", "out")  # grid cells are untraced single runs
 # command: (function, help, flags it reads, defaults other than those in _FLAGS)
 _COMMANDS = {
     "solve": (_cmd_solve, "solve the optimal single-source policy for one q", ("q", "setting"), {}),
@@ -316,31 +328,45 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by name, the parser of each command."""
     parser = argparse.ArgumentParser(
         prog="aoi-erasure",
         description="Average age-of-information analytics and simulation for a "
         "unit-battery energy-harvesting sensor on an erasure channel.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags, defaults) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, spec in _FLAGS.items():
             if flag in flags or flag == "config":
-                p.add_argument(f"--{flag}", **spec)
+                text = spec["help"] + ("; comma list" if flags == _GRID and flag in _LISTS else "")
+                if defaults.get(flag, spec.get("default")) not in (None, False):
+                    text += " (default %(default)s)"
+                p.add_argument(f"--{flag}", **{**spec, "help": text})
         p.set_defaults(**defaults)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(parser: argparse.ArgumentParser, commands: dict, argv: list[str]) -> argparse.Namespace:
+    # argparse hands a command's unknown flags up to the top-level parser;
+    # the command's own parser refuses them, so the usage line is the command's
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, commands, argv)
         if args.config:
             # config flags go right after the command, so explicit flags win
             at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_flags(args.config, args.command), *argv[at:]])
+            args = _parse(parser, commands, [*argv[:at], *_config_flags(args.config, args.command), *argv[at:]])
         return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)

@@ -6,7 +6,9 @@ battery stores at most one energy unit. Age of information (AoI) of a
 source grows at slope 1 and drops to 0 exactly when one of its updates
 is successfully received. A run takes four model inputs, q, M, the
 feedback setting and the threshold gamma, which SimConfig holds flat
-beside the stopping rule and seeds.
+beside the stopping rule and seeds. The module needs no numpy, so the
+analytic layer loads without it; the epoch columns a run returns
+(Epochs) live in the simulator, which builds them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 
 class Feedback(str, Enum):
@@ -111,39 +111,6 @@ class SimConfig:
         _require_seed("seed", self.seed)
         if self.erasure_seed is not None:
             _require_seed("erasure_seed", self.erasure_seed)
-
-
-class Epochs:
-    """The renewal cycles of one run as columns, ordered by source, then time.
-
-    counts[j] is the number of epochs of source j + 1. y[i] is the time
-    between two consecutive successful deliveries of source source_id[i],
-    attempts[i] the number of transmissions that source made inside the
-    cycle. source_id and R, the AoI area over each cycle, are derived.
-    len() is the number of epochs.
-    """
-
-    __slots__ = ("counts", "y", "attempts")
-
-    def __init__(self, counts: np.ndarray, y: np.ndarray, attempts: np.ndarray) -> None:
-        if not counts.sum() == y.size == attempts.size:
-            raise ValueError("epoch columns must have equal lengths, matching the counts")
-        if y.size and (y.min() <= 0.0 or attempts.min() < 1):
-            raise ValueError("epochs need y > 0 and attempts >= 1")
-        self.counts = counts
-        self.y = y
-        self.attempts = attempts
-
-    @property
-    def source_id(self) -> np.ndarray:
-        return np.repeat(np.arange(1, self.counts.size + 1), self.counts)
-
-    @property
-    def R(self) -> np.ndarray:
-        return 0.5 * self.y * self.y
-
-    def __len__(self) -> int:
-        return self.y.size
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,8 +3,8 @@
 run_simulation is the one entry point: the CLI and stats.validate turn
 a model.SimConfig (q, M, setting, gamma, stopping rule and seeds) into
 numbers through it. It returns the aggregated SimResult, the epochs as
-columns (per-source counts, y and attempts) and, for traced runs, the
-event log. Two engines produce statistically identical runs:
+columns (Epochs: per-source counts, y and attempts) and, for traced
+runs, the event log. Two engines produce statistically identical runs:
 
 * an epoch engine (default) that exploits the renewal structure: each
   transmission empties the unit battery and arrivals are memoryless, so
@@ -63,9 +63,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stats
-from .model import Epochs, Feedback, SimConfig, SimResult
+from .model import Feedback, SimConfig, SimResult
 
-__all__ = ["SimConfig", "Event", "EventLog", "run_simulation"]
+__all__ = ["SimConfig", "Epochs", "Event", "EventLog", "run_simulation"]
 
 ENERGY_ARRIVAL = "EnergyArrival"
 OVERFLOW = "Overflow"
@@ -622,6 +622,39 @@ def _horizon_estimates(
     mean = float(np.mean(per_mean))
     ci = _T975 * (float(np.std(batch_totals / M, ddof=1)) / math.sqrt(_N_BATCHES))
     return per_mean, mean, ci
+
+
+class Epochs:
+    """The renewal cycles of one run as columns, ordered by source, then time.
+
+    counts[j] is the number of epochs of source j + 1. y[i] is the time
+    between two consecutive successful deliveries of source source_id[i],
+    attempts[i] the number of transmissions that source made inside the
+    cycle. source_id and R, the AoI area over each cycle, are derived.
+    len() is the number of epochs.
+    """
+
+    __slots__ = ("counts", "y", "attempts")
+
+    def __init__(self, counts: np.ndarray, y: np.ndarray, attempts: np.ndarray) -> None:
+        if not counts.sum() == y.size == attempts.size:
+            raise ValueError("epoch columns must have equal lengths, matching the counts")
+        if y.size and (y.min() <= 0.0 or attempts.min() < 1):
+            raise ValueError("epochs need y > 0 and attempts >= 1")
+        self.counts = counts
+        self.y = y
+        self.attempts = attempts
+
+    @property
+    def source_id(self) -> np.ndarray:
+        return np.repeat(np.arange(1, self.counts.size + 1), self.counts)
+
+    @property
+    def R(self) -> np.ndarray:
+        return 0.5 * self.y * self.y
+
+    def __len__(self) -> int:
+        return self.y.size
 
 
 def run_simulation(

@@ -14,6 +14,7 @@ none are kept. The point estimate stays the ratio of the plain sums of
 R and y. validate gets its simulated numbers from
 simulator.run_simulation, the one place that turns a seeded
 configuration into epochs, and reads its mean_aoi and ci_half_width.
+closed_form_aoi lives in analytic; this module re-exports it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import aoi_maf_wfb, aoi_rr_nofb
+from .analytic import closed_form_aoi
 from .model import Feedback, SimConfig, SimResult
 
 __all__ = [
@@ -113,14 +114,6 @@ class Moments:
 def ratio_estimate(y: np.ndarray, R: np.ndarray) -> tuple[float, float]:
     """Ratio-of-sums estimator of E[R]/E[y] with a delta-method 95% CI."""
     return Moments.of(y, R).estimate()
-
-
-def closed_form_aoi(q: float, M: int, setting: Feedback | str, gamma: float) -> float:
-    """Dispatch to the closed form matching the feedback setting."""
-    setting = Feedback(setting)
-    if setting is Feedback.NOFB:
-        return aoi_rr_nofb(q, M, gamma)
-    return aoi_maf_wfb(q, M, gamma)
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aoi_erasure
-from aoi_erasure import cli
+from aoi_erasure import cli, simulator, stats
 from aoi_erasure.analytic import optimize_gamma
 from aoi_erasure.cli import main
 from aoi_erasure.model import Feedback, SimConfig
@@ -320,7 +320,7 @@ class TestValidate:
                 n_epochs=n_epochs, seed=seed, rel_tol=rel_tol, passed=False,
             )
 
-        monkeypatch.setattr(cli, "validate", fake_validate)
+        monkeypatch.setattr(stats, "validate", fake_validate)
         rc = main(["validate", "--q", "0.3", "--m", "1", "--setting", "nofb",
                    "--gamma", "0", "--epochs", "100"])
         assert rc == 3
@@ -475,6 +475,45 @@ class TestFlagSets:
         assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("command", list(READS))
+    def test_unread_flag_is_refused_with_the_commands_usage(self, capsys, command):
+        extra = ["--bogus", "1"]
+        assert main([command, *self.BASE[command], *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: aoi-erasure {command} [-h]")
+        assert err.endswith(f"aoi-erasure {command}: error: unrecognized arguments: {' '.join(extra)}\n")
+
+    @pytest.mark.parametrize(
+        "args",
+        ["solve --q 0.3 --set wfb", "solve --q 0.3 --setting=wfb --con x.cfg",
+         "simulate --q 0.3 --set nofb --ep 100 --rep 2 --g 0", "validate --epoch 100 --m 1 --q 0.3"],
+    )
+    def test_abbreviated_flags_are_refused(self, capsys, args):
+        assert main(args.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: unrecognized arguments: --" in captured.err
+
+    def test_full_spellings_and_config_keys_still_work(self, tmp_path, capsys):
+        assert main(["solve", "--q", "0.3", "--setting", "wfb"]) == 0
+        line = capsys.readouterr().out
+        assert main(["solve", "--q=0.3", "--setting=wfb"]) == 0
+        assert capsys.readouterr().out == line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 0.3\nsetting = wfb\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == line
+        cfg.write_text("q = 0.3\nset = wfb\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: unknown config key 'set' for solve\n")
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_help_names_comma_lists_and_defaults_only_where_they_hold(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "None" not in text
+        lists = re.findall(r"--(\w+) \w+ [^-]*?; comma list", text)
+        assert lists == (["q", "m", "setting", "gamma"] if command in ("sweep", "validate") else [])
+
+    @pytest.mark.parametrize("command", list(READS))
     def test_help_lists_exactly_the_flags_read(self, capsys, command):
         assert main([command, "--help"]) == 0
         listed = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
@@ -540,6 +579,39 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "events.log").stat().st_size > 0
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+    @pytest.mark.parametrize(
+        "simulating",
+        [["simulate", "--q", "0.3", "--setting", "nofb", "--epochs", "100"],
+         ["validate", "--q", "0.3", "--m", "1", "--setting", "nofb", "--gamma", "0", "--epochs", "100"]],
+    )
+    def test_analytic_commands_never_import_numpy(self, simulating):
+        # solve, eval, optimize and an epoch-less sweep need only math; the simulating commands load numpy
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import aoi_erasure
+            from aoi_erasure.cli import main
+            for args in (["solve", "--q", "0.3", "--setting", "wfb"],
+                         ["eval", "--q", "0.3", "--m", "2", "--setting", "nofb", "--gamma", "0.4"],
+                         ["optimize", "--q", "0.3", "--m", "4", "--setting", "wfb"],
+                         ["sweep", "--q", "0.1,0.5", "--m", "1,2", "--setting", "nofb,wfb", "--gamma", "0,optimal"]):
+                assert main(args) == 0, args
+            loaded = ["numpy" in sys.modules]
+            assert main({simulating!r}) in (0, 3)
+            loaded.append("numpy" in sys.modules)
+            print(loaded)
+            """
+        )
+        src = str(Path(aoi_erasure.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[False, True]"
 
 
 # Run in a small interpreter: exec carries the spawning process's own peak
@@ -644,7 +716,7 @@ class TestConfigFile:
             seen.append(cfg.trace)
             return run_simulation(cfg)
 
-        monkeypatch.setattr(cli, "run_simulation", capture)
+        monkeypatch.setattr(simulator, "run_simulation", capture)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{self.BODY}trace = {word}\n")
         assert main(["simulate", "--config", str(cfg)]) == 0

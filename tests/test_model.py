@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aoi_erasure.model import AnalyticSolution, Epochs, Feedback, Regime, SimConfig, SimResult
+from aoi_erasure import Epochs
+from aoi_erasure.model import AnalyticSolution, Feedback, Regime, SimConfig, SimResult
 from trace_oracle import BatteryState  # the battery of the literal reference event loop
 
 
