@@ -52,7 +52,7 @@ class MaxMoments:
 
 
 def exp_max_moments(gamma: float) -> MaxMoments:
-    """Moments of the wait max(gamma, tau), tau ~ exp(1).
+    """The first two moments of the wait max(gamma, tau), tau ~ exp(1).
 
     m1 = gamma + e^-gamma and m2 = gamma^2 + 2(gamma+1)e^-gamma; these are
     the building blocks of every threshold-policy AoI expression here.

@@ -6,7 +6,8 @@ commands (sweep, validate) emit CSV with the fixed column set
     q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict
 
 in deterministic row order (ascending q, then M, then setting, then
-gamma); real-valued fields use fixed 6-decimal formatting. Each flag is
+gamma); real-valued fields use fixed 6-decimal formatting, except a q
+that six decimals would not read back, printed as its repr. Each flag is
 declared once (_FLAGS); each command takes only the flags it reads, named
 in _COMMANDS beside its defaults, plus --config, and the command's own
 parser refuses any other flag, abbreviations included. A flat
@@ -49,6 +50,11 @@ class UsageError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _fmt_q(q: float) -> str:
+    """q with six decimals where they read back as q, else its shortest round-trip repr."""
+    return _fmt(q) if float(_fmt(q)) == q else repr(q)
 
 
 def _parse_list(text: str, flag: str, parse: Callable) -> list:
@@ -163,7 +169,7 @@ def _cmd_solve(opts: argparse.Namespace) -> int:
     sol = solve_nofb(q) if setting is Feedback.NOFB else solve_wfb(q)
     print(
         f"regime={sol.regime.value} lambda_star={_fmt(sol.lambda_star)} "
-        f"threshold={_fmt(sol.threshold)} q={_fmt(sol.q)} setting={setting.value}"
+        f"threshold={_fmt(sol.threshold)} q={_fmt_q(sol.q)} setting={setting.value}"
     )
     return 0
 
@@ -173,7 +179,7 @@ def _cmd_eval(opts: argparse.Namespace) -> int:
     gamma = _resolve_gamma(_scalar(_parse_gammas(opts.gamma), "--gamma"), q, M, setting)
     aoi = closed_form_aoi(q, M, setting, gamma)
     print(
-        f"q={_fmt(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
+        f"q={_fmt_q(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
         f"analytic_aoi={_fmt(aoi)} baseline_inf_battery={_fmt(baseline_infinite_battery(q, setting))}"
     )
     return 0
@@ -182,13 +188,13 @@ def _cmd_eval(opts: argparse.Namespace) -> int:
 def _cmd_optimize(opts: argparse.Namespace) -> int:
     q, M, setting = _cell(opts)
     gamma, aoi = optimize_gamma(q, M, setting)
-    print(f"q={_fmt(q)} M={M} setting={setting.value} gamma_star={_fmt(gamma)} aoi={_fmt(aoi)}")
+    print(f"q={_fmt_q(q)} M={M} setting={setting.value} gamma_star={_fmt(gamma)} aoi={_fmt(aoi)}")
     return 0
 
 
 def _cmd_simulate(opts: argparse.Namespace) -> int:
     from .simulator import run_simulation
-    from .stats import Moments
+    from .stats import _epoch_batches, ratio_estimate
 
     q, M, setting = _cell(opts)
     spec = _scalar(_parse_gammas(opts.gamma), "--gamma")
@@ -203,20 +209,22 @@ def _cmd_simulate(opts: argparse.Namespace) -> int:
     cfg = SimConfig(q, M, setting, 0.0, target_epochs=epochs, seed=opts.seed, trace=opts.trace)
     gamma = _resolve_gamma(spec, q, M, setting)
 
-    pooled = Moments()
+    totals = 0.0  # replications are independent, so batch b pools across them
     arrivals = overflows = attempts = successes = 0
-    log = None
     for r in range(reps):
         result, run_epochs, log = run_simulation(replace(cfg, gamma=gamma, seed=opts.seed + r))
         if reps > 1:
-            pooled.merge(Moments.of(run_epochs.y, run_epochs.R))
+            totals = totals + _epoch_batches(run_epochs.y.reshape(M, -1))[2]
         arrivals += result.arrivals
         overflows += result.overflows
         attempts += result.attempts
         successes += result.successes
-    point, ci = pooled.estimate() if reps > 1 else (result.mean_aoi, result.ci_half_width)
+    point, ci = result.mean_aoi, result.ci_half_width
+    if reps > 1:
+        point = float(totals[1].sum() / totals[0].sum())
+        ci = ratio_estimate(*totals, point)
     print(
-        f"q={_fmt(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
+        f"q={_fmt_q(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
         f"sim_mean={_fmt(point)} sim_ci={_fmt(ci)} epochs_per_source={epochs} "
         f"replications={reps} arrivals={arrivals} overflows={overflows} "
         f"attempts={attempts} successes={successes} seed={opts.seed}"
@@ -269,7 +277,7 @@ def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[
             records.append(rec)
             analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
         lines.append(
-            f"{_fmt(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
+            f"{_fmt_q(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
             f"{_fmt(gamma_star)},{_fmt(base)},{sim}"
         )
     return lines, records

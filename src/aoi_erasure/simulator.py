@@ -592,24 +592,22 @@ def _event_log(
     return EventLog.from_columns(time, kind, source)
 
 
-_N_BATCHES = 20
-_T975 = 2.0930240544083176  # two-sided 95% quantile of Student's t, _N_BATCHES - 1 df
-
-
 def _horizon_estimates(
     success_times: Sequence[np.ndarray], T: float
 ) -> tuple[list[float], float, float]:
-    """Time-windowed AoI means over [0, T], pooled with a batch-means interval.
+    """Time-windowed AoI means over [0, T], with a batch-means interval over time.
 
     Unlike the renewal estimator, this one keeps the leading and trailing
     partial sawtooth segments. A source's age area up to time t is the
     whole teeth before its last success s_k <= t plus the open ramp
-    0.5 (t - s_k)^2; it is taken at every batch edge at once.
+    0.5 (t - s_k)^2; it is taken at every batch edge at once. The
+    batches are equal in width, so each enters stats.ratio_estimate as
+    its mean age over the sources against a length of 1.
     """
     M = len(success_times)
-    edges = np.linspace(0.0, T, _N_BATCHES + 1)
+    edges = np.linspace(0.0, T, stats._N_BATCHES + 1)
     per_mean = []
-    batch_totals = np.zeros(_N_BATCHES)
+    batch_totals = np.zeros(stats._N_BATCHES)
     for s in success_times:
         s0 = np.concatenate(([0.0], s))
         ys = np.diff(s0)
@@ -620,8 +618,7 @@ def _horizon_estimates(
         batch_totals += np.diff(area) / np.diff(edges)
         per_mean.append(float(area[-1]) / T)
     mean = float(np.mean(per_mean))
-    ci = _T975 * (float(np.std(batch_totals / M, ddof=1)) / math.sqrt(_N_BATCHES))
-    return per_mean, mean, ci
+    return per_mean, mean, stats.ratio_estimate(np.ones(stats._N_BATCHES), batch_totals / M, mean)
 
 
 class Epochs:
@@ -678,13 +675,8 @@ def run_simulation(
     if cfg.horizon is None:
         # every source has exactly target epochs, so the rows form one block
         ys = np.asarray(raw.ys)
-        pooled = stats.Moments()
-        per_mean = []
-        for row in ys:
-            moments = stats.Moments.of(row, 0.5 * row * row)
-            per_mean.append(moments.point)
-            pooled.merge(moments)
-        mean, ci = pooled.estimate()
+        per_mean, mean, totals = stats._epoch_batches(ys)
+        ci = stats.ratio_estimate(*totals, mean)
         n_epochs = cfg.target_epochs
     else:
         if any(s.size < 2 for s in raw.success_times):

@@ -1,20 +1,18 @@
 """Renewal-reward estimation and analytic-vs-simulation oracles.
 
-The estimators (Moments, ratio_estimate) aggregate the epochs of one
-run; horizon runs average over a time window instead and are estimated
-in the simulator. The ratio estimator needs only the count, the sums and
-means of the epochs y and their age areas R = y**2 / 2, and the centered
-sums M2(y), M2(R) and C(R, y). Moments takes them one block of
-epochs at a time, each block centered on its own mean, and merges
-blocks (and whole runs) with the pairwise update of Chan, Golub &
-LeVeque, "Algorithms for computing the sample variance" (1983), so no
-estimate needs more than one block of temporaries or a concatenation.
-Raw power sums would cancel catastrophically when y varies little, so
-none are kept. The point estimate stays the ratio of the plain sums of
-R and y. validate gets its simulated numbers from
-simulator.run_simulation, the one place that turns a seeded
-configuration into epochs, and reads its mean_aoi and ci_half_width.
-closed_form_aoi lives in analytic; this module re-exports it.
+ratio_estimate is the one interval estimator: every run's 95% CI is by
+batch means. All sources draw on one energy stream and one attempt
+sequence, so for M > 1 their epochs are correlated, and pooling the
+M * n epochs as if they were iid understates the interval by up to about
+sqrt(M). Batch b instead totals every source's y and R = y**2 / 2 over
+the b-th run of consecutive epochs (of time, in horizon runs), which
+keeps that correlation inside the batches, and independent replications
+pool by adding batch b across them. There are _N_BATCHES batches, or n
+with n < _N_BATCHES epochs per source; one batch gives no interval
+(0.0). The point estimate stays the ratio of the plain sums of R and y.
+validate simulates through simulator.run_simulation and reads its
+mean_aoi and ci_half_width. closed_form_aoi lives in analytic; this
+module re-exports it.
 """
 
 from __future__ import annotations
@@ -28,92 +26,54 @@ from .analytic import closed_form_aoi
 from .model import Feedback, SimConfig, SimResult
 
 __all__ = [
-    "Moments",
     "ratio_estimate",
     "closed_form_aoi",
     "ValidationRecord",
     "validate",
 ]
 
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_N_BATCHES = 20
+# two-sided 95% quantiles of Student's t at 1 .. _N_BATCHES - 1 df; 19 df's is 8e-15 high, as pinned horizon CIs use it
+_T975 = (
+    12.706204736174705, 4.302652729749464, 3.1824463052837095, 2.7764451051977943, 2.5705818356363155,
+    2.44691185114497, 2.3646242515927853, 2.3060041352041667, 2.2621571627982053, 2.228138851986275,
+    2.2009851600916397, 2.178812829667229, 2.1603686564627926, 2.144786687917804, 2.1314495455597755,
+    2.1199052992212546, 2.109815577833317, 2.1009220402410387, 2.0930240544083176,
+)
 
-_CHUNK = 1 << 16  # epochs centered in one pass
+
+def _epoch_batches(ys: np.ndarray) -> tuple[list[float], float, np.ndarray]:
+    """Each row's ratio R.sum() / y.sum() of an (M, n) epoch block, the pooled ratio
+    (row sums added in row order), and the (2, B) totals of y and R per batch over
+    the rows; the B = min(_N_BATCHES, n) batches are as np.array_split cuts a row."""
+    n = ys.shape[1]
+    B = min(_N_BATCHES, n)
+    starts = np.arange(B) * (n // B) + np.minimum(np.arange(B), n % B)
+    per_row, sum_y, sum_r = [], 0.0, 0.0
+    totals = np.zeros((2, B))
+    for row in ys:
+        R = 0.5 * row * row
+        y_j, r_j = float(row.sum()), float(R.sum())
+        per_row.append(r_j / y_j)
+        sum_y += y_j
+        sum_r += r_j
+        totals[0] += np.add.reduceat(row, starts)
+        totals[1] += np.add.reduceat(R, starts)
+    return per_row, sum_r / sum_y, totals
 
 
-class Moments:
-    """Mergeable moments of renewal epochs y and their areas R.
+def ratio_estimate(y: np.ndarray, R: np.ndarray, point: float) -> float:
+    """95% half-width of the ratio estimate `point` of E[R] / E[y], from batch totals y and R.
 
-    n, the sums of y and R (the point estimate is their ratio), the
-    means, the centered sums of squares M2(y), M2(R) and the co-moment
-    C(R, y). Each block is centered on its mean, taken as the first
-    value plus the mean offset from it, so constant epochs give exact
-    zeros.
+    The delta method: the spread of R - point * y over the B batches, over
+    sqrt(B) and the mean of y, times Student's t at B - 1 df; 0.0 if B = 1.
     """
-
-    __slots__ = ("n", "sum_y", "sum_r", "mean_y", "mean_r", "m2_y", "m2_r", "c_ry")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.sum_y = self.sum_r = self.mean_y = self.mean_r = 0.0
-        self.m2_y = self.m2_r = self.c_ry = 0.0
-
-    @classmethod
-    def of(cls, y: np.ndarray, R: np.ndarray) -> Moments:
-        """The moments of epochs y with areas R, centered _CHUNK epochs at a time."""
-        acc = cls()
-        for lo in range(0, y.size, _CHUNK):
-            yb, rb = y[lo : lo + _CHUNK], R[lo : lo + _CHUNK]
-            dy = yb - yb[0]
-            oy = float(dy.sum()) / yb.size
-            dy -= oy
-            dr = rb - rb[0]
-            o_r = float(dr.sum()) / rb.size
-            dr -= o_r
-            mean_y, mean_r = float(yb[0]) + oy, float(rb[0]) + o_r
-            acc._combine(yb.size, mean_y, mean_r, float(dy @ dy), float(dr @ dr), float(dr @ dy))
-        # the sums of the whole arrays, so the point is R.sum() / y.sum()
-        acc.sum_y, acc.sum_r = float(y.sum()), float(R.sum())
-        return acc
-
-    def merge(self, other: Moments) -> None:
-        """Fold another run's moments into these."""
-        self._combine(other.n, other.mean_y, other.mean_r, other.m2_y, other.m2_r, other.c_ry)
-        self.sum_y += other.sum_y
-        self.sum_r += other.sum_r
-
-    def _combine(self, n: int, mean_y: float, mean_r: float, m2_y: float, m2_r: float, c_ry: float) -> None:
-        # Chan, Golub & LeVeque's pairwise update; sums are the caller's
-        if n == 0:
-            return
-        total = self.n + n
-        w = self.n * n / total
-        dy, dr = mean_y - self.mean_y, mean_r - self.mean_r
-        self.mean_y += dy * (n / total)
-        self.mean_r += dr * (n / total)
-        self.m2_y += m2_y + dy * dy * w
-        self.m2_r += m2_r + dr * dr * w
-        self.c_ry += c_ry + dr * dy * w
-        self.n = total
-
-    @property
-    def point(self) -> float:
-        return self.sum_r / self.sum_y
-
-    def estimate(self) -> tuple[float, float]:
-        """Ratio-of-sums estimate of E[R]/E[y] with a delta-method 95% CI."""
-        if self.n == 0:
-            raise ValueError("no epochs to estimate from")
-        point = self.point
-        if self.n == 1:
-            return point, 0.0
-        spread = self.m2_r - 2.0 * point * self.c_ry + point * point * self.m2_y
-        var_point = spread / ((self.n - 1) * self.n * self.mean_y * self.mean_y)
-        return point, _Z95 * math.sqrt(max(var_point, 0.0))
-
-
-def ratio_estimate(y: np.ndarray, R: np.ndarray) -> tuple[float, float]:
-    """Ratio-of-sums estimator of E[R]/E[y] with a delta-method 95% CI."""
-    return Moments.of(y, R).estimate()
+    B = len(y)
+    if B < 2:
+        return 0.0
+    d = (R - R.mean()) - point * (y - y.mean())
+    sd = math.sqrt(float(np.sum(d * d)) / (B - 1))
+    return _T975[B - 2] * (sd / math.sqrt(B)) / float(y.mean())
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,19 @@
+import warnings
+
 import pytest
 from hypothesis import settings
+
+# Hypothesis reports a failing @given test through hypothesis.extra._patching,
+# which imports libcst, which imports mypy_extensions, which warns with a
+# DeprecationWarning. Under filterwarnings = error that import would raise
+# inside pytest's report hook and end the session with INTERNALERROR, so it
+# is imported once here with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # property tests replay a fixed set of examples, so every run checks the same cases
 settings.register_profile("deterministic", derandomize=True, deadline=None)

@@ -1,19 +1,19 @@
-"""All-at-once reference for the epoch engines.
+"""All-at-once reference for the epoch engines, and a batch-means reference.
 
 These are the epoch engines as they were before they drew in blocks:
 each stream drawn in one piece (nofb over-draws and extends until every
-source has its successes), one cumsum over every attempt, and the
-estimate from np.cov over whole arrays. The block engines in
-aoi_erasure.simulator must reproduce their counters and epochs bit for
-bit, and stats.Moments the estimate to rounding
-(tests/test_simulator.py::TestEngineBlocks, tests/test_stats.py::TestMoments).
+source has its successes) and one cumsum over every attempt. The block
+engines in aoi_erasure.simulator must reproduce their counters and
+epochs bit for bit (tests/test_simulator.py::TestEngineBlocks).
+batch_ratio_estimate recomputes the batch-means interval from scratch,
+with np.array_split, plain sums, np.cov and scipy's t quantile, and
+shares no code with aoi_erasure.stats, which must match it to rounding
+(TestEngineBlocks, tests/test_stats.py::TestMoments).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_Z95 = 1.959963984540054
 
 
 def epochs_nofb(q, M, gamma, target, rng_a, rng_e, rng_o):
@@ -67,11 +67,27 @@ def epochs_wfb(q, M, gamma, target, rng_a, rng_e, rng_o):
     return ys, atts, attempts + overflows, overflows, attempts, n
 
 
-def ratio_estimate(y, R):
-    """The ratio estimate and its delta-method CI from np.cov over whole arrays."""
-    point = float(R.sum() / y.sum())
-    if y.size == 1:
+def batch_ratio_estimate(rows):
+    """Point and 95% batch-means CI of sum R / sum y over equal-length rows of epochs y.
+
+    Each row (a source of one run) is cut into min(20, n) batches of
+    consecutive epochs by np.array_split, and batch b's totals add up
+    every row's b-th piece. The CI is the delta method on the batch
+    totals, from np.cov, times Student's t with one degree of freedom
+    fewer than batches; one batch gives 0.0.
+    """
+    rows = [np.asarray(row, dtype=np.float64) for row in rows]
+    B = min(20, rows[0].size)
+    Y, R = np.zeros(B), np.zeros(B)
+    for row in rows:
+        for b, piece in enumerate(np.array_split(row, B)):
+            Y[b] += piece.sum()
+            R[b] += (0.5 * piece * piece).sum()
+    point = float(R.sum() / Y.sum())
+    if B == 1:
         return point, 0.0
-    cov = np.cov(R, y, ddof=1)
-    var_point = (cov[0, 0] - 2.0 * point * cov[0, 1] + point * point * cov[1, 1]) / (y.size * y.mean() ** 2)
-    return point, _Z95 * float(np.sqrt(max(var_point, 0.0)))
+    from scipy import stats
+
+    cov = np.cov(R, Y, ddof=1)
+    var_point = (cov[0, 0] - 2.0 * point * cov[0, 1] + point * point * cov[1, 1]) / (B * Y.mean() ** 2)
+    return point, float(stats.t.ppf(0.975, B - 1) * np.sqrt(max(var_point, 0.0)))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -86,6 +87,24 @@ class TestSolve:
         threshold = float(re.search(r"threshold=(\S+)", capsys.readouterr().out).group(1))
         assert 0.99 < threshold <= 1.0
 
+    @pytest.mark.filterwarnings("ignore:q = .* is close to 1:RuntimeWarning")
+    def test_q_that_six_decimals_would_round_prints_in_full(self, capsys):
+        # six decimals read 1.000000, a q that solve refuses; the line keeps the q it solved
+        assert main(["solve", "--q", "0.9999999999999994", "--setting", "wfb"]) == 0
+        assert re.search(r" q=(\S+) ", capsys.readouterr().out).group(1) == "0.9999999999999994"
+        assert main(["solve", "--q", "0.3", "--setting", "wfb"]) == 0
+        assert " q=0.300000 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval", "optimize", "simulate", "sweep"])
+    def test_every_line_prints_q_that_reads_back(self, capsys, command):
+        args = [command, "--q", "0.1234567,0.25" if command == "sweep" else "0.1234567", "--setting", "nofb"]
+        assert main(args + (["--epochs", "10"] if command == "simulate" else [])) == 0
+        out = capsys.readouterr().out
+        if command == "sweep":
+            assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0.1234567", "0.250000"]
+        else:
+            assert out.startswith("q=0.1234567 M=1 ")
+
     def test_q_out_of_range(self, capsys):
         assert main(["solve", "--q", "1.0", "--setting", "nofb"]) == 2
         err = capsys.readouterr().err
@@ -172,6 +191,12 @@ class TestSimulate:
         ci = lambda s: float(re.search(r"sim_ci=(\d+\.\d+)", s).group(1))
         assert ci(three) < ci(one)
         assert "replications=3" in three
+
+    def test_fewer_epochs_than_batches_still_give_an_interval(self, capsys):
+        # 3 epochs per source make 3 batches, with Student's t at 2 df
+        assert main(["simulate", "--q", "0.3", "--m", "2", "--setting", "nofb", "--epochs", "3"]) == 0
+        ci = float(re.search(r"sim_ci=(\S+)", capsys.readouterr().out).group(1))
+        assert math.isfinite(ci) and ci > 0.0
 
     def test_trace_writes_event_log(self, tmp_path, capsys):
         out_path = tmp_path / "run.log"
@@ -521,7 +546,11 @@ class TestFlagSets:
 
 
 class TestPinnedOutputs:
-    """Outputs recorded before validation was routed through run_simulation."""
+    """Outputs recorded before validation was routed through run_simulation.
+
+    The sim_ci fields (and so the CSV digest) were re-recorded when the
+    interval became batch means; every other field kept its bytes.
+    """
 
     def test_validate_csv(self, tmp_path):
         out = tmp_path / "validate.csv"
@@ -529,20 +558,20 @@ class TestPinnedOutputs:
                 "--epochs", "20000", "--seed", "1", "--out", str(out)]
         assert main(args) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "cb921c90be4aa1d07fea4e4b2698c1911f3e32efaa2fd66b8750d8d352ade272"
+        assert digest == "8581da53fb94dee6c0384497dc2e0a8f0fccff0037803bb3503c7056dd2b78b4"
 
     @pytest.mark.parametrize(
         "args,line",
         [
             (
                 "--q 0.3 --m 2 --setting nofb --gamma 0.2 --epochs 20000 --replications 2 --seed 5",
-                "q=0.300000 M=2 setting=nofb gamma=0.200000 sim_mean=2.359268 sim_ci=0.018910 "
+                "q=0.300000 M=2 setting=nofb gamma=0.200000 sim_mean=2.359268 sim_ci=0.021239 "
                 "epochs_per_source=20000 replications=2 arrivals=116383 overflows=2138 "
                 "attempts=114245 successes=80094 seed=5",
             ),
             (
                 "--q 0.5 --m 3 --setting wfb --epochs 20000 --seed 9",
-                "q=0.500000 M=3 setting=wfb gamma=0.000000 sim_mean=4.014331 sim_ci=0.022541 "
+                "q=0.500000 M=3 setting=wfb gamma=0.000000 sim_mean=4.014331 sim_ci=0.048940 "
                 "epochs_per_source=20000 replications=1 arrivals=120229 overflows=0 "
                 "attempts=120229 successes=60003 seed=9",
             ),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoi_erasure import simulator
+from aoi_erasure import simulator, stats
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, exp_max_moments, solve_wfb
 from aoi_erasure.model import Feedback
 from aoi_erasure.simulator import (
@@ -22,9 +22,7 @@ from aoi_erasure.simulator import (
     make_config,
     run_simulation,
 )
-from aoi_erasure.stats import ratio_estimate
-from epoch_oracle import epochs_nofb, epochs_wfb
-from epoch_oracle import ratio_estimate as cov_ratio_estimate
+from epoch_oracle import batch_ratio_estimate, epochs_nofb, epochs_wfb
 from trace_oracle import check_invariants as replay_invariants
 from trace_oracle import lines, policy_nofb_single, policy_wfb_single, scheduler_maf, scheduler_rr
 
@@ -154,7 +152,7 @@ class TestEpochEngine:
         assert len(res.per_source_mean) == 3
         for j, mean in enumerate(res.per_source_mean, start=1):
             mine = epochs.source_id == j
-            assert mean == ratio_estimate(epochs.y[mine], epochs.R[mine])[0]
+            assert mean == float(epochs.R[mine].sum()) / float(epochs.y[mine].sum())
 
     def test_wfb_epochs_look_iid(self):
         _, epochs, _ = run_simulation(make_config(0.5, 1, "wfb", 0.9438, target_epochs=100000, seed=55))
@@ -233,7 +231,7 @@ class TestEngineBlocks:
         np.testing.assert_array_equal(epochs.attempts, atts.ravel())
         Rs = 0.5 * ys * ys
         assert list(res.per_source_mean) == (Rs.sum(1) / ys.sum(1)).tolist()
-        point, ci = cov_ratio_estimate(ys.ravel(), Rs.ravel())
+        point, ci = batch_ratio_estimate(ys)
         assert res.mean_aoi == pytest.approx(point, rel=1e-12)
         # near-equal epochs leave a CI of rounding size, where np.cov itself is off
         assert res.ci_half_width == pytest.approx(ci, rel=1e-12, abs=1e-15 * point)
@@ -660,9 +658,12 @@ def _sawtooth_area(s, t):
 
 class TestHorizonEstimates:
     def test_quantile_matches_scipy(self):
+        # every df the small-n rule can reach, 1 .. _N_BATCHES - 1
         from scipy import stats as sps
 
-        assert abs(simulator._T975 - sps.t.ppf(0.975, simulator._N_BATCHES - 1)) <= 1e-12
+        assert len(stats._T975) == stats._N_BATCHES - 1
+        for df, t in enumerate(stats._T975, start=1):
+            assert abs(t - sps.t.ppf(0.975, df)) <= 1e-12 * t, df
 
     def test_matches_scalar_sawtooth(self):
         from scipy import stats as sps

@@ -107,11 +107,12 @@ def test_golden_log_digests(kw, n_events, digest, tmp_path):
 
 
 def test_golden_simulate_command(tmp_path, capsys):
+    # sim_ci was re-recorded when the interval became batch means
     path = tmp_path / "events.log"
     assert main(["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "3000",
                  "--seed", "5", "--trace", "--out", str(path)]) == 0
     assert capsys.readouterr().out == (
-        "q=0.300000 M=2 setting=wfb gamma=0.253934 sim_mean=2.115480 sim_ci=0.049593 "
+        "q=0.300000 M=2 setting=wfb gamma=0.253934 sim_mean=2.115480 sim_ci=0.062725 "
         "epochs_per_source=3000 replications=1 arrivals=8683 overflows=201 attempts=8482 "
         "successes=6002 seed=5\n"
     )
