@@ -55,12 +55,16 @@ def exp_max_moments(gamma: float) -> MaxMoments:
     """The first two moments of the wait max(gamma, tau), tau ~ exp(1).
 
     m1 = gamma + e^-gamma and m2 = gamma^2 + 2(gamma+1)e^-gamma; these are
-    the building blocks of every threshold-policy AoI expression here.
+    the building blocks of every threshold-policy AoI expression here. A
+    gamma whose m2 overflows (from about 1.34e154 on) is refused.
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     e = math.exp(-gamma)
-    return MaxMoments(m1=gamma + e, m2=gamma * gamma + 2.0 * (gamma + 1.0) * e)
+    m2 = gamma * gamma + 2.0 * (gamma + 1.0) * e
+    if not math.isfinite(m2):
+        raise ValueError(f"gamma must be small enough that gamma^2 is finite, got {gamma!r}")
+    return MaxMoments(m1=gamma + e, m2=m2)
 
 
 def p_nofb(lambda_prime: float, q: float) -> float:

@@ -15,9 +15,10 @@ parser refuses any other flag, abbreviations included. A flat
 parses each line as the flag `--key=value`, placed before the explicit
 flags, so flags override config values, which override the defaults. A
 comma-list flag refuses an empty list. Exit codes: 0 ok, 1 solver or
-simulation failure, 2 usage error, 3 validation FAIL. The simulator and
-stats modules, and numpy with them, are imported only by the commands
-that simulate (simulate, validate, sweep --epochs).
+simulation failure, 2 usage error, 3 validation FAIL. simulate prints
+one seeded run's SimResult as run_simulation returns it. The simulator
+and stats modules, and numpy with them, are imported only by the
+commands that simulate (simulate, validate, sweep --epochs).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ if TYPE_CHECKING:
     from .stats import ValidationRecord
 
 _CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
-_REL_TOL = 0.01  # validate's relative tolerance on every grid cell
 
 
 class UsageError(Exception):
@@ -194,40 +194,20 @@ def _cmd_optimize(opts: argparse.Namespace) -> int:
 
 def _cmd_simulate(opts: argparse.Namespace) -> int:
     from .simulator import run_simulation
-    from .stats import _epoch_batches, ratio_estimate
 
     q, M, setting = _cell(opts)
     spec = _scalar(_parse_gammas(opts.gamma), "--gamma")
-    epochs, reps = opts.epochs, opts.replications
-    if reps < 1:
-        raise UsageError("--replications must be at least 1")
-    if opts.trace and reps > 1:
-        raise UsageError("--trace supports a single replication")
     if opts.out and not opts.trace:
         raise UsageError("--out on simulate needs --trace: it writes the event log")
     # the run is checked before gamma is optimized, so a q it refuses draws no warning
-    cfg = SimConfig(q, M, setting, 0.0, target_epochs=epochs, seed=opts.seed, trace=opts.trace)
+    cfg = SimConfig(q, M, setting, 0.0, target_epochs=opts.epochs, seed=opts.seed, trace=opts.trace)
     gamma = _resolve_gamma(spec, q, M, setting)
-
-    totals = 0.0  # replications are independent, so batch b pools across them
-    arrivals = overflows = attempts = successes = 0
-    for r in range(reps):
-        result, run_epochs, log = run_simulation(replace(cfg, gamma=gamma, seed=opts.seed + r))
-        if reps > 1:
-            totals = totals + _epoch_batches(run_epochs.y.reshape(M, -1))[2]
-        arrivals += result.arrivals
-        overflows += result.overflows
-        attempts += result.attempts
-        successes += result.successes
-    point, ci = result.mean_aoi, result.ci_half_width
-    if reps > 1:
-        point = float(totals[1].sum() / totals[0].sum())
-        ci = ratio_estimate(*totals, point)
+    res, _, log = run_simulation(replace(cfg, gamma=gamma), _with_epochs=False)
     print(
         f"q={_fmt_q(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
-        f"sim_mean={_fmt(point)} sim_ci={_fmt(ci)} epochs_per_source={epochs} "
-        f"replications={reps} arrivals={arrivals} overflows={overflows} "
-        f"attempts={attempts} successes={successes} seed={opts.seed}"
+        f"sim_mean={_fmt(res.mean_aoi)} sim_ci={_fmt(res.ci_half_width)} epochs_per_source={res.epochs_per_source} "
+        f"arrivals={res.arrivals} overflows={res.overflows} attempts={res.attempts} "
+        f"successes={res.successes} seed={res.seed}"
     )
     if opts.out:
         log.dump(opts.out)
@@ -273,7 +253,7 @@ def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[
         if epochs is None:
             analytic, sim = closed_form_aoi(q, M, setting, gamma), ",,"
         else:
-            rec = validate(q, M, setting, gamma, epochs, seed, rel_tol=_REL_TOL)
+            rec = validate(q, M, setting, gamma, epochs, seed)
             records.append(rec)
             analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
         lines.append(
@@ -292,10 +272,10 @@ def _cmd_sweep(opts: argparse.Namespace) -> int:
 def _cmd_validate(opts: argparse.Namespace) -> int:
     lines, records = _grid_rows(_grid_cells(opts), opts.epochs, opts.seed)
     _emit(lines, opts.out)
-    wide = sum(3.0 * rec.sim_ci > _REL_TOL * rec.analytic for rec in records)
+    wide = sum(3.0 * rec.sim_ci > rec.rel_tol * rec.analytic for rec in records)
     if wide:
         print(
-            f"warning: CI too wide for the {_REL_TOL:.0%} tolerance in {wide} of "
+            f"warning: CI too wide for the {records[0].rel_tol:.0%} tolerance in {wide} of "
             f"{len(records)} cells; verdicts there lean on the 3-CI criterion",
             file=sys.stderr,
         )
@@ -311,7 +291,6 @@ _FLAGS = {
     "gamma": dict(default="optimal", help="threshold or 'optimal'"),
     "epochs": dict(type=int, help="target epochs per source"),
     "seed": dict(type=int, default=1, help="RNG seed"),
-    "replications": dict(type=int, default=1, help="independent runs to pool"),
     "out": dict(help="output path (default stdout)"),
     "config": dict(help="flat key=value config file; flags override it"),
     "trace": dict(action="store_true", help="keep the event log"),
@@ -327,7 +306,7 @@ _COMMANDS = {
     "optimize": (_cmd_optimize, "find the AoI-minimizing threshold for one (q, M, setting)",
                  ("q", "m", "setting"), {}),
     "simulate": (_cmd_simulate, "run the discrete-event simulator for one cell",
-                 (*_GRID, "replications", "trace"), {"epochs": 10000}),
+                 (*_GRID, "trace"), {"epochs": 10000}),
     "sweep": (_cmd_sweep, "emit a CSV over a (q, M, setting, gamma) grid", _GRID, {}),
     # with no grid flags, validate runs the full default validation grid
     "validate": (_cmd_validate, "simulate a grid and compare against the closed forms", _GRID, {

@@ -299,7 +299,7 @@ def _epochs_nofb(
     rng_a: np.random.Generator,
     rng_e: np.random.Generator,
     rng_o: np.random.Generator,
-    keep_attempts: bool = True,
+    keep_attempts: bool,
 ) -> _RawRun:
     """Epoch engine, no feedback: attempts walk the round-robin cycle.
 
@@ -366,7 +366,7 @@ def _epochs_wfb(
     rng_a: np.random.Generator,
     rng_e: np.random.Generator,
     rng_o: np.random.Generator,
-    keep_attempts: bool = True,
+    keep_attempts: bool,
 ) -> _RawRun:
     """Epoch engine, with feedback: one service (a success) per turn.
 
@@ -661,9 +661,9 @@ def run_simulation(
 
     Returns the aggregated result, the epochs as columns (ordered by
     source, then time), and the event log when tracing was requested.
-    stats.validate reads only the result: it passes _with_epochs=False,
-    gets None for the epochs, and the epoch engines skip their attempts
-    block.
+    stats.validate and the simulate command read only the result: they
+    pass _with_epochs=False, get None for the epochs, and the epoch
+    engines skip their attempts block.
     """
     if cfg.trace or cfg.horizon is not None:
         raw = _run_loop(cfg, keep_events=cfg.trace)

@@ -6,10 +6,10 @@ sequence, so for M > 1 their epochs are correlated, and pooling the
 M * n epochs as if they were iid understates the interval by up to about
 sqrt(M). Batch b instead totals every source's y and R = y**2 / 2 over
 the b-th run of consecutive epochs (of time, in horizon runs), which
-keeps that correlation inside the batches, and independent replications
-pool by adding batch b across them. There are _N_BATCHES batches, or n
-with n < _N_BATCHES epochs per source; one batch gives no interval
-(0.0). The point estimate stays the ratio of the plain sums of R and y.
+keeps that correlation inside the batches. There are _N_BATCHES
+batches, or n with n < _N_BATCHES epochs per source; one batch gives no
+interval (0.0). The point estimate stays the ratio of the plain sums of
+R and y. Only the simulator calls it, once per run.
 validate simulates through simulator.run_simulation and reads its
 mean_aoi and ci_half_width. closed_form_aoi lives in analytic; this
 module re-exports it.

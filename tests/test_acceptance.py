@@ -19,7 +19,7 @@ from aoi_erasure.analytic import (
     solve_nofb,
     solve_wfb,
 )
-from aoi_erasure.simulator import ATTEMPT, ERASURE, SUCCESS, make_config, run_simulation
+from aoi_erasure.simulator import ATTEMPT, ERASURE, SUCCESS, SimConfig, run_simulation
 from aoi_erasure.stats import validate
 from gamma_oracle import grid_oracle_gamma, sim_gamma_curve
 
@@ -31,7 +31,7 @@ QS_GRID = np.round(np.arange(0.0, 0.951, 0.05), 2)
 
 
 def _sim_mean(q, M, setting, gamma, n, seed):
-    res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
+    res, _, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=n, seed=seed))
     return res.mean_aoi
 
 
@@ -202,7 +202,7 @@ def test_11_traced_runs_keep_physical_invariants(criterion):
     worst_att = 0.0
     n_events = 0
     for q, M, setting, gamma, seed in cells:
-        mk = lambda **kw: make_config(q, M, setting, gamma, target_epochs=10000, seed=seed,
+        mk = lambda **kw: SimConfig(q, M, setting, gamma, target_epochs=10000, seed=seed,
                                       trace=True, **kw)
         _, epochs, log = run_simulation(mk())
         log.check_invariants()

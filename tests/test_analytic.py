@@ -30,6 +30,8 @@ from gamma_oracle import grid_oracle_gamma
 
 # root of e^-x = x^2/2, the common q = 0 solution of both settings
 ROOT_Q0 = 0.9012010317296648
+# the least float whose square overflows, one ulp above sqrt(DBL_MAX)
+GAMMA_OVERFLOW = 1.3407807929942597e154
 
 
 class TestExpMaxMoments:
@@ -63,6 +65,21 @@ class TestExpMaxMoments:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             exp_max_moments(-0.5)
+
+    def test_refuses_a_gamma_whose_second_moment_overflows(self):
+        # one ulp below the bound, the moments and both closed forms are finite
+        below = math.nextafter(GAMMA_OVERFLOW, 0.0)
+        assert math.isfinite(below * below) and GAMMA_OVERFLOW * GAMMA_OVERFLOW == math.inf
+        mm = exp_max_moments(below)
+        assert (mm.m1, mm.m2) == (below, below * below)
+        for closed_form in (aoi_rr_nofb, aoi_maf_wfb):
+            assert math.isfinite(closed_form(0.3, 2, below))
+        for gamma in (GAMMA_OVERFLOW, 1e200, 1e308, 1.7976931348623157e308):
+            with pytest.raises(ValueError, match="gamma must be small enough that gamma\\^2 is finite"):
+                exp_max_moments(gamma)
+            for closed_form in (aoi_rr_nofb, aoi_maf_wfb):
+                with pytest.raises(ValueError, match="gamma"):
+                    closed_form(0.3, 2, gamma)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_rejects_non_finite(self, gamma):

@@ -1,5 +1,6 @@
 """The benchmark's helper scripts still run against the package, each in a fresh process.
 
+perfbench/run.py passes each workload's flags to the CLI,
 perfbench/probe.py builds its run with make_config's keywords,
 perfbench/verify.py parses a traced log back through Event and
 EventLog(list), and perfbench/traced.py wraps functions by name. A
@@ -7,13 +8,17 @@ rename in the package would otherwise break the benchmark without
 failing a test.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import aoi_erasure
+from aoi_erasure import cli
 from aoi_erasure.stats import closed_form_aoi
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,6 +33,29 @@ def _run(cwd: Path, *args: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # dataclasses look the module up there while the classes are built
+    spec.loader.exec_module(run)
+    return run
+
+
+WORKLOADS = _load_run().WORKLOADS
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_cli_accepts_every_workload_command_line(tmp_path, name):
+    # parsed only, not run: a flag the CLI dropped would fail every benchmark run of the workload
+    argv = WORKLOADS[name].argv(1, tmp_path)
+    parser, commands = cli._build_parser()
+    try:
+        args = cli._parse(parser, commands, argv)
+    except SystemExit:
+        pytest.fail(f"the CLI refuses the {name} workload's command line {argv}")
+    assert args.command == argv[0]
 
 
 def test_probe_runs_its_horizon_simulation(tmp_path):

@@ -45,17 +45,25 @@ def _assert_out_refused(command, args, tmp_path, capsys):
     assert not out_path.exists()
 
 
-def _assert_single_run_flags_refused(command, args, tmp_path, capsys):
-    """--trace and --replications, as flags or in a config file, are usage errors whatever their value."""
-    for extra in (["--trace"], ["--replications", "3"], ["--replications", "0"], ["--replications", "1"]):
-        assert main([command, *args, *extra]) == 2
-        _assert_flag_refused(capsys, extra)
+# flag: (its command-line forms, its config values)
+_SINGLE_RUN_FLAGS = {
+    "trace": ([["--trace"]], ("true", "false")),
+    "replications": ([["--replications", n] for n in ("3", "0", "1")], ("3", "0", "1")),
+}
+
+
+def _assert_single_run_flags_refused(command, args, tmp_path, capsys, flags=("trace", "replications")):
+    """Each of flags, as a flag or in a config file, is a usage error whatever its value."""
     cfg = tmp_path / "run.cfg"
-    for key, val in (("trace", "true"), ("trace", "false"), ("replications", "3"), ("replications", "0"),
-                     ("replications", "1")):
-        cfg.write_text(f"{key} = {val}\n")
-        assert main([command, *args, "--config", str(cfg)]) == 2
-        _assert_key_refused(capsys, cfg, key, command)
+    for key in flags:
+        forms, values = _SINGLE_RUN_FLAGS[key]
+        for extra in forms:
+            assert main([command, *args, *extra]) == 2
+            _assert_flag_refused(capsys, extra)
+        for val in values:
+            cfg.write_text(f"{key} = {val}\n")
+            assert main([command, *args, "--config", str(cfg)]) == 2
+            _assert_key_refused(capsys, cfg, key, command)
 
 
 class TestSolve:
@@ -152,6 +160,14 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == "" and "gamma must be finite" in captured.err
 
+    @pytest.mark.parametrize("gamma", ["1.3407807929942597e154", "1e200", "1e308"])
+    def test_gamma_whose_square_overflows_is_usage_error(self, capsys, gamma):
+        for setting in ("nofb", "wfb"):
+            assert main(["eval", "--q", "0.3", "--m", "2", "--setting", setting, "--gamma", gamma]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: gamma must be small enough that gamma^2 is finite, got {float(gamma)!r}\n"
+            )
+
     def test_out_is_usage_error(self, tmp_path, capsys):
         _assert_out_refused("eval", ["--q", "0.3", "--setting", "nofb", "--gamma", "0"], tmp_path, capsys)
 
@@ -181,16 +197,10 @@ class TestSimulate:
         for token in ("sim_mean=", "sim_ci=", "arrivals=", "overflows=", "successes=5001"):
             assert token in out
 
-    def test_replications_pool_epochs(self, capsys):
-        args = ["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0",
-                "--epochs", "2000", "--seed", "3"]
-        assert main(args) == 0
-        one = capsys.readouterr().out
-        assert main(args + ["--replications", "3"]) == 0
-        three = capsys.readouterr().out
-        ci = lambda s: float(re.search(r"sim_ci=(\d+\.\d+)", s).group(1))
-        assert ci(three) < ci(one)
-        assert "replications=3" in three
+    def test_replications_are_usage_errors(self, tmp_path, capsys):
+        # one run's batch-means interval holds for any M, so simulate pools no replications
+        args = ["--q", "0.3", "--setting", "nofb", "--epochs", "100"]
+        _assert_single_run_flags_refused("simulate", args, tmp_path, capsys, flags=("replications",))
 
     def test_fewer_epochs_than_batches_still_give_an_interval(self, capsys):
         # 3 epochs per source make 3 batches, with Student's t at 2 df
@@ -210,11 +220,6 @@ class TestSimulate:
         assert main(args) == 0
         capsys.readouterr()
         assert out_path.read_text() == first
-
-    def test_trace_rejects_multiple_replications(self, capsys):
-        rc = main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0",
-                   "--epochs", "100", "--trace", "--replications", "2"])
-        assert rc == 2
 
     def test_zero_epochs_is_usage_error(self, capsys):
         assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--epochs", "0"]) == 2
@@ -313,6 +318,11 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == "" and "gamma must be finite" in captured.err
 
+    def test_gamma_whose_square_overflows_is_usage_error(self, capsys):
+        # no row is written: the grid fails before the CSV is emitted
+        assert main(["sweep", "--q", "0.3", "--setting", "nofb,wfb", "--gamma", "0,1e308"]) == 2
+        assert capsys.readouterr() == ("", "error: gamma must be small enough that gamma^2 is finite, got 1e+308\n")
+
 
 class TestValidate:
     def test_small_grid_passes(self, capsys):
@@ -395,7 +405,6 @@ class TestUsageErrors:
             ("eval --q 0.3 --setting nofb --gamma abc", "--gamma expects numbers or 'optimal', got 'abc'"),
             ("eval --q 0.3 --setting nofb --gamma -1", "--gamma must be nonnegative"),
             ("solve --q 0.3 --setting nofb,wfb", "--setting expects a single value for this command"),
-            ("simulate --q 0.3 --setting nofb --gamma 0 --replications 0", "--replications must be at least 1"),
             ("sweep --setting nofb", "sweep requires --q and --setting (comma lists allowed)"),
         ],
     )
@@ -437,11 +446,12 @@ READS = {
     "solve": ("q", "setting"),
     "eval": ("q", "m", "setting", "gamma"),
     "optimize": ("q", "m", "setting"),
-    "simulate": ("q", "m", "setting", "gamma", "epochs", "seed", "replications", "out", "trace"),
+    "simulate": ("q", "m", "setting", "gamma", "epochs", "seed", "out", "trace"),
     "sweep": ("q", "m", "setting", "gamma", "epochs", "seed", "out"),
     "validate": ("q", "m", "setting", "gamma", "epochs", "seed", "out"),
 }
-FLAGS = READS["simulate"]
+# every flag some command reads, and --replications, which every command refuses
+FLAGS = (*READS["simulate"], "replications")
 
 
 class TestFlagSets:
@@ -564,15 +574,15 @@ class TestPinnedOutputs:
         "args,line",
         [
             (
-                "--q 0.3 --m 2 --setting nofb --gamma 0.2 --epochs 20000 --replications 2 --seed 5",
-                "q=0.300000 M=2 setting=nofb gamma=0.200000 sim_mean=2.359268 sim_ci=0.021239 "
-                "epochs_per_source=20000 replications=2 arrivals=116383 overflows=2138 "
-                "attempts=114245 successes=80094 seed=5",
+                "--q 0.3 --m 2 --setting nofb --gamma 0.2 --epochs 40000 --seed 5",
+                "q=0.300000 M=2 setting=nofb gamma=0.200000 sim_mean=2.346973 sim_ci=0.024433 "
+                "epochs_per_source=40000 arrivals=115998 overflows=2165 "
+                "attempts=113833 successes=80068 seed=5",
             ),
             (
                 "--q 0.5 --m 3 --setting wfb --epochs 20000 --seed 9",
                 "q=0.500000 M=3 setting=wfb gamma=0.000000 sim_mean=4.014331 sim_ci=0.048940 "
-                "epochs_per_source=20000 replications=1 arrivals=120229 overflows=0 "
+                "epochs_per_source=20000 arrivals=120229 overflows=0 "
                 "attempts=120229 successes=60003 seed=9",
             ),
         ],
@@ -588,13 +598,13 @@ class TestColdStart:
         script = textwrap.dedent(
             f"""
             import sys
-            from aoi_erasure import make_config, run_simulation
+            from aoi_erasure import SimConfig, run_simulation
             from aoi_erasure.cli import main
             main(["validate", "--q", "0.3", "--m", "2", "--epochs", "2000"])
             rc = main(["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "2000",
                        "--trace", "--out", {str(tmp_path / "events.log")!r}])
             assert rc == 0, rc
-            res, _, _ = run_simulation(make_config(0.3, 2, "wfb", 0.4, horizon=500.0, seed=1))
+            res, _, _ = run_simulation(SimConfig(0.3, 2, "wfb", 0.4, horizon=500.0, seed=1))
             assert res.ci_half_width > 0.0
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             """
@@ -741,9 +751,9 @@ class TestConfigFile:
     def test_trace_words(self, tmp_path, capsys, monkeypatch, word, traced):
         seen = []
 
-        def capture(cfg):
+        def capture(cfg, **kw):
             seen.append(cfg.trace)
-            return run_simulation(cfg)
+            return run_simulation(cfg, **kw)
 
         monkeypatch.setattr(simulator, "run_simulation", capture)
         cfg = tmp_path / "run.cfg"

@@ -19,7 +19,6 @@ from aoi_erasure.simulator import (
     SUCCESS,
     EventLog,
     SimConfig,
-    make_config,
     run_simulation,
 )
 from epoch_oracle import batch_ratio_estimate, epochs_nofb, epochs_wfb
@@ -97,50 +96,50 @@ class TestPolicyRules:
 
 class TestEpochEngine:
     def test_greedy_no_erasures_renewal_value(self):
-        res, epochs, log = run_simulation(make_config(0.0, 1, "nofb", 0.0, target_epochs=1000000, seed=1))
+        res, epochs, log = run_simulation(SimConfig(0.0, 1, "nofb", 0.0, target_epochs=1000000, seed=1))
         assert log is None
         assert abs(res.mean_aoi - 1.0) <= 0.01
         assert len(epochs) == 1000000
 
     def test_greedy_half_erasures(self):
-        res, _, _ = run_simulation(make_config(0.5, 1, "nofb", 0.0, target_epochs=1000000, seed=2))
+        res, _, _ = run_simulation(SimConfig(0.5, 1, "nofb", 0.0, target_epochs=1000000, seed=2))
         assert abs(res.mean_aoi - 2.0) <= 0.02
 
     def test_round_robin_two_sources(self):
-        res, _, _ = run_simulation(make_config(0.3, 2, "nofb", 0.0, target_epochs=100000, seed=3))
+        res, _, _ = run_simulation(SimConfig(0.3, 2, "nofb", 0.0, target_epochs=100000, seed=3))
         target = aoi_rr_nofb(0.3, 2, 0.0)
         assert abs(res.mean_aoi - target) <= 0.01 * target
 
     def test_wfb_single_source_at_optimum(self):
         sol = solve_wfb(0.5)
-        res, _, _ = run_simulation(make_config(0.5, 1, "wfb", sol.threshold, target_epochs=100000, seed=4))
+        res, _, _ = run_simulation(SimConfig(0.5, 1, "wfb", sol.threshold, target_epochs=100000, seed=4))
         assert abs(res.mean_aoi - sol.lambda_star) <= max(3 * res.ci_half_width, 0.01 * sol.lambda_star)
 
     def test_counters_and_overflow_accounting(self):
-        res, _, _ = run_simulation(make_config(0.3, 1, "nofb", 2.0, target_epochs=20000, seed=5))
+        res, _, _ = run_simulation(SimConfig(0.3, 1, "nofb", 2.0, target_epochs=20000, seed=5))
         assert res.successes <= res.attempts <= res.arrivals - res.overflows
         # mean overflow per attempt is gamma - 1 + e^-gamma, far from zero here
         assert res.overflows > 0.5 * res.attempts
 
     def test_greedy_never_overflows(self):
-        res, _, _ = run_simulation(make_config(0.4, 1, "nofb", 0.0, target_epochs=5000, seed=6))
+        res, _, _ = run_simulation(SimConfig(0.4, 1, "nofb", 0.0, target_epochs=5000, seed=6))
         assert res.overflows == 0
         assert res.arrivals == res.attempts
 
     def test_attempts_per_epoch_geometric(self):
-        res, epochs, _ = run_simulation(make_config(0.3, 1, "nofb", 0.47, target_epochs=1000000, seed=7))
+        res, epochs, _ = run_simulation(SimConfig(0.3, 1, "nofb", 0.47, target_epochs=1000000, seed=7))
         att = epochs.attempts.astype(np.float64)
         assert abs(att.mean() - 1.0 / 0.7) <= 0.01 / 0.7
 
     def test_observed_first_waits_match_moments(self):
         # with q = 0 each wfb epoch is exactly one wait max(gamma, tau)
-        res, epochs, _ = run_simulation(make_config(0.0, 1, "wfb", 1.0, target_epochs=1000000, seed=8))
+        res, epochs, _ = run_simulation(SimConfig(0.0, 1, "wfb", 1.0, target_epochs=1000000, seed=8))
         y = epochs.y
         m1 = exp_max_moments(1.0).m1
         assert abs(y.mean() - m1) <= 0.005 * m1
 
     def test_epoch_records_shape(self):
-        res, epochs, _ = run_simulation(make_config(0.2, 3, "wfb", 0.1, target_epochs=50, seed=9))
+        res, epochs, _ = run_simulation(SimConfig(0.2, 3, "wfb", 0.1, target_epochs=50, seed=9))
         assert len(epochs) == 3 * 50
         assert res.epochs_per_source == 50
         assert epochs.R == pytest.approx(epochs.y * epochs.y / 2.0, rel=1e-12)
@@ -148,14 +147,14 @@ class TestEpochEngine:
 
     @pytest.mark.parametrize("setting", ["nofb", "wfb"])
     def test_per_source_means_are_source_ratios(self, setting):
-        res, epochs, _ = run_simulation(make_config(0.3, 3, setting, 0.2, target_epochs=2000, seed=10))
+        res, epochs, _ = run_simulation(SimConfig(0.3, 3, setting, 0.2, target_epochs=2000, seed=10))
         assert len(res.per_source_mean) == 3
         for j, mean in enumerate(res.per_source_mean, start=1):
             mine = epochs.source_id == j
             assert mean == float(epochs.R[mine].sum()) / float(epochs.y[mine].sum())
 
     def test_wfb_epochs_look_iid(self):
-        _, epochs, _ = run_simulation(make_config(0.5, 1, "wfb", 0.9438, target_epochs=100000, seed=55))
+        _, epochs, _ = run_simulation(SimConfig(0.5, 1, "wfb", 0.9438, target_epochs=100000, seed=55))
         y = epochs.y
         odd, even = y[1::2], y[0::2]
         for a, b in [(odd, even), (odd**2, even**2)]:
@@ -179,7 +178,7 @@ class TestWaldIdentity:
         (0.3, 2, "wfb", 0.25, 24), (0.6, 1, "wfb", 1.2, 25), (0.0, 4, "wfb", 0.5, 26),
     ])
     def test_epoch_mean(self, q, M, setting, gamma, seed, trace):
-        _, epochs, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=20000, seed=seed,
+        _, epochs, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=20000, seed=seed,
                                                   trace=trace))
         m1 = exp_max_moments(gamma).m1
         mean = M * m1 / (1.0 - q) if setting == "nofb" else M * (m1 + q / (1.0 - q))
@@ -222,7 +221,7 @@ class TestEngineBlocks:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_all_at_once_engines(self, setting, M, q, gamma, target, seed):
-        cfg = make_config(q, M, setting, gamma, target_epochs=target, seed=seed)
+        cfg = SimConfig(q, M, setting, gamma, target_epochs=target, seed=seed)
         res, epochs, _ = run_simulation(cfg)
         oracle = epochs_wfb if setting == "wfb" else epochs_nofb
         ys, atts, *counters = oracle(q, M, gamma, target, *simulator._spawn_streams(seed, None))
@@ -249,7 +248,7 @@ class TestEngineBlocks:
     )
     def test_small_blocks_match_the_default(self, setting, M, q, gamma, block, blocks, past, seed):
         target = max(1, blocks * max(1, block // M) - 1 + past)
-        cfg = make_config(q, M, setting, gamma, target_epochs=target, seed=seed)
+        cfg = SimConfig(q, M, setting, gamma, target_epochs=target, seed=seed)
         _assert_same_run(_run_with_block(block, cfg), run_simulation(cfg))
 
     @pytest.mark.parametrize("past", [0, 1])
@@ -258,7 +257,7 @@ class TestEngineBlocks:
     @pytest.mark.parametrize("setting", ["nofb", "wfb"])
     def test_default_block_edge(self, setting, M, q, past):
         target = simulator._BLOCK // M - 1 + past
-        cfg = make_config(q, M, setting, 0.4, target_epochs=target, seed=M)
+        cfg = SimConfig(q, M, setting, 0.4, target_epochs=target, seed=M)
         _assert_same_run(run_simulation(cfg), _run_with_block(1 << 12, cfg))
 
 
@@ -329,7 +328,7 @@ class TestErasureSeed:
     def test_trace_attempt_times(self, q, M, gamma, target, seed, erasure_seeds):
         times = []
         for erasure_seed in erasure_seeds:
-            cfg = make_config(q, M, "nofb", gamma, target_epochs=target, seed=seed, trace=True,
+            cfg = SimConfig(q, M, "nofb", gamma, target_epochs=target, seed=seed, trace=True,
                               erasure_seed=erasure_seed)
             _, _, log = run_simulation(cfg)
             times.append(log.time[log.kind == simulator._CODE[ATTEMPT]])
@@ -347,7 +346,7 @@ class TestErasureSeed:
         erasure_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     )
     def test_epochs_lie_on_the_arrival_grid(self, q, M, gamma, target, seed, erasure_seed):
-        cfg = make_config(q, M, "nofb", gamma, target_epochs=target, seed=seed, erasure_seed=erasure_seed)
+        cfg = SimConfig(q, M, "nofb", gamma, target_epochs=target, seed=seed, erasure_seed=erasure_seed)
         res, epochs, _ = run_simulation(cfg)
         rng_a, _, _ = simulator._spawn_streams(seed, None)
         # attempt i belongs to source i mod M and happens at grid[i]
@@ -377,14 +376,14 @@ class TestTraceEngine:
         assert got.dtype == np.int64 and got.tolist() == want
 
     def test_byte_identical_logs_for_identical_seeds(self):
-        mk = lambda: make_config(0.3, 2, "nofb", 0.3, target_epochs=500, seed=42, trace=True)
+        mk = lambda: SimConfig(0.3, 2, "nofb", 0.3, target_epochs=500, seed=42, trace=True)
         _, _, la = run_simulation(mk())
         _, _, lb = run_simulation(mk())
         assert la.to_lines() == lb.to_lines()
 
     def test_nofb_attempts_blind_to_erasures(self):
-        base = make_config(0.3, 2, "nofb", 0.3, target_epochs=500, seed=42, trace=True)
-        shuf = make_config(0.3, 2, "nofb", 0.3, target_epochs=500, seed=42, trace=True, erasure_seed=999)
+        base = SimConfig(0.3, 2, "nofb", 0.3, target_epochs=500, seed=42, trace=True)
+        shuf = SimConfig(0.3, 2, "nofb", 0.3, target_epochs=500, seed=42, trace=True, erasure_seed=999)
         _, _, la = run_simulation(base)
         _, _, lc = run_simulation(shuf)
         at = lambda log: [(e.time, e.source_id) for e in log.events if e.kind == ATTEMPT]
@@ -402,31 +401,31 @@ class TestTraceEngine:
         [(0.3, 1, "nofb", 0.47), (0.3, 4, "nofb", 0.2), (0.5, 1, "wfb", 0.94), (0.7, 2, "wfb", 0.0)],
     )
     def test_battery_audit(self, q, m, setting, gamma):
-        _, _, log = run_simulation(make_config(q, m, setting, gamma, target_epochs=1000, seed=13, trace=True))
+        _, _, log = run_simulation(SimConfig(q, m, setting, gamma, target_epochs=1000, seed=13, trace=True))
         log.check_invariants()
 
     def test_rr_attempt_order(self):
-        _, _, log = run_simulation(make_config(0.4, 3, "nofb", 0.1, target_epochs=100, seed=21, trace=True))
+        _, _, log = run_simulation(SimConfig(0.4, 3, "nofb", 0.1, target_epochs=100, seed=21, trace=True))
         srcs = [e.source_id for e in log.events if e.kind == ATTEMPT]
         assert srcs == [i % 3 + 1 for i in range(len(srcs))]
 
     def test_maf_serves_cyclically(self):
         # zero service time makes max-age-first deterministic: the stalest
         # source is always the least recently served one
-        _, _, log = run_simulation(make_config(0.4, 3, "wfb", 0.2, target_epochs=300, seed=5, trace=True))
+        _, _, log = run_simulation(SimConfig(0.4, 3, "wfb", 0.2, target_epochs=300, seed=5, trace=True))
         srcs = [e.source_id for e in log.events if e.kind == SUCCESS]
         assert srcs == [i % 3 + 1 for i in range(len(srcs))]
 
     def test_nofb_threshold_separates_attempts(self):
         gamma = 0.8
-        _, _, log = run_simulation(make_config(0.2, 1, "nofb", gamma, target_epochs=500, seed=31, trace=True))
+        _, _, log = run_simulation(SimConfig(0.2, 1, "nofb", gamma, target_epochs=500, seed=31, trace=True))
         at = [e.time for e in log.events if e.kind == ATTEMPT]
         gaps = np.diff(at)
         assert np.all(gaps >= gamma - 1e-12)
 
     def test_wfb_turn_timing(self):
         gamma = 0.9
-        _, _, log = run_simulation(make_config(0.5, 1, "wfb", gamma, target_epochs=500, seed=37, trace=True))
+        _, _, log = run_simulation(SimConfig(0.5, 1, "wfb", gamma, target_epochs=500, seed=37, trace=True))
         arrivals = {e.time for e in log.events if e.kind == ENERGY_ARRIVAL}
         last_success = 0.0
         first_of_turn = True
@@ -445,7 +444,7 @@ class TestTraceEngine:
         log.check_invariants()
 
     def test_dump_format(self, tmp_path):
-        _, _, log = run_simulation(make_config(0.3, 2, "wfb", 0.4, target_epochs=50, seed=43, trace=True))
+        _, _, log = run_simulation(SimConfig(0.3, 2, "wfb", 0.4, target_epochs=50, seed=43, trace=True))
         path = tmp_path / "events.log"
         log.dump(str(path))
         lines = path.read_text().splitlines()
@@ -457,8 +456,8 @@ class TestTraceEngine:
 
     def test_engines_agree_statistically(self):
         cell = (0.5, 2, "wfb", 0.4)
-        fast, _, _ = run_simulation(make_config(*cell, target_epochs=30000, seed=101))
-        loop, _, _ = run_simulation(make_config(*cell, target_epochs=30000, seed=202, trace=True))
+        fast, _, _ = run_simulation(SimConfig(*cell, target_epochs=30000, seed=101))
+        loop, _, _ = run_simulation(SimConfig(*cell, target_epochs=30000, seed=202, trace=True))
         analytic = aoi_maf_wfb(0.5, 2, 0.4)
         gap = abs(fast.mean_aoi - loop.mean_aoi)
         assert gap <= 3.0 * (fast.ci_half_width + loop.ci_half_width)
@@ -466,7 +465,7 @@ class TestTraceEngine:
             assert abs(r.mean_aoi - analytic) <= max(3.0 * r.ci_half_width, 0.01 * analytic)
 
     def test_trace_counters_chain(self):
-        res, _, log = run_simulation(make_config(0.3, 1, "nofb", 1.2, target_epochs=2000, seed=47, trace=True))
+        res, _, log = run_simulation(SimConfig(0.3, 1, "nofb", 1.2, target_epochs=2000, seed=47, trace=True))
         assert res.successes <= res.attempts <= res.arrivals - res.overflows
         by_kind = {}
         for e in log.events:
@@ -477,7 +476,7 @@ class TestTraceEngine:
         assert by_kind[ENERGY_ARRIVAL] + by_kind.get(OVERFLOW, 0) == res.arrivals
 
     def test_erasure_seed_is_reproducible(self):
-        mk = lambda: make_config(0.3, 1, "nofb", 0.2, target_epochs=300, seed=3, trace=True, erasure_seed=77)
+        mk = lambda: SimConfig(0.3, 1, "nofb", 0.2, target_epochs=300, seed=3, trace=True, erasure_seed=77)
         _, _, la = run_simulation(mk())
         _, _, lb = run_simulation(mk())
         assert la.to_lines() == lb.to_lines()
@@ -486,7 +485,7 @@ class TestTraceEngine:
     def test_arrival_top_up_changes_nothing(self, tmp_path, monkeypatch, setting):
         # a first draw of n // 50 arrivals makes the loop top the stream up; the
         # chunked draws continue the same stream and running sum, so no output moves
-        cfg = make_config(0.3, 2, setting, 0.4, target_epochs=2000, seed=3, trace=True)
+        cfg = SimConfig(0.3, 2, setting, 0.4, target_epochs=2000, seed=3, trace=True)
         want = run_simulation(cfg)
         real, calls = simulator._more_arrivals, []
 
@@ -538,7 +537,7 @@ class TestEventLogChecker:
         data=st.data(),
     )
     def test_first_error_matches_event_replay(self, cell, stop, op, data):
-        _, _, log = run_simulation(make_config(*cell, seed=3, trace=True, **stop))
+        _, _, log = run_simulation(SimConfig(*cell, seed=3, trace=True, **stop))
         time, kind, source = log.time.copy(), log.kind.copy(), log.source.copy()
         n = time.size
         i = data.draw(st.integers(0, n - 1))
@@ -587,7 +586,7 @@ class TestDumpChunks:
         shift=st.booleans(),
     )
     def test_chunk_size_changes_no_byte(self, tmp_path_factory, chunk, cell, shift):
-        _, _, log = run_simulation(make_config(*cell, horizon=300.0, seed=3, trace=True))
+        _, _, log = run_simulation(SimConfig(*cell, horizon=300.0, seed=3, trace=True))
         if shift:
             offset = simulator._FAST_MAX - log.time[len(log) // 2]
             log = EventLog.from_columns(log.time + offset, log.kind, log.source)
@@ -603,21 +602,21 @@ class TestDumpChunks:
 
 class TestHorizonMode:
     def test_estimate_matches_closed_form(self):
-        res, _, _ = run_simulation(make_config(0.3, 2, "nofb", 0.2, horizon=50000.0, seed=17))
+        res, _, _ = run_simulation(SimConfig(0.3, 2, "nofb", 0.2, horizon=50000.0, seed=17))
         target = aoi_rr_nofb(0.3, 2, 0.2)
         assert abs(res.mean_aoi - target) <= max(3.0 * res.ci_half_width, 0.02 * target)
         assert res.ci_half_width > 0.0
 
     def test_tiny_horizon_warns_and_keeps_tail(self):
         with pytest.warns(RuntimeWarning):
-            res, epochs, _ = run_simulation(make_config(0.0, 1, "nofb", 0.0, horizon=0.01, seed=2))
+            res, epochs, _ = run_simulation(SimConfig(0.0, 1, "nofb", 0.0, horizon=0.01, seed=2))
         # no success fits, so the whole window is one growing ramp
         assert res.mean_aoi == pytest.approx(0.005, rel=1e-12)
         assert res.epochs_per_source == 0
         assert len(epochs) == 0 and epochs.y.size == epochs.attempts.size == 0
 
     def test_trace_plus_horizon(self):
-        res, _, log = run_simulation(make_config(0.4, 1, "wfb", 0.5, horizon=2000.0, seed=19, trace=True))
+        res, _, log = run_simulation(SimConfig(0.4, 1, "wfb", 0.5, horizon=2000.0, seed=19, trace=True))
         log.check_invariants()
         assert all(e.time <= 2000.0 for e in log.events)
         target = aoi_maf_wfb(0.4, 1, 0.5)
@@ -638,7 +637,7 @@ class TestHorizonMode:
         ],
     )
     def test_pinned_estimates(self, cell, horizon, seed, mean, ci, per_source):
-        res, _, _ = run_simulation(make_config(*cell, horizon=horizon, seed=seed))
+        res, _, _ = run_simulation(SimConfig(*cell, horizon=horizon, seed=seed))
         assert repr(float(res.mean_aoi)) == repr(mean)
         assert repr(float(res.ci_half_width)) == repr(ci)
         assert repr(tuple(float(x) for x in res.per_source_mean)) == repr(per_source)

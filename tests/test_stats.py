@@ -3,8 +3,8 @@ import pytest
 
 from aoi_erasure import stats
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, optimize_gamma, solve_nofb
-from aoi_erasure.model import Feedback
-from aoi_erasure.simulator import make_config, run_simulation
+from aoi_erasure.model import Feedback, SimConfig
+from aoi_erasure.simulator import run_simulation
 from aoi_erasure.stats import (
     ValidationRecord,
     closed_form_aoi,
@@ -35,7 +35,7 @@ class TestRatioEstimate:
         assert ratio_estimate(np.array([3.0]), np.array([4.5]), 1.5) == 0.0
 
     def test_one_epoch_run_has_no_interval(self):
-        res, _, _ = run_simulation(make_config(0.3, 1, "nofb", 0.2, target_epochs=1, seed=4))
+        res, _, _ = run_simulation(SimConfig(0.3, 1, "nofb", 0.2, target_epochs=1, seed=4))
         assert res.ci_half_width == 0.0
         assert res.mean_aoi == res.per_source_mean[0] > 0.0
 
@@ -57,7 +57,7 @@ class TestRatioEstimate:
 
 
 def _pooled(q, M, setting, gamma, n, seed):
-    res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
+    res, _, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=n, seed=seed))
     return res.mean_aoi, res.ci_half_width
 
 
@@ -89,14 +89,6 @@ class TestMoments:
     def test_matches_cov_reference(self, y, rel):
         point, ci = batch_ratio_estimate([y])
         assert _estimate(y) == pytest.approx((point, ci), rel=rel, abs=0.0)
-
-    def test_merged_runs_match_pooled_reference(self):
-        # replications pool by adding batch b across runs, as simulate --replications does
-        runs = [np.stack([_epochs(999, seed=10 * r + j) for j in range(3)]) for r in range(4)]
-        totals = sum(stats._epoch_batches(ys)[2] for ys in runs)
-        point = float(totals[1].sum() / totals[0].sum())
-        want = batch_ratio_estimate(np.concatenate(runs))
-        assert (point, ratio_estimate(*totals, point)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 2.0, 7.77])
     @pytest.mark.parametrize("n", [2, 50, 65537])
@@ -227,7 +219,7 @@ class TestOneEntryPoint:
     )
     def test_oracles_equal_run_simulation(self, q, M, setting, gamma):
         n, seed = 3000, 5
-        res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
+        res, _, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=n, seed=seed))
         rec = validate(q, M, setting, gamma, n_epochs=n, seed=seed)
         assert (rec.sim_mean, rec.sim_ci) == (res.mean_aoi, res.ci_half_width)
         (est,) = sim_gamma_curve(q, M, setting, [gamma], n_epochs=n, seed=seed)
@@ -244,7 +236,7 @@ class TestOneEntryPoint:
         n, seed = 2000, 3
         gamma_star, _ = optimize_gamma(q, M, setting)
         for gamma in (0.0, gamma_star):
-            res, _, _ = run_simulation(make_config(q, M, setting, gamma, target_epochs=n, seed=seed))
+            res, _, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=n, seed=seed))
             assert stats._simulate(q, M, Feedback(setting), gamma, n, seed) == res
             rec = validate(q, M, setting, gamma, n_epochs=n, seed=seed)
             assert (rec.sim_mean, rec.sim_ci) == (res.mean_aoi, res.ci_half_width)

@@ -13,6 +13,7 @@ import pytest
 
 from aoi_erasure.analytic import optimize_gamma
 from aoi_erasure.cli import main
+from aoi_erasure.model import SimConfig
 from aoi_erasure.simulator import (
     ATTEMPT,
     ENERGY_ARRIVAL,
@@ -23,7 +24,6 @@ from aoi_erasure.simulator import (
     EventLog,
     _format_lines,
     _run_loop,
-    make_config,
     run_simulation,
 )
 from trace_oracle import lines, run_loop
@@ -53,7 +53,7 @@ def test_engine_matches_literal_loop_on_grid(setting, M):
         gamma_star, _ = optimize_gamma(q, M, setting)
         for gamma in (0.0, gamma_star, 2.0):
             seed = int(q * 10) + 7 * M
-            assert_same_run(make_config(q, M, setting, gamma, target_epochs=40, seed=seed, trace=True))
+            assert_same_run(SimConfig(q, M, setting, gamma, target_epochs=40, seed=seed, trace=True))
 
 
 @pytest.mark.parametrize(
@@ -70,12 +70,12 @@ def test_engine_matches_literal_loop_on_grid(setting, M):
 @pytest.mark.parametrize("cell", [(0.3, 1, "nofb", 0.47), (0.5, 3, "nofb", 0.0), (0.4, 2, "wfb", 0.5),
                                   (0.7, 4, "wfb", 2.0)])
 def test_engine_matches_literal_loop_seeds_and_horizons(cell, kw):
-    assert_same_run(make_config(*cell, seed=11, **kw))
+    assert_same_run(SimConfig(*cell, seed=11, **kw))
 
 
 def test_horizon_cut_between_stored_arrival_and_attempt():
     # a long threshold makes the cut land while the battery holds a unit
-    cfg = make_config(0.2, 1, "nofb", 5.0, horizon=12.5, seed=3, trace=True)
+    cfg = SimConfig(0.2, 1, "nofb", 5.0, horizon=12.5, seed=3, trace=True)
     raw = _run_loop(cfg, True)
     assert raw.arrivals - raw.overflows == raw.attempts + 1
     assert_same_run(cfg)
@@ -99,7 +99,7 @@ GOLDEN_LOGS = [
 
 @pytest.mark.parametrize("kw,n_events,digest", GOLDEN_LOGS)
 def test_golden_log_digests(kw, n_events, digest, tmp_path):
-    _, _, log = run_simulation(make_config(**kw, trace=True))
+    _, _, log = run_simulation(SimConfig(**kw, trace=True))
     path = tmp_path / "events.log"
     log.dump(str(path))
     assert len(log) == n_events
@@ -113,7 +113,7 @@ def test_golden_simulate_command(tmp_path, capsys):
                  "--seed", "5", "--trace", "--out", str(path)]) == 0
     assert capsys.readouterr().out == (
         "q=0.300000 M=2 setting=wfb gamma=0.253934 sim_mean=2.115480 sim_ci=0.062725 "
-        "epochs_per_source=3000 replications=1 arrivals=8683 overflows=201 attempts=8482 "
+        "epochs_per_source=3000 arrivals=8683 overflows=201 attempts=8482 "
         "successes=6002 seed=5\n"
     )
     # the optimal threshold is the bisected root 0.2539340525478827; this is
@@ -170,7 +170,7 @@ def test_log_lines_keep_their_shape():
     pat = re.compile(r"^\d+\.\d{9}\t(EnergyArrival|Overflow|Attempt|Erasure|Success)\t\d+$")
     cells = ((12, 30, np.uint8), (255, 2, np.uint8), (256, 2, np.uint16), (300, 3, np.uint16))
     for M, target, dtype in cells:
-        _, _, log = run_simulation(make_config(0.3, M, "nofb", 0.1, target_epochs=target, seed=4, trace=True))
+        _, _, log = run_simulation(SimConfig(0.3, M, "nofb", 0.1, target_epochs=target, seed=4, trace=True))
         assert log.source.dtype == np.min_scalar_type(M) == dtype
         text = log.to_lines()
         assert all(pat.match(line) for line in text)
