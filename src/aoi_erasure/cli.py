@@ -14,11 +14,11 @@ parser refuses any other flag, abbreviations included. A flat
 `key = value` config file supplies the command's flags by name: argparse
 parses each line as the flag `--key=value`, placed before the explicit
 flags, so flags override config values, which override the defaults. A
-comma-list flag refuses an empty list. Exit codes: 0 ok, 1 solver or
-simulation failure, 2 usage error, 3 validation FAIL. simulate prints
-one seeded run's SimResult as run_simulation returns it. The simulator
-and stats modules, and numpy with them, are imported only by the
-commands that simulate (simulate, validate, sweep --epochs).
+comma-list flag refuses an empty list. Exit codes: 0 ok, 1 solver,
+simulation or allocation failure, 2 usage error, 3 validation FAIL.
+simulate prints one seeded run's SimResult as run_simulation returns
+it. The simulator and stats modules, and numpy with them, are imported
+only by the commands that simulate (simulate, validate, sweep --epochs).
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def _cmd_sweep(opts: argparse.Namespace) -> int:
 def _cmd_validate(opts: argparse.Namespace) -> int:
     lines, records = _grid_rows(_grid_cells(opts), opts.epochs, opts.seed)
     _emit(lines, opts.out)
-    wide = sum(3.0 * rec.sim_ci > rec.rel_tol * rec.analytic for rec in records)
+    wide = sum(rec.leans_on_ci for rec in records)
     if wide:
         print(
             f"warning: CI too wide for the {records[0].rel_tol:.0%} tolerance in {wide} of "
@@ -358,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)
     # BracketError is a ValueError, so the exit-1 clause comes first
-    except (BracketError, RuntimeError, OSError) as exc:
+    except (BracketError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError) as exc:

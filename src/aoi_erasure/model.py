@@ -66,6 +66,10 @@ def _require_seed(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
+# numpy's largest Poisson mean, which the overflow draws reach at gamma; the next float up is refused
+_GAMMA_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
+
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     """One run: erasure probability, sources, setting, threshold, stopping rule, seeds.
@@ -99,6 +103,10 @@ class SimConfig:
         object.__setattr__(self, "setting", Feedback(self.setting))
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        if self.gamma > _GAMMA_MAX:
+            raise ValueError(
+                f"gamma must be at most {_GAMMA_MAX!r}, numpy's largest Poisson mean, got {self.gamma!r}"
+            )
         if (self.target_epochs is None) == (self.horizon is None):
             raise ValueError("exactly one stopping rule must be set: target_epochs or horizon")
         if self.target_epochs is not None:

@@ -44,6 +44,15 @@ runs, the event log. Two engines produce statistically identical runs:
   tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
   engine must match bit for bit.
 
+The estimators live here too. Every run's 95% CI is by batch means
+(ratio_estimate): for M > 1 the sources share one energy stream and one
+attempt sequence, so their epochs are correlated, and iid pooling would
+understate the interval by up to about sqrt(M). Each of the _N_BATCHES
+batches (one an epoch, with fewer epochs) totals every source's y and
+R = y**2 / 2 over a run of consecutive epochs (of time, in horizon
+runs), which keeps that correlation inside it. The point estimate is
+the ratio of the plain sums of R and y.
+
 Reproducibility contract: a SimConfig seed feeds a SeedSequence that is
 split into three substreams (arrival waits, erasure draws, overflow
 counts), so identical seeds give byte-identical event logs, and
@@ -62,7 +71,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import stats
 from .model import Feedback, SimConfig, SimResult
 
 __all__ = ["SimConfig", "Epochs", "Event", "EventLog", "run_simulation"]
@@ -285,10 +293,13 @@ def _overflows(rng_o: np.random.Generator, gamma: float, tau: np.ndarray) -> int
     """Arrivals lost while the threshold holds a full battery: Poisson(gamma - tau) each.
 
     Only positive means are drawn: a zero mean yields 0 without touching
-    the stream, so the skipped draws change nothing.
+    the stream, so the skipped draws change nothing. The draws are summed
+    exactly, as high and low 32-bit halves, since an int64 sum of draws
+    near gamma = 1e17 wraps.
     """
     lam = gamma - tau
-    return int(rng_o.poisson(lam[lam > 0.0]).sum())
+    d = rng_o.poisson(lam[lam > 0.0])
+    return (int((d >> 32).sum()) << 32) + int((d & 0xFFFFFFFF).sum())
 
 
 def _epochs_nofb(
@@ -592,6 +603,51 @@ def _event_log(
     return EventLog.from_columns(time, kind, source)
 
 
+_N_BATCHES = 20
+# two-sided 95% quantiles of Student's t at 1 .. _N_BATCHES - 1 df; 19 df's is 8e-15 high, as pinned horizon CIs use it
+_T975 = (
+    12.706204736174705, 4.302652729749464, 3.1824463052837095, 2.7764451051977943, 2.5705818356363155,
+    2.44691185114497, 2.3646242515927853, 2.3060041352041667, 2.2621571627982053, 2.228138851986275,
+    2.2009851600916397, 2.178812829667229, 2.1603686564627926, 2.144786687917804, 2.1314495455597755,
+    2.1199052992212546, 2.109815577833317, 2.1009220402410387, 2.0930240544083176,
+)
+
+
+def ratio_estimate(y: np.ndarray, R: np.ndarray, point: float) -> float:
+    """95% half-width of the ratio estimate `point` of E[R] / E[y], from batch totals y and R.
+
+    The delta method: the spread of R - point * y over the B batches, over
+    sqrt(B) and the mean of y, times Student's t at B - 1 df; 0.0 if B = 1.
+    """
+    B = len(y)
+    if B < 2:
+        return 0.0
+    d = (R - R.mean()) - point * (y - y.mean())
+    sd = math.sqrt(float(np.sum(d * d)) / (B - 1))
+    return _T975[B - 2] * (sd / math.sqrt(B)) / float(y.mean())
+
+
+def _renewal_estimates(ys: np.ndarray) -> tuple[list[float], float, float]:
+    """Each row's ratio R.sum() / y.sum() of an (M, n) epoch block, the pooled ratio (row
+    sums added in row order) and its interval, from the totals of y and R over the rows
+    in B = min(_N_BATCHES, n) batches, cut as np.array_split cuts a row."""
+    n = ys.shape[1]
+    B = min(_N_BATCHES, n)
+    starts = np.arange(B) * (n // B) + np.minimum(np.arange(B), n % B)
+    per_row, sum_y, sum_r = [], 0.0, 0.0
+    totals = np.zeros((2, B))
+    for row in ys:
+        R = 0.5 * row * row
+        y_j, r_j = float(row.sum()), float(R.sum())
+        per_row.append(r_j / y_j)
+        sum_y += y_j
+        sum_r += r_j
+        totals[0] += np.add.reduceat(row, starts)
+        totals[1] += np.add.reduceat(R, starts)
+    mean = sum_r / sum_y
+    return per_row, mean, ratio_estimate(*totals, mean)
+
+
 def _horizon_estimates(
     success_times: Sequence[np.ndarray], T: float
 ) -> tuple[list[float], float, float]:
@@ -601,13 +657,13 @@ def _horizon_estimates(
     partial sawtooth segments. A source's age area up to time t is the
     whole teeth before its last success s_k <= t plus the open ramp
     0.5 (t - s_k)^2; it is taken at every batch edge at once. The
-    batches are equal in width, so each enters stats.ratio_estimate as
+    batches are equal in width, so each enters ratio_estimate as
     its mean age over the sources against a length of 1.
     """
     M = len(success_times)
-    edges = np.linspace(0.0, T, stats._N_BATCHES + 1)
+    edges = np.linspace(0.0, T, _N_BATCHES + 1)
     per_mean = []
-    batch_totals = np.zeros(stats._N_BATCHES)
+    batch_totals = np.zeros(_N_BATCHES)
     for s in success_times:
         s0 = np.concatenate(([0.0], s))
         ys = np.diff(s0)
@@ -618,7 +674,7 @@ def _horizon_estimates(
         batch_totals += np.diff(area) / np.diff(edges)
         per_mean.append(float(area[-1]) / T)
     mean = float(np.mean(per_mean))
-    return per_mean, mean, stats.ratio_estimate(np.ones(stats._N_BATCHES), batch_totals / M, mean)
+    return per_mean, mean, ratio_estimate(np.ones(_N_BATCHES), batch_totals / M, mean)
 
 
 class Epochs:
@@ -675,8 +731,7 @@ def run_simulation(
     if cfg.horizon is None:
         # every source has exactly target epochs, so the rows form one block
         ys = np.asarray(raw.ys)
-        per_mean, mean, totals = stats._epoch_batches(ys)
-        ci = stats.ratio_estimate(*totals, mean)
+        per_mean, mean, ci = _renewal_estimates(ys)
         n_epochs = cfg.target_epochs
     else:
         if any(s.size < 2 for s in raw.success_times):

@@ -2,10 +2,9 @@
 
 grid_oracle_gamma scans a gamma grid, on the closed form or by
 simulation, and sim_gamma_curve simulates along one; the optimizer and
-the acceptance checks are compared against them. They simulate through
-aoi_erasure.stats' validation helper, so each grid point is one
-run_simulation call, and report its mean_aoi and ci_half_width
-unchanged.
+the acceptance checks are compared against them. Each simulated grid
+point is one run_simulation call without epochs, as stats.validate
+makes it, and reports its mean_aoi and ci_half_width unchanged.
 """
 
 from __future__ import annotations
@@ -15,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from aoi_erasure.model import Feedback
-from aoi_erasure.stats import _simulate, closed_form_aoi
+from aoi_erasure.model import Feedback, SimConfig
+from aoi_erasure.simulator import run_simulation
+from aoi_erasure.stats import closed_form_aoi
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +54,8 @@ def grid_oracle_gamma(
     if n_epochs is None:
         vals = [closed_form_aoi(q, M, setting, g) for g in gammas]
     else:
-        vals = [_simulate(q, M, setting, g, n_epochs, seed).mean_aoi for g in gammas]
+        cfgs = [SimConfig(q, M, setting, g, target_epochs=n_epochs, seed=seed) for g in gammas]
+        vals = [run_simulation(cfg, _with_epochs=False)[0].mean_aoi for cfg in cfgs]
     return float(gammas[int(np.argmin(vals))])
 
 
@@ -70,6 +71,6 @@ def sim_gamma_curve(
     setting = Feedback(setting)
     out = []
     for g in gammas:
-        sim = _simulate(q, M, setting, g, n_epochs, seed)
+        sim, _, _ = run_simulation(SimConfig(q, M, setting, g, target_epochs=n_epochs, seed=seed), _with_epochs=False)
         out.append(RenewalEstimate(point=sim.mean_aoi, ci_half_width=sim.ci_half_width, n_epochs=n_epochs * M))
     return out

@@ -242,6 +242,19 @@ class TestSimulate:
                      "--seed", "-2"]) == 2
         assert "seed must be a nonnegative integer, got -2" in capsys.readouterr().err
 
+    def test_gamma_numpy_cannot_draw_is_usage_error(self, capsys):
+        assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "1e19", "--epochs", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: gamma must be at most 9.223372006484771e+18")
+
+    def test_allocation_failure_is_an_error_line(self, capsys, monkeypatch):
+        def out_of_memory(cfg, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(simulator, "run_simulation", out_of_memory)
+        assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--epochs", "1000000000000"]) == 1
+        assert capsys.readouterr() == ("", "error: Unable to allocate 7.28 TiB for an array\n")
+
     def test_hopeless_q_is_refused_without_a_warning(self, capsys):
         # refused before the optimizer resolves --gamma optimal and warns that q is close to 1
         with warnings.catch_warnings(record=True) as caught:

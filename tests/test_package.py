@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +45,16 @@ def test_unknown_name_raises_attribute_error():
         aoi_erasure.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from aoi_erasure import no_such_name  # noqa: F401
+
+
+def test_simulator_does_not_import_stats():
+    # stats is the validation oracle on top of the simulator; the simulator must not reach back into it
+    script = "import sys, aoi_erasure.simulator; print('aoi_erasure.stats' in sys.modules)"
+    src = str(Path(aoi_erasure.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoi_erasure import simulator, stats
+from aoi_erasure import simulator
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, exp_max_moments, solve_wfb
 from aoi_erasure.model import Feedback
 from aoi_erasure.simulator import (
@@ -54,6 +54,20 @@ class TestSimConfig:
             SimConfig(*cell, target_epochs=0)
         with pytest.raises(ValueError):
             SimConfig(*cell, horizon=0.0)
+
+    def test_refuses_a_gamma_numpy_cannot_draw(self):
+        # the overflow counts are Poisson(gamma - tau) draws; numpy's largest mean is 2**63 - 1 - 10 sqrt(2**63 - 1)
+        bound = 9.223372006484771e18
+        cell = (0.3, 1, Feedback.NOFB)
+        np.random.default_rng(0).poisson(bound)
+        res, _, _ = run_simulation(SimConfig(*cell, bound, target_epochs=3, seed=1))
+        assert res.overflows > 0
+        above = math.nextafter(bound, math.inf)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(above)
+        msg = f"gamma must be at most {bound!r}, numpy's largest Poisson mean, got {above!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            SimConfig(*cell, above, target_epochs=3)
 
     @pytest.mark.parametrize("name", ["seed", "erasure_seed"])
     @pytest.mark.parametrize("value", [-1, 1.5, 2.0, "3", True, False, np.True_])
@@ -125,6 +139,16 @@ class TestEpochEngine:
         res, _, _ = run_simulation(SimConfig(0.4, 1, "nofb", 0.0, target_epochs=5000, seed=6))
         assert res.overflows == 0
         assert res.arrivals == res.attempts
+
+    @pytest.mark.parametrize("M, setting", [(1, "nofb"), (2, "wfb")])
+    def test_overflow_counts_do_not_wrap(self, M, setting):
+        # each threshold wait overflows about gamma - 1 arrivals, so the total passes 2**63; Poisson noise is ~3e-10
+        # relative. Every attempt waits for the threshold without feedback, only a service's first attempt with it
+        gamma = 1e17
+        res, _, _ = run_simulation(SimConfig(0.3, M, setting, gamma, target_epochs=100, seed=1))
+        waits = res.attempts if setting == "nofb" else res.successes
+        assert 2**63 < res.overflows == res.arrivals - res.attempts
+        assert abs(res.overflows - waits * gamma) <= 1e-6 * waits * gamma
 
     def test_attempts_per_epoch_geometric(self):
         res, epochs, _ = run_simulation(SimConfig(0.3, 1, "nofb", 0.47, target_epochs=1000000, seed=7))
@@ -660,8 +684,8 @@ class TestHorizonEstimates:
         # every df the small-n rule can reach, 1 .. _N_BATCHES - 1
         from scipy import stats as sps
 
-        assert len(stats._T975) == stats._N_BATCHES - 1
-        for df, t in enumerate(stats._T975, start=1):
+        assert len(simulator._T975) == simulator._N_BATCHES - 1
+        for df, t in enumerate(simulator._T975, start=1):
             assert abs(t - sps.t.ppf(0.975, df)) <= 1e-12 * t, df
 
     def test_matches_scalar_sawtooth(self):

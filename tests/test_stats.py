@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aoi_erasure import stats
+from aoi_erasure import simulator
 from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, optimize_gamma, solve_nofb
 from aoi_erasure.model import Feedback, SimConfig
 from aoi_erasure.simulator import run_simulation
@@ -16,9 +18,9 @@ from gamma_oracle import RenewalEstimate, grid_oracle_gamma, sim_gamma_curve
 
 
 def _estimate(ys):
-    """stats' point and interval for an (M, n) block of epochs."""
-    _, point, totals = stats._epoch_batches(np.atleast_2d(ys))
-    return point, ratio_estimate(*totals, point)
+    """The simulator's point and interval for an (M, n) block of epochs."""
+    _, point, ci = simulator._renewal_estimates(np.atleast_2d(ys))
+    return point, ci
 
 
 class TestRatioEstimate:
@@ -154,6 +156,15 @@ class TestValidate:
         )
         assert failing.verdict == "FAIL"
 
+    def test_leans_on_ci_when_three_half_widths_exceed_the_tolerance(self):
+        rec = ValidationRecord(
+            q=0.2, M=1, setting=Feedback.NOFB, gamma=0.0, analytic=3.0,
+            sim_mean=3.0, sim_ci=0.01, n_epochs=10, seed=0, rel_tol=0.01, passed=True,
+        )
+        assert not rec.leans_on_ci  # 0.03 against 0.03
+        assert replace(rec, sim_ci=0.0101).leans_on_ci
+        assert not replace(rec, rel_tol=0.02, sim_ci=0.0199).leans_on_ci
+
     def test_estimator_is_consistent(self):
         # fixed cell, growing run length: the final error beats the first
         analytic = aoi_rr_nofb(0.3, 2, 0.3)
@@ -237,6 +248,5 @@ class TestOneEntryPoint:
         gamma_star, _ = optimize_gamma(q, M, setting)
         for gamma in (0.0, gamma_star):
             res, _, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=n, seed=seed))
-            assert stats._simulate(q, M, Feedback(setting), gamma, n, seed) == res
             rec = validate(q, M, setting, gamma, n_epochs=n, seed=seed)
             assert (rec.sim_mean, rec.sim_ci) == (res.mean_aoi, res.ci_half_width)
