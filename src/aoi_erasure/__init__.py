@@ -6,60 +6,18 @@ seeded discrete-event simulator that reproduces the same quantities by
 renewal-reward estimation.
 
 Importing the package loads only the analytic layer, which needs no
-numpy. The simulator and stats names (EventLog, make_config,
-run_simulation, Epochs, ValidationRecord, validate) are loaded on first
-access, through the module __getattr__ of PEP 562.
+numpy: the names in analytic.__all__ and model.__all__. The simulator
+and stats names in _LAZY are loaded on first access, through the module
+__getattr__ of PEP 562.
 """
 
 import importlib
 
-from .analytic import (
-    BracketError,
-    MaxMoments,
-    aoi_maf_wfb,
-    aoi_rr_nofb,
-    baseline_infinite_battery,
-    closed_form_aoi,
-    exp_max_moments,
-    feedback_gain,
-    optimize_gamma,
-    p_nofb,
-    p_wfb,
-    percentage_gain,
-    solve_nofb,
-    solve_wfb,
-)
-from .model import AnalyticSolution, Feedback, Regime, SimConfig, SimResult
+from . import analytic, model
+from .analytic import *  # noqa: F403
+from .model import *  # noqa: F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticSolution",
-    "BracketError",
-    "Epochs",
-    "EventLog",
-    "Feedback",
-    "MaxMoments",
-    "Regime",
-    "SimConfig",
-    "SimResult",
-    "ValidationRecord",
-    "aoi_maf_wfb",
-    "aoi_rr_nofb",
-    "baseline_infinite_battery",
-    "closed_form_aoi",
-    "exp_max_moments",
-    "feedback_gain",
-    "make_config",
-    "optimize_gamma",
-    "p_nofb",
-    "p_wfb",
-    "percentage_gain",
-    "run_simulation",
-    "solve_nofb",
-    "solve_wfb",
-    "validate",
-]
 
 # name: the submodule that defines it; importing that submodule loads numpy
 _LAZY = {
@@ -70,6 +28,8 @@ _LAZY = {
     "ValidationRecord": "stats",
     "validate": "stats",
 }
+
+__all__ = sorted([*analytic.__all__, *model.__all__, *_LAZY])
 
 
 def __getattr__(name: str):

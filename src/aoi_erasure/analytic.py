@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import AnalyticSolution, Feedback, Regime, require_m, require_q
+from .model import AnalyticSolution, Feedback, Regime, require_gamma, require_m, require_q
 
 __all__ = [
     "BracketError",
@@ -58,8 +58,7 @@ def exp_max_moments(gamma: float) -> MaxMoments:
     the building blocks of every threshold-policy AoI expression here. A
     gamma whose m2 overflows (from about 1.34e154 on) is refused.
     """
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    gamma = require_gamma(gamma)
     e = math.exp(-gamma)
     m2 = gamma * gamma + 2.0 * (gamma + 1.0) * e
     if not math.isfinite(m2):

@@ -85,16 +85,14 @@ def _parse_settings(text: str) -> list[Feedback]:
 
 
 def _gamma(tok: str) -> float | str:
+    """A number or 'optimal'; the library checks the number's domain."""
     tok = tok.strip().lower()
     if tok == "optimal":
         return tok
     try:
-        val = float(tok)
+        return float(tok)
     except ValueError:
         raise UsageError(f"--gamma expects numbers or 'optimal', got {tok!r}") from None
-    if val < 0.0:
-        raise UsageError("--gamma must be nonnegative")
-    return val
 
 
 def _parse_gammas(text: str) -> list[float | str]:
@@ -218,7 +216,8 @@ def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, fl
     """Deduplicated, sorted (q, M, setting, gamma, gamma_star) grid cells.
 
     gamma_star is optimized once per (q, M, setting) and serves both the
-    'optimal' gamma token and the gamma_star column.
+    'optimal' gamma token and the gamma_star column. When the grid
+    simulates, each (q, M, setting) run is checked first.
     """
     if opts.q is None or opts.setting is None:
         raise UsageError(f"{opts.command} requires --q and --setting (comma lists allowed)")
@@ -231,6 +230,8 @@ def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, fl
     for q in qs:
         for M in ms:
             for setting in settings:
+                if opts.epochs is not None:  # as in simulate, a refused run draws no optimizer warning
+                    SimConfig(q, M, setting, 0.0, target_epochs=opts.epochs, seed=opts.seed)
                 gamma_star, _ = optimize_gamma(q, M, setting)
                 for spec in gamma_specs:
                     gamma = _resolve_gamma(spec, q, M, setting, gamma_star)

@@ -1,14 +1,12 @@
 """Domain types shared by the analytic and simulation layers.
 
 Time is a 64-bit float in normalized units: energy arrives as a Poisson
-process of rate 1, transmissions are instantaneous, and the sensor's
-battery stores at most one energy unit. Age of information (AoI) of a
-source grows at slope 1 and drops to 0 exactly when one of its updates
-is successfully received. A run takes four model inputs, q, M, the
-feedback setting and the threshold gamma, which SimConfig holds flat
-beside the stopping rule and seeds. The module needs no numpy, so the
-analytic layer loads without it; the epoch columns a run returns
-(Epochs) live in the simulator, which builds them.
+process of rate 1, transmissions are instantaneous, and the battery
+stores one energy unit at most. A source's age of information (AoI)
+grows at slope 1 and drops to 0 when one of its updates is received.
+SimConfig holds a run's model inputs (q, M, setting, gamma), stopping
+rule and seeds. The module needs no numpy, so the analytic layer loads
+without it; Epochs lives in the simulator, which builds it.
 """
 
 from __future__ import annotations
@@ -18,6 +16,8 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+
+__all__ = ["Feedback", "Regime", "SimConfig", "AnalyticSolution", "SimResult"]
 
 
 class Feedback(str, Enum):
@@ -53,11 +53,18 @@ def require_q(q: float) -> float:
 
 
 def require_m(M: int) -> int:
-    """The source count as an int; raises ValueError unless a positive integer."""
-    m = int(M)
-    if m != M or m < 1:
+    """The source count as an int; raises ValueError unless a positive integer (a bool is not)."""
+    # Python's bool is a numbers.Real and numpy's is not, so each needs its own test
+    if isinstance(M, bool) or not isinstance(M, numbers.Real) or not float(M).is_integer() or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
-    return m
+    return int(M)
+
+
+def require_gamma(gamma: float) -> float:
+    """The threshold as a float; raises ValueError unless finite and >= 0."""
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    return float(gamma)
 
 
 def _require_seed(name: str, value: object) -> None:
@@ -74,13 +81,14 @@ _GAMMA_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 class SimConfig:
     """One run: erasure probability, sources, setting, threshold, stopping rule, seeds.
 
-    Every input is checked here, once. gamma = 0 encodes greedy. The
-    setting fixes the scheduler. Without feedback the sensor cannot
-    react to erasures, so its attempts follow the fixed round-robin
-    order; with feedback it retransmits the same source greedily until
-    success and picks the next source by maximum age. Exactly one
-    stopping rule is set: target_epochs per source or a wall-clock
-    horizon. erasure_seed, when set, replaces only the erasure substream.
+    Every input is checked here, once, and stored as its check returns
+    it. gamma = 0 encodes greedy. The setting fixes the scheduler.
+    Without feedback the sensor cannot react to erasures, so its attempts
+    follow the fixed round-robin order; with feedback it retransmits the
+    same source greedily until success and picks the next source by
+    maximum age. Exactly one stopping rule is set: target_epochs per
+    source or a wall-clock horizon. erasure_seed, when set, replaces only
+    the erasure substream.
     """
 
     q: float
@@ -98,11 +106,10 @@ class SimConfig:
         # refused before require_q would warn that q is close to 1
         if 0.9999 < self.q < 1.0:
             raise ValueError(f"q = {self.q} implies over 1e4 attempts per epoch; refusing")
-        require_q(self.q)
-        require_m(self.M)
+        object.__setattr__(self, "q", require_q(self.q))
+        object.__setattr__(self, "M", require_m(self.M))
         object.__setattr__(self, "setting", Feedback(self.setting))
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", require_gamma(self.gamma))
         if self.gamma > _GAMMA_MAX:
             raise ValueError(
                 f"gamma must be at most {_GAMMA_MAX!r}, numpy's largest Poisson mean, got {self.gamma!r}"

@@ -9,17 +9,18 @@ runs, the event log. Two engines produce statistically identical runs:
 * an epoch engine (default) that exploits the renewal structure: each
   transmission empties the unit battery and arrivals are memoryless, so
   waits can be drawn in bulk with numpy and no event queue is needed.
-  Every source then has exactly target_epochs epochs, which the engine
-  writes into one (M, target_epochs) block that run_simulation reads
-  without copying. Attempts are drawn and folded in fixed blocks of
-  about _BLOCK, into buffers reused from block to block, so
-  attempt-level memory does not grow with the run; only the returned
-  epoch columns do (16 bytes an epoch: y and attempts). stats.validate
-  reads no epochs, so its runs keep no attempts column (8 bytes an
-  epoch). Between blocks the engines carry the clock and, per source,
-  what the next epoch needs: without feedback the successes so far and
-  the time and cycle of the last one, with feedback the last round's
-  success times. The feedback engine also holds every first wait (8
+  Every source then has exactly target_epochs epochs. Attempts are
+  drawn and folded in fixed blocks of about _BLOCK, into buffers reused
+  from block to block, so attempt-level memory does not grow with the
+  run; only the epoch columns do (16 bytes an epoch: y and attempts;
+  stats.validate reads no epochs, so its runs keep no attempts column).
+  Each block writes every success time into its source's row of an
+  (M, target_epochs + 1) block and, when attempts are kept, the
+  source's running attempt count there into a second one; between
+  blocks only the clock and the success counts carry over. An epoch is
+  the gap between two successes of a source, so one in-place pass
+  (_gaps) turns the rows into the (M, target_epochs) y and attempts
+  blocks that run_simulation reads without copying. The feedback engine also holds every first wait (8
   bytes an epoch): its retry waits are gamma draws on the same stream
   as the first waits, and they come after all of them. Each stream is
   consumed in the order of an all-at-once draw, so the block size
@@ -232,7 +233,7 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     n = time.size
     if n == 0:
         return b""
-    if not (time.min() >= 0.0 and time.max() < _FAST_MAX and source.min() >= 0):
+    if not (time.min() >= 0.0 and time.max() < _FAST_MAX and source.min() >= 0 and source.max() < 2**32):
         kinds = map(_KINDS.__getitem__, kind.tolist())
         rows = zip(time.tolist(), kinds, source.tolist())
         return "".join(f"{t:.9f}\t{k}\t{s}\n" for t, k, s in rows).encode()
@@ -278,7 +279,7 @@ class _RawRun(NamedTuple):
     # one row per source; the epoch engines fill one (M, target) block
     ys: Sequence[np.ndarray]  # epoch lengths
     atts: Sequence[np.ndarray] | None  # attempts per epoch, aligned with ys; None if not kept
-    success_times: Sequence[np.ndarray]  # includes the first success; trace engine only
+    success_times: Sequence[np.ndarray]  # includes the first success; horizon runs only
     arrivals: int
     overflows: int
     attempts: int
@@ -302,6 +303,19 @@ def _overflows(rng_o: np.random.Generator, gamma: float, tau: np.ndarray) -> int
     return (int((d >> 32).sum()) << 32) + int((d & 0xFFFFFFFF).sum())
 
 
+def _gaps(rows: np.ndarray) -> np.ndarray:
+    """The (M, n - 1) consecutive differences of (M, n) rows, written over the rows in place.
+
+    Row j's differences start at flat offset j * (n - 1), at or before the
+    row itself, so numpy reads them forward without a temporary.
+    """
+    M, n = rows.shape
+    flat = rows.reshape(-1)
+    for j, row in enumerate(rows):
+        np.subtract(row[1:], row[:-1], out=flat[j * (n - 1) : (j + 1) * (n - 1)])
+    return flat[: M * (n - 1)].reshape(M, n - 1)
+
+
 def _epochs_nofb(
     q: float,
     M: int,
@@ -315,19 +329,17 @@ def _epochs_nofb(
     """Epoch engine, no feedback: attempts walk the round-robin cycle.
 
     Attempt i belongs to source i mod M and waits max(gamma, tau_i). A
-    block holds whole cycles; between blocks it carries the clock and,
-    per source, the successes so far and the time and cycle of the last
-    one. The run ends at the need-th success of the last source to get
-    there; successes and overflows count the attempts before that cut.
-    Every block is drawn and folded into the same buffers.
+    block holds whole cycles, and the cycle of a source's success counts
+    the source's attempts before it. The run ends at the need-th success
+    of the last source to get there; successes and overflows count the
+    attempts before that cut. Every block is drawn and folded into the
+    same buffers.
     """
     need = target + 1
     cycles = max(1, _BLOCK // M)
-    ys = np.empty((M, target))
-    atts = np.empty((M, target), np.int64) if keep_attempts else None
+    s = np.empty((M, need))  # row j: source j's success times
+    a = np.empty((M, need), np.int64) if keep_attempts else None  # and their cycles
     wins = np.zeros(M, np.int64)  # successes so far, at most need
-    last_t = np.zeros(M)
-    last_k = np.zeros(M, np.int64)  # cycle of the last success
     done = np.zeros(M, np.int64)  # attempts up to each source's need-th success
     tau, u, t = np.empty((3, cycles * M))
     ok = np.empty(tau.size, bool)
@@ -343,20 +355,13 @@ def _epochs_nofb(
         clock = t[-1]
         for j in np.flatnonzero(wins < need):
             k = np.flatnonzero(ok[j::M])[: need - wins[j]]
-            if k.size == 0:
-                continue
-            s = np.concatenate(([last_t[j]], t[j::M][k]))
-            a = np.concatenate(([last_k[j]], k + base))
-            lo = wins[j] - 1  # epoch that the block's first success closes
-            if lo < 0:  # the source's first success opens its first epoch
-                s, a, lo = s[1:], a[1:], 0
-            np.subtract(s[1:], s[:-1], out=ys[j, lo : lo + s.size - 1])
-            if atts is not None:
-                np.subtract(a[1:], a[:-1], out=atts[j, lo : lo + a.size - 1])
+            new = slice(wins[j], wins[j] + k.size)
+            s[j, new] = t[j::M][k]
+            if a is not None:
+                a[j, new] = k + base
             wins[j] += k.size
-            last_t[j], last_k[j] = s[-1], a[-1]
             if wins[j] == need:
-                done[j] = a[-1] * M + j + 1
+                done[j] = (k[-1] + base) * M + j + 1
         finished = wins.min() == need
         n = int(done.max()) - base * M if finished else tau.size
         successes += int(np.count_nonzero(ok[:n]))
@@ -366,7 +371,8 @@ def _epochs_nofb(
             break
         base += cycles
     attempts = int(done.max())
-    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, successes, None)
+    atts = None if a is None else _gaps(a)
+    return _RawRun(_gaps(s), atts, (), attempts + overflows, overflows, attempts, successes, None)
 
 
 def _epochs_wfb(
@@ -389,21 +395,20 @@ def _epochs_wfb(
     draws nothing). Those gamma draws follow every first wait on the
     same stream, so the first waits are drawn up front (8 bytes per
     epoch); the rest runs in blocks of whole rounds of M services,
-    carrying the clock and the last round's success times.
+    carrying the clock. Round r holds every source's success r.
     """
     need = target + 1
     tau1 = rng_a.standard_exponential(size=M * need)  # service s belongs to source s mod M
     rounds = max(1, _BLOCK // M)
-    ys = np.empty((M, target))
-    atts = np.empty((M, target), np.int64) if keep_attempts else None
-    t = np.empty((rounds + 1, M))  # row 0: the last round of the block before
-    shape, extra = np.empty((2, rounds * M))
+    s = np.empty((M, need))  # row j: source j's success times
+    a = np.empty((M, need), np.int64) if keep_attempts else None  # its attempts per success, summed below
+    services, shape, extra = np.empty((3, rounds * M))
     clock = 0.0
     fails_total = overflows = 0
     for lo in range(0, need, rounds):
         tau = tau1[lo * M : (lo + rounds) * M]
         size = tau.size
-        w = t[1 : size // M + 1].reshape(-1)  # this block's services, then success times
+        w = services[:size]  # this block's services, then success times
         np.maximum(tau, gamma, out=w)
         tries = rng_e.geometric(1.0 - q, size=size)  # attempts per service
         np.subtract(tries, 1, out=shape[:size])
@@ -412,19 +417,19 @@ def _epochs_wfb(
         w[0] += clock
         np.cumsum(w, out=w)
         clock = w[-1]
-        # round r >= 1 of the run closes epoch r - 1 of every source
-        r0 = 0 if lo else 1
-        rows = t[r0 : size // M + 1]
-        epochs = slice(lo - 1 + r0, lo + size // M - 1)
-        np.subtract(rows[1:].T, rows[:-1].T, out=ys[:, epochs])
-        if atts is not None:
-            atts[:, epochs] = tries.reshape(-1, M)[r0:].T
-        t[0] = rows[-1]
+        s[:, lo : lo + size // M] = w.reshape(-1, M).T
+        if a is not None:
+            a[:, lo : lo + size // M] = tries.reshape(-1, M).T
         if gamma > 0.0:
             overflows += _overflows(rng_o, gamma, tau)
+    atts = None
+    if a is not None:
+        for row in a:  # each service's attempts, summed in place along its source's row
+            np.cumsum(row, out=row)
+        atts = _gaps(a)
     n = M * need
     attempts = n + fails_total
-    return _RawRun(ys, atts, (), attempts + overflows, overflows, attempts, n, None)
+    return _RawRun(_gaps(s), atts, (), attempts + overflows, overflows, attempts, n, None)
 
 
 def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
@@ -530,11 +535,12 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
         wins = np.flatnonzero(ok[mine])
         s = times[mine[wins]]
         y, a = np.diff(s), np.diff(wins)
-        if target is not None:
+        if target is None:
+            stimes.append(s)
+        else:
             y, a = y[:target], a[:target]
         ys.append(y)
         atts.append(a)
-        stimes.append(s)
 
     log = None
     if keep_events:

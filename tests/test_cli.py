@@ -326,6 +326,16 @@ class TestSweep:
     def test_single_run_flags_are_usage_errors(self, tmp_path, capsys):
         _assert_single_run_flags_refused("sweep", ["--q", "0.3", "--setting", "nofb"], tmp_path, capsys)
 
+    def test_hopeless_q_is_refused_without_a_warning_when_simulating(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--q", "0.99995", "--setting", "nofb", "--epochs", "10"]) == 2
+        assert caught == []
+        assert capsys.readouterr() == ("", "error: q = 0.99995 implies over 1e4 attempts per epoch; refusing\n")
+        # without --epochs nothing is simulated: the closed forms hold there, and warn
+        with pytest.warns(RuntimeWarning, match="q = 0.99995 is close to 1"):
+            assert main(["sweep", "--q", "0.99995", "--setting", "nofb"]) == 0
+
     def test_non_finite_gamma_is_usage_error(self, capsys):
         assert main(["sweep", "--q", "0.3", "--setting", "nofb", "--gamma", "nan"]) == 2
         captured = capsys.readouterr()
@@ -374,6 +384,15 @@ class TestValidate:
         assert rc == 3
         assert capsys.readouterr().out.strip().splitlines()[1].endswith("FAIL")
 
+    def test_hopeless_q_is_refused_without_a_warning(self, capsys):
+        # refused before the optimizer resolves gamma_star and warns that q is close to 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--q", "0.99995", "--m", "1", "--setting", "wfb", "--gamma", "0",
+                         "--epochs", "10"]) == 2
+        assert caught == []
+        assert capsys.readouterr() == ("", "error: q = 0.99995 implies over 1e4 attempts per epoch; refusing\n")
+
     def test_negative_seed_is_usage_error(self, capsys):
         assert main(["validate", "--q", "0.3", "--m", "1", "--setting", "nofb", "--epochs", "100",
                      "--seed", "-2"]) == 2
@@ -416,7 +435,7 @@ class TestUsageErrors:
             ("sweep --q 0.3 --setting ,", "--setting is empty"),
             ("sweep --q 0.3 --setting nofb --gamma ,", "--gamma is empty"),
             ("eval --q 0.3 --setting nofb --gamma abc", "--gamma expects numbers or 'optimal', got 'abc'"),
-            ("eval --q 0.3 --setting nofb --gamma -1", "--gamma must be nonnegative"),
+            ("eval --q 0.3 --setting nofb --gamma -1", "gamma must be finite and >= 0, got -1.0"),
             ("solve --q 0.3 --setting nofb,wfb", "--setting expects a single value for this command"),
             ("sweep --setting nofb", "sweep requires --q and --setting (comma lists allowed)"),
         ],
@@ -725,6 +744,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / 1e6 < 15.0, peak
+
+    @pytest.mark.parametrize("setting,bound_mb", [("wfb", 18.0), ("nofb", 10.0)])
+    def test_epoch_engine_peak_in_process(self, setting, bound_mb):
+        # one untraced 1e5-epoch cell at M = 8 holds 6.4 MB of y, and with feedback 6.4 MB
+        # of first waits: 16.2 and 8.1 MB measured by tracemalloc; one more epoch-sized
+        # float64 temporary (6.4 MB) breaks either bound
+        cfg = SimConfig(0.7, 8, setting, 0.0, target_epochs=100_000, seed=1)
+        tracemalloc.start()
+        try:
+            run_simulation(cfg, _with_epochs=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < bound_mb, peak
 
     def test_validate_cell_keeps_no_attempts_column(self):
         # a validate cell holds 8 B per epoch of y (plus 8 B of first waits with

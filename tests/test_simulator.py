@@ -69,6 +69,28 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=re.escape(msg)):
             SimConfig(*cell, above, target_epochs=3)
 
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("M", [2.0, np.int64(2)])
+    def test_an_integral_m_runs_like_the_int(self, M, trace):
+        cell = dict(q=0.3, setting="nofb", gamma=0.2, target_epochs=3, seed=1, trace=trace)
+        got = run_simulation(SimConfig(M=M, **cell))
+        want = run_simulation(SimConfig(M=2, **cell))
+        assert got[0] == want[0]
+        for column in ("counts", "y", "attempts"):
+            np.testing.assert_array_equal(getattr(got[1], column), getattr(want[1], column))
+        if trace:
+            assert got[2].to_lines() == want[2].to_lines()
+
+    def test_stores_numpy_scalars_as_python_numbers(self):
+        cfg = SimConfig(np.float32(0.3), np.int64(2), "nofb", np.float64(0.2), target_epochs=3)
+        assert (type(cfg.q), type(cfg.M), type(cfg.gamma)) == (float, int, float)
+        assert (cfg.q, cfg.M, cfg.gamma) == (float(np.float32(0.3)), 2, 0.2)
+
+    @pytest.mark.parametrize("M", [True, np.True_, math.inf, math.nan])
+    def test_refuses_a_bool_or_non_finite_m(self, M):
+        with pytest.raises(ValueError, match=re.escape(f"M must be a positive integer, got {M!r}")):
+            SimConfig(0.3, M, "nofb", 0.0, target_epochs=3)
+
     @pytest.mark.parametrize("name", ["seed", "erasure_seed"])
     @pytest.mark.parametrize("value", [-1, 1.5, 2.0, "3", True, False, np.True_])
     def test_seeds_are_nonnegative_integers(self, name, value):

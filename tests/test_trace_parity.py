@@ -2,7 +2,7 @@
 
 tests/trace_oracle.py replays one event at a time with scalar draws; the
 production engine must reproduce it exactly: log lines, counters, epoch
-arrays and success times.
+arrays and, in horizon runs, success times.
 """
 
 import hashlib
@@ -34,6 +34,8 @@ def assert_same_run(cfg):
     got = _run_loop(cfg, cfg.trace)
     counters = ("arrivals", "overflows", "attempts", "successes")
     assert [getattr(got, c) for c in counters] == [getattr(want, c) for c in counters]
+    # success times are kept only where the horizon estimator reads them
+    assert len(got.success_times) == (0 if cfg.horizon is None else cfg.M)
     for name in ("ys", "atts", "success_times"):
         for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
             assert g.dtype == w.dtype
@@ -148,6 +150,11 @@ def test_formatter_matches_fstring():
             time[fast], kind[fast], source[fast])
         # a chunk holding a time past the exact range is formatted by f-string
         assert _format_lines(time, kind, source) == _reference_bytes(time, kind, source)
+    # a source id of 2**32 or more does not fit the fast path's 32-bit digits
+    time, kind = np.array([0.5, 0.5]), np.array([2, 4], np.uint8)
+    wide = EventLog.from_columns(time, kind, np.array([2**32 + 5] * 2, np.uint64))
+    events = [Event(0.5, ATTEMPT, 2**32 + 5), Event(0.5, SUCCESS, 2**32 + 5)]
+    assert wide.to_lines() == EventLog(events).to_lines() == lines(events)
 
 
 def test_event_log_from_events_round_trips():

@@ -103,7 +103,7 @@ def scheduler_maf(M: int) -> Callable[[Sequence[float]], int]:
 class OracleRun(NamedTuple):
     ys: list[np.ndarray]
     atts: list[np.ndarray]
-    success_times: list[np.ndarray]
+    success_times: list[np.ndarray]  # horizon runs only, as the engine keeps them
     arrivals: int
     overflows: int
     attempts: int
@@ -202,11 +202,12 @@ def run_loop(cfg: SimConfig, keep_events: bool) -> OracleRun:
         s = np.asarray(succ_times[j])
         y = np.diff(s)
         a = np.asarray(epoch_atts[j][1:], dtype=np.int64)
-        if target is not None:
+        if target is None:
+            stimes.append(s)
+        else:
             y, a = y[:target], a[:target]
         ys.append(y)
         atts.append(a)
-        stimes.append(s)
     return OracleRun(ys, atts, stimes, arrivals, overflows, attempts, successes, events)
 
 
