@@ -19,6 +19,8 @@ simulation or allocation failure, 2 usage error, 3 validation FAIL.
 simulate prints one seeded run's SimResult as run_simulation returns
 it. The simulator and stats modules, and numpy with them, are imported
 only by the commands that simulate (simulate, validate, sweep --epochs).
+validate and sweep --epochs simulate their cells on two threads where
+two CPUs are usable; the rows and messages are those of one thread.
 """
 
 from __future__ import annotations
@@ -225,6 +227,10 @@ def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, fl
     ms = _parse_numbers(opts.m, "--m", int)
     settings = _parse_settings(opts.setting)
     gamma_specs = _parse_gammas(opts.gamma)
+    if opts.epochs is not None:
+        # importing numpy resets the once-per-location warning registry, so it comes
+        # before the first check: then a q close to 1 warns here and not again in the cells
+        from . import stats  # noqa: F401
     cells = []
     seen = set()
     for q in qs:
@@ -244,18 +250,62 @@ def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, fl
     return cells
 
 
+def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[ValidationRecord]:
+    """Each cell's ValidationRecord, in cell order, on the calling thread and, given two CPUs, one more.
+
+    numpy's draws release the GIL, so a helper thread shares the cells.
+    They are ordered by M: the caller takes the largest left and the
+    helper the smallest, so the two cells in flight hold no more epochs
+    than two of the largest. A failure stops both from starting another
+    cell and is raised here, once the helper has stopped.
+    """
+    import os
+    import threading
+    from collections import deque
+
+    from .stats import validate
+
+    records: list = [None] * len(cells)
+    todo = deque(sorted(range(len(cells)), key=lambda i: cells[i][1]))
+    failures: list[BaseException] = []
+    lock = threading.Lock()  # no cell is taken once a failure is recorded
+
+    def work(take: Callable[[], int]) -> None:
+        while True:
+            with lock:
+                if failures or not todo:
+                    return
+                i = take()
+            q, M, setting, gamma, _ = cells[i]
+            try:
+                records[i] = validate(q, M, setting, gamma, epochs, seed)
+            except BaseException as exc:  # an interrupt too: it stops the helper, then is raised below
+                with lock:
+                    failures.append(exc)
+
+    helper = threading.Thread(target=work, args=(todo.popleft,)) if len(os.sched_getaffinity(0)) > 1 else None
+    if helper is not None:
+        helper.start()
+    try:
+        work(todo.pop)
+    finally:
+        if helper is not None:
+            helper.join()
+    if failures:
+        raise failures[0]
+    return records
+
+
 def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[str], list[ValidationRecord]]:
     """The CSV lines of the grid; with epochs, every cell is also simulated and validated."""
-    lines, records = [_CSV_HEADER], []
-    if epochs is not None:
-        from .stats import validate
-    for q, M, setting, gamma, gamma_star in cells:
+    records = [] if epochs is None else _validate_cells(cells, epochs, seed)
+    lines = [_CSV_HEADER]
+    for i, (q, M, setting, gamma, gamma_star) in enumerate(cells):
         base = baseline_infinite_battery(q, setting)
         if epochs is None:
             analytic, sim = closed_form_aoi(q, M, setting, gamma), ",,"
         else:
-            rec = validate(q, M, setting, gamma, epochs, seed)
-            records.append(rec)
+            rec = records[i]
             analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
         lines.append(
             f"{_fmt_q(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"

@@ -13,16 +13,19 @@ runs, the event log. Two engines produce statistically identical runs:
   drawn and folded in fixed blocks of about _BLOCK, into buffers reused
   from block to block, so attempt-level memory does not grow with the
   run; only the epoch columns do (16 bytes an epoch: y and attempts;
-  stats.validate reads no epochs, so its runs keep no attempts column).
+  stats.validate reads no epochs, so its runs keep no attempts column
+  and hold 8 bytes an epoch and source in either engine).
   Each block writes every success time into its source's row of an
   (M, target_epochs + 1) block and, when attempts are kept, the
   source's running attempt count there into a second one; between
   blocks only the clock and the success counts carry over. An epoch is
   the gap between two successes of a source, so one in-place pass
   (_gaps) turns the rows into the (M, target_epochs) y and attempts
-  blocks that run_simulation reads without copying. The feedback engine also holds every first wait (8
-  bytes an epoch): its retry waits are gamma draws on the same stream
-  as the first waits, and they come after all of them. Each stream is
+  blocks that run_simulation reads without copying. The feedback
+  engine's retry waits are gamma draws on the arrival stream that come
+  after every first wait, so they are drawn from a copy of that stream
+  which first walks past the first waits a block at a time; the first
+  waits are drawn block by block beside their retries. Each stream is
   consumed in the order of an all-at-once draw, so the block size
   changes no number. Exponentials are drawn with standard_exponential,
   which gives the values and the stream state of exponential() at less
@@ -63,6 +66,7 @@ arrival process fixed.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from array import array
@@ -287,7 +291,7 @@ class _RawRun(NamedTuple):
     events: EventLog | None
 
 
-_BLOCK = 1 << 16  # attempts (nofb) or services (wfb) an epoch engine draws per pass
+_BLOCK = 1 << 14  # attempts (nofb) or services (wfb) an epoch engine draws per pass
 
 
 def _overflows(rng_o: np.random.Generator, gamma: float, tau: np.ndarray) -> int:
@@ -393,26 +397,32 @@ def _epochs_wfb(
     number of attempts; the extra waits beyond the first are a sum of
     unit exponentials, drawn as one gamma variate (shape 0 gives 0.0 and
     draws nothing). Those gamma draws follow every first wait on the
-    same stream, so the first waits are drawn up front (8 bytes per
-    epoch); the rest runs in blocks of whole rounds of M services,
-    carrying the clock. Round r holds every source's success r.
+    same stream, so they come from a copy of it that first walks past
+    the M * (target + 1) first waits, a block at a time, while the
+    stream itself draws the first waits block by block. Blocks hold
+    whole rounds of M services and carry the clock; round r holds every
+    source's success r.
     """
     need = target + 1
-    tau1 = rng_a.standard_exponential(size=M * need)  # service s belongs to source s mod M
     rounds = max(1, _BLOCK // M)
     s = np.empty((M, need))  # row j: source j's success times
     a = np.empty((M, need), np.int64) if keep_attempts else None  # its attempts per success, summed below
-    services, shape, extra = np.empty((3, rounds * M))
+    waits, shape, extra = np.empty((3, rounds * M))
+    rng_r = copy.deepcopy(rng_a)  # the retry waits' stream: rng_a past the first waits
+    for lo in range(0, M * need, extra.size):
+        rng_r.standard_exponential(out=extra[: M * need - lo])
     clock = 0.0
     fails_total = overflows = 0
     for lo in range(0, need, rounds):
-        tau = tau1[lo * M : (lo + rounds) * M]
-        size = tau.size
-        w = services[:size]  # this block's services, then success times
-        np.maximum(tau, gamma, out=w)
+        w = waits[: min(rounds, need - lo) * M]  # this block's first waits, then success times
+        size = w.size
+        rng_a.standard_exponential(out=w)  # service s belongs to source s mod M
+        if gamma > 0.0:
+            overflows += _overflows(rng_o, gamma, w)
+        np.maximum(w, gamma, out=w)
         tries = rng_e.geometric(1.0 - q, size=size)  # attempts per service
         np.subtract(tries, 1, out=shape[:size])
-        w += rng_a.standard_gamma(shape[:size], out=extra[:size])
+        w += rng_r.standard_gamma(shape[:size], out=extra[:size])
         fails_total += int(tries.sum()) - size
         w[0] += clock
         np.cumsum(w, out=w)
@@ -420,8 +430,6 @@ def _epochs_wfb(
         s[:, lo : lo + size // M] = w.reshape(-1, M).T
         if a is not None:
             a[:, lo : lo + size // M] = tries.reshape(-1, M).T
-        if gamma > 0.0:
-            overflows += _overflows(rng_o, gamma, tau)
     atts = None
     if a is not None:
         for row in a:  # each service's attempts, summed in place along its source's row

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import warnings
@@ -321,6 +322,20 @@ class TestNumpyContracts:
         a.standard_exponential(out=out)
         assert out.tobytes() == b.exponential(size=n).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n,block", [(1, 1), (7, 3), (100003, 1 << 14)])
+    def test_a_copy_walks_past_blocked_draws(self, n, block):
+        # the feedback engine's retry waits come from a copy of the arrival stream
+        # that skips its first waits in blocks: it must continue where one n-draw call ends
+        a = np.random.default_rng(n)
+        b = copy.deepcopy(a)
+        out = np.empty(block)
+        for lo in range(0, n, block):
+            b.standard_exponential(out=out[: n - lo])
+        a.standard_exponential(size=n)
+        assert b.bit_generator.state == a.bit_generator.state
+        shape = np.array([0.0, 2.0, 1.0, 5.0])
+        assert b.standard_gamma(shape).tobytes() == a.standard_gamma(shape).tobytes()
 
     def test_uniforms_into_a_buffer(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
