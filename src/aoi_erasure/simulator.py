@@ -38,15 +38,14 @@ runs, the event log. Two engines produce statistically identical runs:
   rule with the float expressions of a literal battery replay and finds
   the next stored arrival by bisection, and every arrival in between is
   an overflow. Arrivals and attempts live in typed buffers, not as
-  Python objects: 8 bytes an arrival and 8 an attempt (its time). The
-  index of the next stored arrival is not stored: a traced run derives
-  it for every attempt at once after the loop. The event log is then
-  laid out as three numpy columns (time, kind, and source in the
-  smallest unsigned type that holds M; 10 bytes an event up to M = 255)
-  by index arithmetic, in place, over zero-copy views of those buffers,
-  so no Python object is kept per arrival, attempt, event or epoch.
-  tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
-  engine must match bit for bit.
+  Python objects, and each attempt's position in the log is derived
+  after the loop. The log keeps views of those buffers, the outcomes,
+  sources and positions (8 bytes an arrival, 18 an attempt) and lays
+  out any range of lines from them, one _CHUNK at a time: a traced
+  5e4-epoch simulate peaks at 42 MB RSS (47 MB with the log laid out
+  whole), and no Python object is kept per arrival, attempt, event or
+  epoch. tests/trace_oracle.py keeps the literal one-event-at-a-time
+  loop this engine must match bit for bit.
 
 The estimators live here too. Every run's 95% CI is by batch means
 (ratio_estimate): for M > 1 the sources share one energy stream and one
@@ -98,15 +97,19 @@ class Event(NamedTuple):
 
 
 class EventLog:
-    """Ordered audit trail of one traced run, held as three columns.
+    """Ordered audit trail of one traced run.
 
-    time (float64), kind (uint8 index into the kind names) and source
-    (0 for battery events, 1..M otherwise; the trace engine stores it in
-    np.min_scalar_type(M), a log built from Events in int64). `events` is
-    a read-only Event sequence over them.
+    The engine's log holds its arrays (_Trace: 8 bytes an arrival, 18 an
+    attempt, 19 above M = 255), and dump and to_lines lay out one _CHUNK
+    of lines at a time from them: a traced 5e4-epoch run and its dump
+    peak at 6.3 MB (tracemalloc), 11.7 MB with the log laid out whole.
+    The columns time (float64), kind (uint8 index into the kind names)
+    and source (0 for battery events, else 1..M; np.min_scalar_type(M)
+    from the engine, int64 from Events) are laid out whole on first read,
+    10 bytes more an event. `events` is a read-only Event sequence.
     """
 
-    __slots__ = ("time", "kind", "source")
+    __slots__ = ("_trace", "_columns")
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         events = list(events)
@@ -114,27 +117,45 @@ class EventLog:
             kind = [_CODE[e.kind] for e in events]
         except KeyError as exc:
             raise ValueError(f"unknown event kind {exc.args[0]!r}") from None
-        self.time = np.array([e.time for e in events], dtype=np.float64)
-        self.kind = np.array(kind, dtype=np.uint8)
-        self.source = np.array([e.source_id for e in events], dtype=np.int64)
+        time = np.array([e.time for e in events], dtype=np.float64)
+        source = np.array([e.source_id for e in events], dtype=np.int64)
+        self._trace, self._columns = None, (time, np.array(kind, dtype=np.uint8), source)
 
     @classmethod
     def from_columns(cls, time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> EventLog:
         log = cls.__new__(cls)
-        log.time, log.kind, log.source = time, kind, source
+        log._trace, log._columns = None, (time, kind, source)
+        return log
+
+    @classmethod
+    def _from_trace(cls, trace: _Trace) -> EventLog:
+        log = cls.__new__(cls)
+        log._trace, log._columns = trace, None
         return log
 
     def __len__(self) -> int:
-        return self.time.size
+        trace = self._trace
+        return self._columns[0].size if trace is None else trace.arrivals.size + 2 * trace.times.size
+
+    def _laid_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._columns is None:
+            self._trace, self._columns = None, _lay_out(self._trace, 0, len(self))
+        return self._columns
+
+    time = property(lambda self: self._laid_out()[0])
+    kind = property(lambda self: self._laid_out()[1])
+    source = property(lambda self: self._laid_out()[2])
 
     @property
     def events(self) -> _EventView:
         return _EventView(self)
 
     def _chunks(self) -> Iterator[bytes]:
-        for lo in range(0, len(self), _CHUNK):
-            hi = lo + _CHUNK
-            yield _format_lines(self.time[lo:hi], self.kind[lo:hi], self.source[lo:hi])
+        n = len(self)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            cols = _lay_out(self._trace, lo, hi) if self._columns is None else (c[lo:hi] for c in self._columns)
+            yield _format_lines(*cols)
 
     def to_lines(self) -> list[str]:
         return b"".join(self._chunks()).decode().splitlines()
@@ -211,7 +232,9 @@ _CHUNK = 8192  # log lines formatted and written at a time
 _FAST_MAX = 4.5e6
 _KIND_WIDTH = max(len(k) for k in _KINDS)
 _KIND_BYTES = np.array([list(k.encode().ljust(_KIND_WIDTH, b"\0")) for k in _KINDS], np.uint8)
-_KIND_KEEP = _KIND_BYTES != 0
+_KIND_ITEM = np.dtype((np.void, _KIND_WIDTH))  # a kind's bytes or keep mask as one item, gathered per line
+_KIND_FIELD = _KIND_BYTES.view(_KIND_ITEM).ravel()
+_KIND_KEEP = (_KIND_BYTES != 0).view(_KIND_ITEM).ravel()
 
 
 def _put_digits(buf: np.ndarray, keep: np.ndarray, col: int, width: int, values: np.ndarray, pad: bool) -> None:
@@ -259,8 +282,8 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     buf[:, w] = ord(".")
     _put_digits(buf, keep, w + 1, 9, frac, pad=True)
     buf[:, tab1] = buf[:, tab2] = ord("\t")
-    buf[:, tab1 + 1 : tab2] = _KIND_BYTES[kind]
-    keep[:, tab1 + 1 : tab2] = _KIND_KEEP[kind]
+    buf[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = _KIND_FIELD[kind]
+    keep[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = _KIND_KEEP[kind]
     _put_digits(buf, keep, tab2 + 1, ws, source, pad=False)
     buf[:, -1] = ord("\n")
     return buf[keep].tobytes()
@@ -462,7 +485,7 @@ def _attempts_needed(ok: np.ndarray, M: int, need: int, wfb: bool) -> int | None
     return last + 1
 
 
-def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
+def _run_loop(cfg: SimConfig, keep_events: bool, keep_attempts: bool = True) -> _RawRun:
     """Trace engine: one Poisson arrival stream through one unit battery.
 
     The battery is full from a stored arrival until the attempt that
@@ -536,24 +559,22 @@ def _run_loop(cfg: SimConfig, keep_events: bool) -> _RawRun:
         src = ((np.cumsum(ok) - ok) % M + 1).astype(dt)
     else:
         src = np.resize(np.arange(1, M + 1, dtype=dt), n_att)
-
-    ys, atts, stimes = [], [], []
+    ys, atts, stimes = [], [] if keep_attempts else None, []
     for j in range(1, M + 1):
         mine = np.flatnonzero(src == j)
         wins = np.flatnonzero(ok[mine])
         s = times[mine[wins]]
-        y, a = np.diff(s), np.diff(wins)
         if target is None:
             stimes.append(s)
-        else:
-            y, a = y[:target], a[:target]
-        ys.append(y)
-        atts.append(a)
+        ys.append(np.diff(s)[:target])
+        if atts is not None:
+            atts.append(np.diff(wins)[:target])
+    del mine, wins, s  # the last source's index temporaries go before the log's slots are found
 
     log = None
     if keep_events:
         arrivals = np.frombuffer(A, np.float64, n_arr)
-        log = _event_log(arrivals, n_stored, times, _pair_slots(arrivals, times), ok, src)
+        log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)))
     return _RawRun(ys, atts, stimes, n_arr, n_arr - n_stored, n_att, int(ok.sum()), log)
 
 
@@ -565,56 +586,59 @@ def _pair_slots(arrivals: np.ndarray, times: np.ndarray) -> np.ndarray:
     times[i]: the loop's bisect_right(A, t, k + 1). So knext[i] - (i + 1)
     is the running maximum of max(0, s[j] - (j + 1)) over j <= i. The
     knext[i] arrivals and the i pairs before attempt i put its pair at
-    knext[i] + 2i.
+    knext[i] + 2i. The index i is made a _CHUNK of attempts at a time,
+    with the running maximum carried from block to block.
     """
     slots = np.searchsorted(arrivals, times, "right")
-    i = np.arange(times.size)
-    slots -= i
-    slots -= 1
-    np.maximum(slots, 0, out=slots)
-    np.maximum.accumulate(slots, out=slots)
-    i *= 3
-    slots += i
-    slots += 1
+    peak = 0
+    for lo in range(0, slots.size, _CHUNK):
+        part = slots[lo : lo + _CHUNK]
+        i = np.arange(lo, lo + part.size)
+        part -= i + 1
+        np.maximum(part, peak, out=part)
+        np.maximum.accumulate(part, out=part)
+        peak = part[-1]
+        part += 3 * i + 1
     return slots
 
 
-def _event_log(
-    arrivals: np.ndarray,
-    n_stored: int,
-    times: np.ndarray,
-    slots: np.ndarray,
-    ok: np.ndarray,
-    src: np.ndarray,
-) -> EventLog:
-    """Interleave the arrivals with the attempt/outcome pairs, in log order.
+class _Trace(NamedTuple):
+    """A traced run's log as the trace engine leaves it: what _lay_out reads."""
 
-    Attempt i sits at slots[i] (see _pair_slots), its outcome right after
-    it, and the arrivals fill the other slots in order. The stored
-    arrivals are the first one and the one that follows each outcome at
-    once; every other arrival is an overflow. The columns take 10 bytes an
-    event (time, kind and a source narrowed to the smallest unsigned type
-    that holds M), and slots is shifted in place from the attempts to the
-    outcomes to the stored arrivals, so no int64 index is made per event.
+    arrivals: np.ndarray  # every arrival time up to the end of the log
+    times: np.ndarray  # attempt times
+    ok: np.ndarray  # attempt outcomes, True for a success
+    src: np.ndarray  # the source (1..M) of each attempt, in np.min_scalar_type(M)
+    slots: np.ndarray  # each attempt's position in the log (_pair_slots)
+
+
+def _lay_out(trace: _Trace, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The time, kind and source columns of the log's events at positions [lo, hi).
+
+    Attempt i sits at slots[i], its outcome right after it, and the
+    arrivals fill the other positions in order. The first arrival and
+    the one right after each outcome are stored, the others overflow. A
+    pair and the stored arrival after it span three positions, so the
+    pairs at lo - 2 to hi - 1 are written into columns two wider on
+    either side, which are then cut, with the mark after a final outcome.
     """
-    n_arr, n_att = arrivals.size, times.size
-    time = np.empty(n_arr + 2 * n_att)
+    arrivals, times, ok, src, slots = trace
+    i0, before, i1 = np.searchsorted(slots, (lo - 2, lo, hi))
+    at = slots[i0:i1] - (lo - 2)
+    time = np.empty(hi - lo + 4)
     kind = np.full(time.size, _CODE[OVERFLOW], np.uint8)
     source = np.zeros(time.size, src.dtype)
-    time[slots] = times
-    kind[slots] = _CODE[ATTEMPT]
-    source[slots] = src
-    slots += 1
-    time[slots] = times
-    kind[slots] = ok.view(np.uint8) + np.uint8(_CODE[ERASURE])  # Success is Erasure + 1
-    source[slots] = src
-    time[kind == _CODE[OVERFLOW]] = arrivals
-    if n_stored:  # the first arrival, and the one right after each of the first n_stored - 1 outcomes
-        kind[0] = _CODE[ENERGY_ARRIVAL]
-        stored = slots[: n_stored - 1]
-        stored += 1
-        kind[stored] = _CODE[ENERGY_ARRIVAL]
-    return EventLog.from_columns(time, kind, source)
+    for code in (_CODE[ATTEMPT], ok[i0:i1].view(np.uint8) + np.uint8(_CODE[ERASURE])):  # Success is Erasure + 1
+        time[at], kind[at], source[at] = times[i0:i1], code, src[i0:i1]
+        at += 1
+    kind[at] = _CODE[ENERGY_ARRIVAL]
+    if lo == 0:  # the first arrival is stored; an empty log cuts this position away
+        kind[2] = _CODE[ENERGY_ARRIVAL]
+    time, kind, source = time[2:-2], kind[2:-2], source[2:-2]
+    free = kind <= _CODE[OVERFLOW]
+    first = lo - 2 * before + (before > 0 and slots[before - 1] == lo - 1)
+    time[free] = arrivals[first : first + np.count_nonzero(free)]
+    return time, kind, source
 
 
 _N_BATCHES = 20
@@ -732,11 +756,11 @@ def run_simulation(
     Returns the aggregated result, the epochs as columns (ordered by
     source, then time), and the event log when tracing was requested.
     stats.validate and the simulate command read only the result: they
-    pass _with_epochs=False, get None for the epochs, and the epoch
-    engines skip their attempts block.
+    pass _with_epochs=False, get None for the epochs, and the engines
+    keep no attempts per epoch.
     """
     if cfg.trace or cfg.horizon is not None:
-        raw = _run_loop(cfg, keep_events=cfg.trace)
+        raw = _run_loop(cfg, cfg.trace, _with_epochs)
     else:
         rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
         engine = _epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb

@@ -31,12 +31,16 @@ TABLE = Path(__file__).resolve().parent / "golden_cli.json"
 _TRACED = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "50000", "--trace",
            "--out", "events.log", "--seed"]
 _SWEEP = ["sweep", "--q", "0.1,0.3,0.5", "--m", "1,2", "--setting", "nofb,wfb"]
+# perfbench's sweep-curves workload: 8,784 closed-form cells
+_CURVES = ["sweep", "--q", ",".join(str(round(0.1 + 0.1 * i, 10)) for i in range(9)), "--m", "1,2,3,4,5,6,7,8",
+           "--setting", "nofb,wfb", "--gamma", ",".join(str(round(0.05 * i, 10)) for i in range(61)), "--seed", "1"]
 
 ROWS: list[list[str]] = [
     *(["validate", "--seed", s] for s in ("1", "2", "3")),
     _SWEEP,
     [*_SWEEP, "--epochs", "3000"],
     [*_SWEEP, "--epochs", "3000", "--out", "grid.csv"],
+    _CURVES,
     *([*_TRACED, s] for s in ("1", "2", "3")),
     ["simulate", "--q", "0.3", "--m", "3", "--setting", "nofb", "--gamma", "0.2", "--epochs", "20000"],
     ["simulate", "--q", "0.7", "--m", "1", "--setting", "wfb", "--epochs", "3000", "--seed", "4", "--trace",

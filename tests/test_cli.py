@@ -837,20 +837,22 @@ class TestMemory:
         assert large < 100.0, large
 
     def test_trace_engine_holds_typed_buffers(self, tmp_path):
-        # 1e4 -> 1e5 traced epochs is about 86k -> 860k log events; what grows is
-        # 8 B per arrival and 8 B per attempt in the engine plus 10 B per logged event:
-        # 20.2 MB of growth and a 58.9 MB peak measured (35.3 and 74.1 MB with a
-        # stored arrival index and an int64 source column)
+        # 1e4 -> 1e5 traced epochs is about 86k -> 860k log events; what grows is the
+        # engine's 8 B per arrival and 18 B per attempt, which the log keeps and lays out
+        # a chunk at a time: 10.7 MB of growth and a 48.6 MB peak measured (20.9 and 58.5 MB
+        # with the log laid out as 10 B columns beside them, 35.3 and 74.1 MB with a stored
+        # arrival index and an int64 source column); a time column (8 B an event) breaks both
         args = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--trace",
                 "--out", str(tmp_path / "events.log"), "--epochs"]
         small = _peak_rss_mb([*args, "10000"])
         large = _peak_rss_mb([*args, "100000"])
-        assert large - small < 26.0, (small, large)
-        assert large < 65.0, large
+        assert large - small < 14.0, (small, large)
+        assert large < 53.0, large
 
     def test_trace_engine_peak_in_process(self):
-        # the traced-run cell: 12.9 MB measured by tracemalloc (20.4 MB with a
-        # stored arrival index and an int64 source column)
+        # the traced-run cell: 6.65 MB measured by tracemalloc (12.5 MB with the log laid
+        # out as columns, 20.4 MB with a stored arrival index and an int64 source column);
+        # one more time column (3.4 MB) breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
         tracemalloc.start()
@@ -859,7 +861,22 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 1e6 < 15.0, peak
+        assert peak / 1e6 < 9.0, peak
+
+    def test_traced_command_peak_in_process(self, tmp_path):
+        # what the traced simulate command runs: no attempts column, and the log laid out
+        # and written a chunk at a time; 6.3 MB measured by tracemalloc, 11.7 MB with the
+        # log laid out whole; one more time column (3.4 MB) breaks the bound
+        gamma, _ = optimize_gamma(0.3, 2, "wfb")
+        cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
+        tracemalloc.start()
+        try:
+            _, _, log = run_simulation(cfg, _with_epochs=False)
+            log.dump(str(tmp_path / "events.log"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 8.0, peak
 
     @pytest.mark.parametrize("setting,bound_mb", [("wfb", 10.0), ("nofb", 10.0)])
     def test_epoch_engine_peak_in_process(self, setting, bound_mb):

@@ -23,7 +23,11 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[" ".join(row["args"]) or "(no args)" for row in ROWS])
+def _id(args: list[str]) -> str:
+    return " ".join(a if len(a) < 40 else a[:30] + "..." for a in args) or "(no args)"
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[_id(row["args"]) for row in ROWS])
 def test_cli_output_keeps_its_bytes(row, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this width

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_erasure import simulator
-from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, exp_max_moments, solve_wfb
+from aoi_erasure.analytic import aoi_maf_wfb, aoi_rr_nofb, exp_max_moments, optimize_gamma, solve_wfb
 from aoi_erasure.model import Feedback
 from aoi_erasure.simulator import (
     ATTEMPT,
@@ -25,6 +25,7 @@ from aoi_erasure.simulator import (
 from epoch_oracle import batch_ratio_estimate, epochs_nofb, epochs_wfb
 from trace_oracle import check_invariants as replay_invariants
 from trace_oracle import lines, policy_nofb_single, policy_wfb_single, scheduler_maf, scheduler_rr
+from trace_oracle import run_loop as oracle_run_loop
 
 
 class TestSimConfig:
@@ -425,15 +426,19 @@ class TestErasureSeed:
 class TestTraceEngine:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arrivals=st.lists(st.floats(0.0, 50.0), max_size=60),
-           times=st.lists(st.floats(0.0, 60.0), max_size=60))
-    def test_pair_slots_match_the_loop_bisection(self, arrivals, times):
-        # the engine's loop finds the arrival stored after each attempt by bisect_right(A, t, k + 1)
+           times=st.lists(st.floats(0.0, 60.0), max_size=60),
+           chunk=st.sampled_from([1, 3, 8192]))
+    def test_pair_slots_match_the_loop_bisection(self, arrivals, times, chunk):
+        # the engine's loop finds the arrival stored after each attempt by bisect_right(A, t, k + 1);
+        # _pair_slots carries the running maximum across its blocks of _CHUNK attempts
         A, T = sorted(arrivals), sorted(times)
         want, k = [], 0
         for i, t in enumerate(T):
             k = bisect_right(A, t, k + 1)
             want.append(k + 2 * i)
-        got = simulator._pair_slots(np.array(A, float), np.array(T, float))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", chunk)
+            got = simulator._pair_slots(np.array(A, float), np.array(T, float))
         assert got.dtype == np.int64 and got.tolist() == want
 
     def test_byte_identical_logs_for_identical_seeds(self):
@@ -659,6 +664,48 @@ class TestDumpChunks:
             log.dump(str(path))
             assert log.to_lines() == want
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def _layout_cells():
+    # target runs at gamma = 0, gamma* and 2 over M = 1-4, the horizon cut between a stored
+    # arrival and its attempt, a horizon before the first arrival, and uint16 sources
+    for setting in ("nofb", "wfb"):
+        for M in (1, 2, 3, 4):
+            for gamma in sorted({0.0, optimize_gamma(0.3, M, setting)[0], 2.0}):
+                yield SimConfig(0.3, M, setting, gamma, target_epochs=12, seed=M, trace=True)
+    yield SimConfig(0.2, 1, "nofb", 5.0, horizon=12.5, seed=3, trace=True)
+    yield SimConfig(0.4, 3, "wfb", 0.5, horizon=80.0, seed=11, trace=True)
+    yield SimConfig(0.3, 2, "wfb", 0.5, horizon=0.01, seed=11, trace=True)
+    yield SimConfig(0.1, 256, "wfb", 0.1, target_epochs=1, seed=4, trace=True)
+
+
+class TestRangeLayout:
+    """A traced run's log, laid out and formatted one _CHUNK of lines at a time, has the
+    bytes of its columns laid out whole and of the literal loop (tests/trace_oracle.py).
+
+    At a _CHUNK of 1, 2, 3 and 7, chunk edges fall between an attempt and its outcome
+    and right before a stored arrival (with gamma = 0 every third event is a stored
+    arrival, so a _CHUNK of 3 splits no pair); _pair_slots then works in blocks that small.
+    """
+
+    @pytest.mark.parametrize("cfg", list(_layout_cells()), ids=lambda c: f"{c.setting.value}-M{c.M}-gamma{c.gamma:.4g}-"
+                             + (f"epochs{c.target_epochs}" if c.horizon is None else f"horizon{c.horizon:g}"))
+    def test_chunked_dump_matches_whole_layout_and_literal_loop(self, cfg, tmp_path, monkeypatch):
+        want = "".join(f"{line}\n" for line in lines(oracle_run_loop(cfg, True).events)).encode()
+        edges = {}
+        for chunk in (1, 2, 3, 7, 8192):
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
+            log = simulator._run_loop(cfg, True).events
+            path = tmp_path / f"{chunk}.log"
+            log.dump(str(path))
+            assert path.read_bytes() == want
+            assert log.source.dtype == np.min_scalar_type(cfg.M)
+            assert simulator._format_lines(log.time, log.kind, log.source) == want
+            at = np.arange(chunk, len(log), chunk)
+            edges[chunk] = (log.kind[at - 1] == simulator._CODE[ATTEMPT]).any(), (
+                log.kind[at] == simulator._CODE[ENERGY_ARRIVAL]).any()
+        if len(log) > 100:
+            assert all(edges[1]) and all(edges[2]) and all(edges[7])
 
 
 class TestHorizonMode:
