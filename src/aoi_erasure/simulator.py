@@ -636,7 +636,7 @@ def _lay_out(trace: _Trace, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, n
         kind[2] = _CODE[ENERGY_ARRIVAL]
     time, kind, source = time[2:-2], kind[2:-2], source[2:-2]
     free = kind <= _CODE[OVERFLOW]
-    first = lo - 2 * before + (before > 0 and slots[before - 1] == lo - 1)
+    first = lo - 2 * before + (before > 0 and slots[before - 1] == lo - 1)  # lo less the pair events before it
     time[free] = arrivals[first : first + np.count_nonzero(free)]
     return time, kind, source
 
