@@ -74,6 +74,14 @@ ROWS: list[list[str]] = [
     # an unwritable --out: exit 1
     [*_SWEEP, "--out", "missing/grid.csv"],
     ["simulate", "--q", "0.3", "--setting", "nofb", "--epochs", "100", "--trace", "--out", "missing/events.log"],
+    # the trace engine's edges: a short threshold over round-robin sources, many overflows
+    # per attempt, and sources stored above uint8
+    ["simulate", "--q", "0.3", "--m", "3", "--setting", "nofb", "--gamma", "0.2", "--epochs", "5000", "--seed", "5",
+     "--trace", "--out", "events.log"],
+    ["simulate", "--q", "0.2", "--m", "2", "--setting", "nofb", "--gamma", "6", "--epochs", "2000", "--seed", "7",
+     "--trace", "--out", "events.log"],
+    ["simulate", "--q", "0.3", "--m", "300", "--setting", "wfb", "--epochs", "4", "--seed", "2", "--trace",
+     "--out", "events.log"],
 ]
 
 _WARNING_PATH = re.compile(r"^.*?(?=aoi_erasure[\\/]\w+\.py:\d+: )", re.MULTILINE)
