@@ -34,18 +34,26 @@ runs, the event log. Two engines produce statistically identical runs:
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
   running sum of bulk exponential draws and erasure outcomes bulk
-  uniforms, a loop over attempts (not events) applies the threshold
-  rule with the float expressions of a literal battery replay and finds
-  the next stored arrival by bisection, and every arrival in between is
-  an overflow. Arrivals and attempts live in typed buffers, not as
-  Python objects, and each attempt's position in the log is derived
-  after the loop. The log keeps views of those buffers, the outcomes,
-  sources and positions (8 bytes an arrival, 18 an attempt) and lays
-  out any range of lines from them, one _CHUNK at a time: a traced
-  5e4-epoch simulate peaks at 42 MB RSS (47 MB with the log laid out
-  whole), and no Python object is kept per arrival, attempt, event or
-  epoch. tests/trace_oracle.py keeps the literal one-event-at-a-time
-  loop this engine must match bit for bit.
+  uniforms. One loop over attempts (not events) serves both stopping
+  rules and applies the threshold rule with the float expressions of a
+  literal battery replay. The arrival it reads after an attempt is the
+  next attempt's unless it overflows; then bisection finds the next
+  stored arrival, and every arrival in between is an overflow. The loop
+  tests no bound per attempt: a -inf sentinel after the last usable
+  arrival sends it into that search, which tops up a target run's
+  arrivals and ends a horizon run, whose arrivals are cut at the
+  horizon first. The one attempt a threshold pushes past the horizon is
+  trimmed after the loop, and each source's epochs are read by stride
+  (every M-th attempt without feedback, every M-th success with it).
+  Arrivals and attempts live in typed buffers, not as Python objects,
+  and each attempt's position in the log is derived after the loop.
+  The log keeps views of those buffers, the outcomes, sources and
+  positions (8 bytes an arrival, 18 an attempt) and lays out any range
+  of lines from them, one _CHUNK at a time: a traced 5e4-epoch simulate
+  peaks at 42 MB RSS (47 MB with the log laid out whole), and no Python
+  object is kept per arrival, attempt, event or epoch.
+  tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
+  engine must match bit for bit.
 
 The estimators live here too. Every run's 95% CI is by batch means
 (ratio_estimate): for M > 1 the sources share one energy stream and one
@@ -150,7 +158,7 @@ class EventLog:
     def events(self) -> _EventView:
         return _EventView(self)
 
-    def _chunks(self) -> Iterator[bytes]:
+    def _chunks(self) -> Iterator[bytes | memoryview]:
         n = len(self)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
@@ -248,8 +256,12 @@ def _put_digits(buf: np.ndarray, keep: np.ndarray, col: int, width: int, values:
             keep[:, c - 1] = values > 0
 
 
-def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> bytes:
+def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> bytes | memoryview:
     """The bytes of the lines f"{t:.9f}\\t{kind}\\t{source}\\n", built column-wise.
+
+    The fast path returns a view of the array it wrote them in, not a
+    copy; it compares equal to the same bytes, and write and bytes.join
+    take it as they are.
 
     The exact product t * 1e9 is p + e (Dekker's two-product; 1e9 has 21
     significant bits, so only t needs splitting). Its nearest integer,
@@ -282,11 +294,11 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     buf[:, w] = ord(".")
     _put_digits(buf, keep, w + 1, 9, frac, pad=True)
     buf[:, tab1] = buf[:, tab2] = ord("\t")
-    buf[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = _KIND_FIELD[kind]
-    keep[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = _KIND_KEEP[kind]
+    buf[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = np.take(_KIND_FIELD, kind)
+    keep[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = np.take(_KIND_KEEP, kind)
     _put_digits(buf, keep, tab2 + 1, ws, source, pad=False)
     buf[:, -1] = ord("\n")
-    return buf[keep].tobytes()
+    return buf[keep].data
 
 
 def _spawn_streams(
@@ -491,13 +503,22 @@ def _run_loop(cfg: SimConfig, keep_events: bool, keep_attempts: bool = True) -> 
     The battery is full from a stored arrival until the attempt that
     spends it; arrivals in between overflow, and the next stored arrival
     is the first one after the attempt. So only attempts need a loop:
-    each finds its time from the stored arrival's and the next stored
-    arrival by bisection. Sources follow from the outcomes: round-robin
-    without feedback, and with feedback max-age-first, which with zero
-    service time serves the sources cyclically (see _epochs_wfb). A
-    replay that compares rounded ages could depart from that order only
-    if two sources' last successes lay within one rounding unit of the
-    age apart.
+    each finds its time from the stored arrival's, and the arrival read
+    after it is the next attempt's unless it overflows, when bisection
+    finds the next stored one. One loop serves both stopping rules. It
+    runs over the gate bytes of the attempts it may make and tests no
+    bound: a -inf sentinel after the last usable arrival sends the step
+    past it into the search, which tops up a target run's arrivals and
+    ends a horizon run, whose arrivals are cut at the horizon first. An
+    attempt that a threshold pushes past the horizon is made and then
+    trimmed after the loop.
+
+    Sources follow from the outcomes: round-robin without feedback, and
+    with feedback max-age-first, which with zero service time serves the
+    sources cyclically (see _epochs_wfb). A replay that compares rounded
+    ages could depart from that order only if two sources' last
+    successes lay within one rounding unit of the age apart. So each
+    source's epochs are read by stride (_epochs_by_stride).
     """
     q, M, gamma = cfg.q, cfg.M, cfg.gamma
     wfb = cfg.setting is Feedback.WFB
@@ -513,69 +534,91 @@ def _run_loop(cfg: SimConfig, keep_events: bool, keep_attempts: bool = True) -> 
         # an attempt spaced by max(gamma, wait) spans gamma + e^-gamma arrivals
         # on average, an upper bound for both settings
         _more_arrivals(A, rng_a, int(n_max * (gamma + math.exp(-gamma)) * 1.02) + 256)
-        limit = math.inf
     else:
         while not A or A[-1] <= horizon:
             _more_arrivals(A, rng_a, int(horizon * 1.02) + 256)
         n_max = bisect_right(A, horizon)  # every attempt spends an arrival before the cut
+        del A[n_max:]
         ok = rng_e.random(n_max) > q
-        limit = horizon
     # the threshold applies to every attempt without feedback, and with
     # feedback to the first attempt after a success
-    gate = np.concatenate(([True], ok[:-1])).tobytes() if wfb else b"\x01" * n_max
+    gate = (b"\x01" + ok[: n_max - 1].tobytes())[:n_max] if wfb else b"\x01" * n_max
 
+    n_a = len(A)  # usable arrivals, then the sentinel
+    A.append(-math.inf)
     T = array("d")  # attempt times
-    k, prev, n_a = 0, 0.0, len(A)
-    for i in range(n_max):
-        fill = A[k]
-        if fill > limit:
-            break
+    append = T.append
+    k, prev, fill = 0, 0.0, A[0]  # fill: the stored arrival the next attempt spends, A[k]
+    for g in gate:
         d = fill - prev
-        if gate[i] and gamma > d:
+        if g and gamma > d:
             d = gamma
         t = prev + d
-        if t > limit:
-            break
-        kn = k + 1
-        if kn == n_a or A[kn] <= t:  # overflows: search past them
-            kn = bisect_right(A, t, kn)
-            while kn == n_a:  # only a target run can outgrow its first draw
+        append(t)
+        prev = t
+        k += 1
+        fill = A[k]
+        if fill <= t:  # overflows, or the sentinel: search past them
+            k = bisect_right(A, t, k, n_a)
+            while k == n_a and horizon is None:  # a target run tops its arrivals up
+                A.pop()
                 _more_arrivals(A, rng_a, max(1024, n_a // 8))
                 n_a = len(A)
-                kn = bisect_right(A, t, kn)
-        T.append(t)
-        prev, k = t, kn
+                A.append(-math.inf)
+                k = bisect_right(A, t, k, n_a)
+            if k == n_a:  # a horizon run has spent its arrivals
+                break
+            fill = A[k]
+    # the attempt that a threshold pushed past the horizon; its stored arrival is kept
+    trimmed = horizon is not None and bool(T) and T[-1] > horizon
+    if trimmed:
+        T.pop()
 
     # views, not copies: nothing is appended to A or T from here on
-    n_att = len(T)
+    n_att, n_arr = len(T), k
     times = np.frombuffer(T, np.float64)
     ok = ok[:n_att]
-    n_arr = k if horizon is None else bisect_right(A, horizon)
-    # a horizon can cut between a stored arrival and its attempt
-    n_stored = n_att + int(k < n_arr)
-    # the source (1..M) of each attempt, in the log's source dtype
-    dt = np.min_scalar_type(M)
+    ys, atts, stimes = _epochs_by_stride(times, ok, M, wfb, target, keep_attempts)
+
+    log = None
+    if keep_events:
+        # the source (1..M) of each attempt, in the log's source dtype
+        dt = np.min_scalar_type(M)
+        if wfb:
+            src = ((np.cumsum(ok) - ok) % M + 1).astype(dt)
+        else:
+            src = np.resize(np.arange(1, M + 1, dtype=dt), n_att)
+        arrivals = np.frombuffer(A, np.float64, n_arr)
+        log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)))
+    return _RawRun(ys, atts, stimes, n_arr, n_arr - n_att - trimmed, n_att, int(ok.sum()), log)
+
+
+def _epochs_by_stride(
+    times: np.ndarray, ok: np.ndarray, M: int, wfb: bool, target: int | None, keep_attempts: bool
+) -> tuple[list[np.ndarray], list[np.ndarray] | None, list[np.ndarray]]:
+    """Each source's epochs (cut to target) and attempts per epoch, and in horizon runs its success times.
+
+    Without feedback source j's attempts are every M-th attempt from the
+    j-th. With feedback the services rotate, so its successes are every
+    M-th success from the j-th, and each of its epochs takes the attempts
+    of its next turn, the run of attempts that ends at a success.
+    """
     if wfb:
-        src = ((np.cumsum(ok) - ok) % M + 1).astype(dt)
-    else:
-        src = np.resize(np.arange(1, M + 1, dtype=dt), n_att)
+        wins = np.flatnonzero(ok)
+        turns = np.diff(wins, prepend=-1) if keep_attempts else None
     ys, atts, stimes = [], [] if keep_attempts else None, []
-    for j in range(1, M + 1):
-        mine = np.flatnonzero(src == j)
-        wins = np.flatnonzero(ok[mine])
-        s = times[mine[wins]]
+    for j in range(M):
+        if wfb:
+            s = times[wins[j::M]]
+        else:
+            mine = np.flatnonzero(ok[j::M])
+            s = times[j::M][mine]
         if target is None:
             stimes.append(s)
         ys.append(np.diff(s)[:target])
         if atts is not None:
-            atts.append(np.diff(wins)[:target])
-    del mine, wins, s  # the last source's index temporaries go before the log's slots are found
-
-    log = None
-    if keep_events:
-        arrivals = np.frombuffer(A, np.float64, n_arr)
-        log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)))
-    return _RawRun(ys, atts, stimes, n_arr, n_arr - n_stored, n_att, int(ok.sum()), log)
+            atts.append((turns[j + M :: M] if wfb else np.diff(mine))[:target])
+    return ys, atts, stimes
 
 
 def _pair_slots(arrivals: np.ndarray, times: np.ndarray) -> np.ndarray:
