@@ -254,10 +254,13 @@ def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[Validati
     """Each cell's ValidationRecord, in cell order, on the calling thread and, given two CPUs, one more.
 
     numpy's draws release the GIL, so a helper thread shares the cells.
-    They are ordered by M: the caller takes the largest left and the
-    helper the smallest, so the two cells in flight hold no more epochs
-    than two of the largest. A failure stops both from starting another
-    cell and is raised here, once the helper has stopped.
+    The usable CPUs are the process's affinity set, or os.cpu_count()
+    where the platform has no sched_getaffinity. The cells are ordered
+    by M: the caller takes the largest left and the helper the smallest,
+    so the largest cells start first and run beside small ones, not
+    beside each other (what that does to peak RSS is unmeasured). A
+    failure stops both from starting another cell and is raised here,
+    once the helper has stopped.
     """
     import os
     import threading
@@ -283,7 +286,8 @@ def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[Validati
                 with lock:
                     failures.append(exc)
 
-    helper = threading.Thread(target=work, args=(todo.popleft,)) if len(os.sched_getaffinity(0)) > 1 else None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    helper = threading.Thread(target=work, args=(todo.popleft,)) if cpus > 1 else None
     if helper is not None:
         helper.start()
     try:

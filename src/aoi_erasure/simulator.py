@@ -4,32 +4,34 @@ run_simulation is the one entry point: the CLI and stats.validate turn
 a model.SimConfig (q, M, setting, gamma, stopping rule and seeds) into
 numbers through it. It returns the aggregated SimResult, the epochs as
 columns (Epochs: per-source counts, y and attempts) and, for traced
-runs, the event log. Two engines produce statistically identical runs:
+runs, the event log. It picks one of three engines, which all take
+(cfg, keep_attempts) and spawn their own streams; they produce
+statistically identical runs:
 
-* an epoch engine (default) that exploits the renewal structure: each
-  transmission empties the unit battery and arrivals are memoryless, so
-  waits can be drawn in bulk with numpy and no event queue is needed.
-  Every source then has exactly target_epochs epochs. Attempts are
-  drawn and folded in fixed blocks of about _BLOCK, into buffers reused
-  from block to block, so attempt-level memory does not grow with the
-  run; only the epoch columns do (16 bytes an epoch: y and attempts;
-  stats.validate reads no epochs, so its runs keep no attempts column
-  and hold 8 bytes an epoch and source in either engine).
-  Each block writes every success time into its source's row of an
-  (M, target_epochs + 1) block and, when attempts are kept, the
-  source's running attempt count there into a second one; between
-  blocks only the clock and the success counts carry over. An epoch is
-  the gap between two successes of a source, so one in-place pass
-  (_gaps) turns the rows into the (M, target_epochs) y and attempts
-  blocks that run_simulation reads without copying. The feedback
-  engine's retry waits are gamma draws on the arrival stream that come
-  after every first wait, so they are drawn from a copy of that stream
-  which first walks past the first waits a block at a time; the first
-  waits are drawn block by block beside their retries. Each stream is
-  consumed in the order of an all-at-once draw, so the block size
-  changes no number. Exponentials are drawn with standard_exponential,
-  which gives the values and the stream state of exponential() at less
-  cost;
+* two epoch engines (default), one per setting, that exploit the renewal
+  structure: each transmission empties the unit battery and arrivals are
+  memoryless, so waits can be drawn in bulk with numpy and no event
+  queue is needed. Every source then has exactly target_epochs epochs.
+  Attempts are drawn and folded in fixed blocks of about _BLOCK, into
+  buffers reused from block to block, so attempt-level memory does not
+  grow with the run; only the epoch columns do (16 bytes an epoch: y and
+  attempts; stats.validate reads no epochs, so its runs keep no attempts
+  column and hold 8 bytes an epoch and source in either engine). Each
+  block writes every success time into its source's row of an
+  (M, target_epochs + 1) block; between blocks only the clock and the
+  success counts carry over. An epoch is the gap between two successes
+  of a source, so one in-place pass (_gaps) turns the rows into the
+  (M, target_epochs) y block that run_simulation reads without copying.
+  Kept attempts take the same route without feedback (the cycle of each
+  success); with feedback each epoch takes the tries of its source's
+  next service, written straight into their block. The feedback engine's
+  retry waits are gamma draws on the arrival stream that come after
+  every first wait, so they are drawn from a copy of that stream which
+  first walks past the first waits a block at a time; the first waits
+  are drawn block by block beside their retries. Each stream is consumed
+  in the order of an all-at-once draw, so the block size changes no
+  number. Exponentials are drawn with standard_exponential, which gives
+  the values and the stream state of exponential() at less cost;
 * a trace engine (`_run_loop`) for traced runs and wall-clock-horizon
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
@@ -43,15 +45,16 @@ runs, the event log. Two engines produce statistically identical runs:
   arrival sends it into that search, which tops up a target run's
   arrivals and ends a horizon run, whose arrivals are cut at the
   horizon first. The one attempt a threshold pushes past the horizon is
-  trimmed after the loop, and each source's epochs are read by stride
-  (every M-th attempt without feedback, every M-th success with it).
+  trimmed after the loop, and each source's successes are read by
+  stride (_wins: every M-th attempt without feedback, every M-th
+  success with it).
   Arrivals and attempts live in typed buffers, not as Python objects,
   and each attempt's position in the log is derived after the loop.
   The log keeps views of those buffers, the outcomes, sources and
   positions (8 bytes an arrival, 18 an attempt) and lays out any range
-  of lines from them, one _CHUNK at a time: a traced 5e4-epoch simulate
-  peaks at 42 MB RSS (47 MB with the log laid out whole), and no Python
-  object is kept per arrival, attempt, event or epoch.
+  of lines from them, one _CHUNK at a time, so a traced run holds its
+  arrays and one chunk of lines, and no Python object is kept per
+  arrival, attempt, event or epoch.
   tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
   engine must match bit for bit.
 
@@ -109,8 +112,8 @@ class EventLog:
 
     The engine's log holds its arrays (_Trace: 8 bytes an arrival, 18 an
     attempt, 19 above M = 255), and dump and to_lines lay out one _CHUNK
-    of lines at a time from them: a traced 5e4-epoch run and its dump
-    peak at 6.3 MB (tracemalloc), 11.7 MB with the log laid out whole.
+    of lines at a time from them, so a dump holds no more than one
+    chunk's lines beside the arrays.
     The columns time (float64), kind (uint8 index into the kind names)
     and source (0 for battery events, else 1..M; np.min_scalar_type(M)
     from the engine, int64 from Events) are laid out whole on first read,
@@ -240,28 +243,28 @@ _CHUNK = 8192  # log lines formatted and written at a time
 _FAST_MAX = 4.5e6
 _KIND_WIDTH = max(len(k) for k in _KINDS)
 _KIND_BYTES = np.array([list(k.encode().ljust(_KIND_WIDTH, b"\0")) for k in _KINDS], np.uint8)
-_KIND_ITEM = np.dtype((np.void, _KIND_WIDTH))  # a kind's bytes or keep mask as one item, gathered per line
+_KIND_ITEM = np.dtype((np.void, _KIND_WIDTH))  # a kind's bytes as one item, gathered per line
 _KIND_FIELD = _KIND_BYTES.view(_KIND_ITEM).ravel()
-_KIND_KEEP = (_KIND_BYTES != 0).view(_KIND_ITEM).ravel()
 
 
-def _put_digits(buf: np.ndarray, keep: np.ndarray, col: int, width: int, values: np.ndarray, pad: bool) -> None:
-    """Write values (< 2**32) as `width` decimal columns; unless pad, drop leading zeros."""
+def _put_digits(buf: np.ndarray, col: int, width: int, values: np.ndarray, pad: bool) -> None:
+    """Write values (< 2**32) as `width` decimal columns; unless pad, leading zeros as 0 bytes."""
     values = values.astype(np.uint32)  # 32-bit division is several times faster
-    for c in range(col + width - 1, col - 1, -1):
+    units = col + width - 1
+    for c in range(units, col - 1, -1):
         higher = values // 10
-        buf[:, c] = values - higher * 10 + 48
+        zero = np.uint32(48) if pad or c == units else (values > 0) * np.uint32(48)
+        buf[:, c] = values - higher * 10 + zero
         values = higher
-        if not pad and c > col:
-            keep[:, c - 1] = values > 0
 
 
 def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> bytes | memoryview:
     """The bytes of the lines f"{t:.9f}\\t{kind}\\t{source}\\n", built column-wise.
 
-    The fast path returns a view of the array it wrote them in, not a
-    copy; it compares equal to the same bytes, and write and bytes.join
-    take it as they are.
+    Leading zeros and the kind field's padding are written as 0 bytes,
+    which no line holds, and dropped at the end. The fast path returns a
+    view of the array the lines are gathered in, not a copy; it compares
+    equal to the same bytes, and write and bytes.join take it as they are.
 
     The exact product t * 1e9 is p + e (Dekker's two-product; 1e9 has 21
     significant bits, so only t needs splitting). Its nearest integer,
@@ -289,16 +292,14 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     tab1 = w + 10
     tab2 = tab1 + 1 + _KIND_WIDTH
     buf = np.empty((n, tab2 + ws + 2), np.uint8)
-    keep = np.ones(buf.shape, bool)
-    _put_digits(buf, keep, 0, w, whole, pad=False)
+    _put_digits(buf, 0, w, whole, pad=False)
     buf[:, w] = ord(".")
-    _put_digits(buf, keep, w + 1, 9, frac, pad=True)
+    _put_digits(buf, w + 1, 9, frac, pad=True)
     buf[:, tab1] = buf[:, tab2] = ord("\t")
     buf[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = np.take(_KIND_FIELD, kind)
-    keep[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = np.take(_KIND_KEEP, kind)
-    _put_digits(buf, keep, tab2 + 1, ws, source, pad=False)
+    _put_digits(buf, tab2 + 1, ws, source, pad=False)
     buf[:, -1] = ord("\n")
-    return buf[keep].data
+    return buf[buf != 0].data
 
 
 def _spawn_streams(
@@ -355,16 +356,7 @@ def _gaps(rows: np.ndarray) -> np.ndarray:
     return flat[: M * (n - 1)].reshape(M, n - 1)
 
 
-def _epochs_nofb(
-    q: float,
-    M: int,
-    gamma: float,
-    target: int,
-    rng_a: np.random.Generator,
-    rng_e: np.random.Generator,
-    rng_o: np.random.Generator,
-    keep_attempts: bool,
-) -> _RawRun:
+def _epochs_nofb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     """Epoch engine, no feedback: attempts walk the round-robin cycle.
 
     Attempt i belongs to source i mod M and waits max(gamma, tau_i). A
@@ -374,7 +366,8 @@ def _epochs_nofb(
     attempts before that cut. Every block is drawn and folded into the
     same buffers.
     """
-    need = target + 1
+    q, M, gamma, need = cfg.q, cfg.M, cfg.gamma, cfg.target_epochs + 1
+    rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
     cycles = max(1, _BLOCK // M)
     s = np.empty((M, need))  # row j: source j's success times
     a = np.empty((M, need), np.int64) if keep_attempts else None  # and their cycles
@@ -414,16 +407,7 @@ def _epochs_nofb(
     return _RawRun(_gaps(s), atts, (), attempts + overflows, overflows, attempts, successes, None)
 
 
-def _epochs_wfb(
-    q: float,
-    M: int,
-    gamma: float,
-    target: int,
-    rng_a: np.random.Generator,
-    rng_e: np.random.Generator,
-    rng_o: np.random.Generator,
-    keep_attempts: bool,
-) -> _RawRun:
+def _epochs_wfb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     """Epoch engine, with feedback: one service (a success) per turn.
 
     Max-age-first with zero service time degenerates to the cyclic order
@@ -436,12 +420,14 @@ def _epochs_wfb(
     the M * (target + 1) first waits, a block at a time, while the
     stream itself draws the first waits block by block. Blocks hold
     whole rounds of M services and carry the clock; round r holds every
-    source's success r.
+    source's success r. A source's epoch k takes the tries of its
+    service k + 1, so round r > 0 writes column r - 1 of the attempts.
     """
-    need = target + 1
+    q, M, gamma, need = cfg.q, cfg.M, cfg.gamma, cfg.target_epochs + 1
+    rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
     rounds = max(1, _BLOCK // M)
     s = np.empty((M, need))  # row j: source j's success times
-    a = np.empty((M, need), np.int64) if keep_attempts else None  # its attempts per success, summed below
+    a = np.empty((M, need - 1), np.int64) if keep_attempts else None  # row j: source j's attempts per epoch
     waits, shape, extra = np.empty((3, rounds * M))
     rng_r = copy.deepcopy(rng_a)  # the retry waits' stream: rng_a past the first waits
     for lo in range(0, M * need, extra.size):
@@ -464,15 +450,11 @@ def _epochs_wfb(
         clock = w[-1]
         s[:, lo : lo + size // M] = w.reshape(-1, M).T
         if a is not None:
-            a[:, lo : lo + size // M] = tries.reshape(-1, M).T
-    atts = None
-    if a is not None:
-        for row in a:  # each service's attempts, summed in place along its source's row
-            np.cumsum(row, out=row)
-        atts = _gaps(a)
+            first = max(lo, 1)
+            a[:, first - 1 : lo + size // M - 1] = tries.reshape(-1, M)[first - lo :].T
     n = M * need
     attempts = n + fails_total
-    return _RawRun(_gaps(s), atts, (), attempts + overflows, overflows, attempts, n, None)
+    return _RawRun(_gaps(s), a, (), attempts + overflows, overflows, attempts, n, None)
 
 
 def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
@@ -482,22 +464,32 @@ def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
     A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
 
 
+def _wins(ok: np.ndarray, M: int, wfb: bool) -> Iterator[np.ndarray]:
+    """Each source's successful attempts, as indices into ok, one source at a time.
+
+    Without feedback source j makes every M-th attempt from the j-th
+    (round robin). With feedback, max-age-first with zero service time
+    serves the sources cyclically (see _epochs_wfb), so source j gets
+    every M-th success from the j-th. A replay that compares rounded
+    ages could depart from that order only if two sources' last
+    successes lay within one rounding unit of the age apart.
+    """
+    wins = np.flatnonzero(ok) if wfb else None
+    for j in range(M):
+        yield wins[j::M] if wfb else np.flatnonzero(ok[j::M]) * M + j
+
+
 def _attempts_needed(ok: np.ndarray, M: int, need: int, wfb: bool) -> int | None:
     """Attempts until every source has `need` successes, or None if ok runs out."""
-    if wfb:
-        # successes rotate through the sources, so the run ends at success M * need
-        wins = np.flatnonzero(ok)
-        return int(wins[M * need - 1]) + 1 if wins.size >= M * need else None
     last = 0
-    for j in range(M):
-        wins = np.flatnonzero(ok[j::M])
+    for wins in _wins(ok, M, wfb):
         if wins.size < need:
             return None
-        last = max(last, int(wins[need - 1]) * M + j)
+        last = max(last, int(wins[need - 1]))
     return last + 1
 
 
-def _run_loop(cfg: SimConfig, keep_events: bool, keep_attempts: bool = True) -> _RawRun:
+def _run_loop(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     """Trace engine: one Poisson arrival stream through one unit battery.
 
     The battery is full from a stored arrival until the attempt that
@@ -513,12 +505,8 @@ def _run_loop(cfg: SimConfig, keep_events: bool, keep_attempts: bool = True) -> 
     attempt that a threshold pushes past the horizon is made and then
     trimmed after the loop.
 
-    Sources follow from the outcomes: round-robin without feedback, and
-    with feedback max-age-first, which with zero service time serves the
-    sources cyclically (see _epochs_wfb). A replay that compares rounded
-    ages could depart from that order only if two sources' last
-    successes lay within one rounding unit of the age apart. So each
-    source's epochs are read by stride (_epochs_by_stride).
+    Each source's successes follow from the outcomes (_wins). The log
+    is kept when cfg.trace is set.
     """
     q, M, gamma = cfg.q, cfg.M, cfg.gamma
     wfb = cfg.setting is Feedback.WFB
@@ -581,7 +569,7 @@ def _run_loop(cfg: SimConfig, keep_events: bool, keep_attempts: bool = True) -> 
     ys, atts, stimes = _epochs_by_stride(times, ok, M, wfb, target, keep_attempts)
 
     log = None
-    if keep_events:
+    if cfg.trace:
         # the source (1..M) of each attempt, in the log's source dtype
         dt = np.min_scalar_type(M)
         if wfb:
@@ -598,26 +586,20 @@ def _epochs_by_stride(
 ) -> tuple[list[np.ndarray], list[np.ndarray] | None, list[np.ndarray]]:
     """Each source's epochs (cut to target) and attempts per epoch, and in horizon runs its success times.
 
-    Without feedback source j's attempts are every M-th attempt from the
-    j-th. With feedback the services rotate, so its successes are every
-    M-th success from the j-th, and each of its epochs takes the attempts
-    of its next turn, the run of attempts that ends at a success.
+    Source j's successes come from _wins. Without feedback an epoch's
+    attempts are the source's own between two successes; with feedback
+    each epoch takes the attempts of the source's next turn, the run of
+    attempts that ends at a success.
     """
-    if wfb:
-        wins = np.flatnonzero(ok)
-        turns = np.diff(wins, prepend=-1) if keep_attempts else None
+    turns = np.diff(np.flatnonzero(ok), prepend=-1) if wfb and keep_attempts else None
     ys, atts, stimes = [], [] if keep_attempts else None, []
-    for j in range(M):
-        if wfb:
-            s = times[wins[j::M]]
-        else:
-            mine = np.flatnonzero(ok[j::M])
-            s = times[j::M][mine]
+    for j, wins in enumerate(_wins(ok, M, wfb)):
+        s = times[wins]
         if target is None:
             stimes.append(s)
         ys.append(np.diff(s)[:target])
         if atts is not None:
-            atts.append((turns[j + M :: M] if wfb else np.diff(mine))[:target])
+            atts.append((turns[j + M :: M] if wfb else np.diff(wins) // M)[:target])
     return ys, atts, stimes
 
 
@@ -802,12 +784,9 @@ def run_simulation(
     pass _with_epochs=False, get None for the epochs, and the engines
     keep no attempts per epoch.
     """
-    if cfg.trace or cfg.horizon is not None:
-        raw = _run_loop(cfg, cfg.trace, _with_epochs)
-    else:
-        rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
-        engine = _epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb
-        raw = engine(cfg.q, cfg.M, cfg.gamma, cfg.target_epochs, rng_a, rng_e, rng_o, _with_epochs)
+    replay = cfg.trace or cfg.horizon is not None
+    engine = _run_loop if replay else _epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb
+    raw = engine(cfg, _with_epochs)
 
     if cfg.horizon is None:
         # every source has exactly target epochs, so the rows form one block

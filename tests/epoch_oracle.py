@@ -9,6 +9,9 @@ batch_ratio_estimate recomputes the batch-means interval from scratch,
 with np.array_split, plain sums, np.cov and scipy's t quantile, and
 shares no code with aoi_erasure.stats, which must match it to rounding
 (TestEngineBlocks, tests/test_stats.py::TestMoments).
+paired_ratio_difference takes the same batches from two runs that share
+their draws and gives the difference of their ratios with a paired
+interval (tests/test_stats.py::TestPairedThresholdShape).
 """
 
 from __future__ import annotations
@@ -76,13 +79,8 @@ def batch_ratio_estimate(rows):
     totals, from np.cov, times Student's t with one degree of freedom
     fewer than batches; one batch gives 0.0.
     """
-    rows = [np.asarray(row, dtype=np.float64) for row in rows]
-    B = min(20, rows[0].size)
-    Y, R = np.zeros(B), np.zeros(B)
-    for row in rows:
-        for b, piece in enumerate(np.array_split(row, B)):
-            Y[b] += piece.sum()
-            R[b] += (0.5 * piece * piece).sum()
+    Y, R = _batch_totals(rows)
+    B = Y.size
     point = float(R.sum() / Y.sum())
     if B == 1:
         return point, 0.0
@@ -91,3 +89,37 @@ def batch_ratio_estimate(rows):
     cov = np.cov(R, Y, ddof=1)
     var_point = (cov[0, 0] - 2.0 * point * cov[0, 1] + point * point * cov[1, 1]) / (B * Y.mean() ** 2)
     return point, float(stats.t.ppf(0.975, B - 1) * np.sqrt(max(var_point, 0.0)))
+
+
+def _batch_totals(rows):
+    """Batch totals of y and of R = y**2 / 2: min(20, n) np.array_split pieces of each row, added over rows."""
+    rows = [np.asarray(row, dtype=np.float64) for row in rows]
+    B = min(20, rows[0].size)
+    Y, R = np.zeros(B), np.zeros(B)
+    for row in rows:
+        for b, piece in enumerate(np.array_split(row, B)):
+            Y[b] += piece.sum()
+            R[b] += (0.5 * piece * piece).sum()
+    return Y, R
+
+
+def paired_ratio_difference(rows_a, rows_b):
+    """Point and 95% half-width of p_b - p_a, the difference of two runs' ratios sum R / sum y.
+
+    Two runs with one seed share their draws, so their batches err
+    together. A run's ratio errs by about the mean of its batch
+    residuals (R - p * y) / mean(y) (the delta method), so the
+    difference errs by the mean of the batch-wise differences of the
+    residuals: Student's t at B - 1 df times their spread over sqrt(B).
+    """
+    from scipy import stats
+
+    points, residuals = [], []
+    for rows in (rows_a, rows_b):
+        Y, R = _batch_totals(rows)
+        point = float(R.sum() / Y.sum())
+        points.append(point)
+        residuals.append((R - point * Y) / Y.mean())
+    d = residuals[1] - residuals[0]
+    B = d.size
+    return points[1] - points[0], float(stats.t.ppf(0.975, B - 1) * d.std(ddof=1) / np.sqrt(B))

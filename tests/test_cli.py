@@ -471,6 +471,26 @@ class TestGridThreads:
         if args[0] == "validate":
             assert any(float(row.split(",")[5]) > 0 for row in csv1.decode().splitlines()[1:])
 
+    @pytest.mark.parametrize("cpu_count, used", [(2, 2), (None, 1)])
+    def test_cpu_count_where_affinity_is_missing(self, cpu_count, used, monkeypatch, capsys):
+        # Windows and macOS builds of CPython have no os.sched_getaffinity
+        args = self.GRIDS[0]
+        _on_cpus(monkeypatch, 1)
+        rc = main(args)
+        one_thread = capsys.readouterr()
+        threads = set()
+        real = stats.validate
+
+        def watched(*a):
+            threads.add(threading.get_ident())
+            return real(*a)
+
+        monkeypatch.setattr(stats, "validate", watched)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert (main(args), capsys.readouterr()) == (rc, one_thread)
+        assert len(threads) == used
+
     def test_threads_keep_the_records(self, monkeypatch):
         opts = argparse.Namespace(
             command="validate", q="0.3,0.7", m="1,3,8", setting="nofb,wfb", gamma="0,optimal",

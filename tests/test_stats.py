@@ -13,7 +13,7 @@ from aoi_erasure.stats import (
     ratio_estimate,
     validate,
 )
-from epoch_oracle import batch_ratio_estimate
+from epoch_oracle import batch_ratio_estimate, paired_ratio_difference
 from gamma_oracle import RenewalEstimate, grid_oracle_gamma, sim_gamma_curve
 
 
@@ -119,6 +119,32 @@ class TestCalibration:
             rec = validate(q, M, setting, gamma, n_epochs=5000, seed=seed)
             hits += abs(rec.sim_mean - target) <= rec.sim_ci
         assert hits / 300 >= 0.90, hits / 300
+
+
+class TestPairedThresholdShape:
+    """Does a small threshold help? The simulator answers as the closed forms do.
+
+    At q = 0.3 the optimizer first returns gamma* = 0 at M = 2 without
+    feedback and M = 3 with it, one source earlier than the counts that
+    tests/test_acceptance.py::test_05 expects. So gamma = 0.2 must cost
+    age at those cells and save age one source earlier. Runs at
+    gamma = 0 and 0.2 with one seed share every draw but the overflow
+    counts, so their batch errors largely cancel in the difference: at
+    1e5 epochs the paired half-width is 2 to 4e-4, against differences
+    of 2 to 9e-3.
+    """
+
+    @pytest.mark.parametrize("M, setting", [(2, "nofb"), (3, "wfb"), (1, "nofb"), (2, "wfb")])
+    def test_gamma_cost_has_the_closed_form_sign(self, M, setting):
+        q, n = 0.3, 100_000
+        rows = []
+        for gamma in (0.0, 0.2):
+            _, epochs, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=n, seed=1))
+            rows.append(epochs.y.reshape(M, n))
+        cost, hw = paired_ratio_difference(*rows)
+        exact = closed_form_aoi(q, M, setting, 0.2) - closed_form_aoi(q, M, setting, 0.0)
+        assert np.sign(cost) == np.sign(exact) and abs(cost) > 3 * hw, (cost, hw)
+        assert abs(cost - exact) <= 3 * hw, (cost, exact, hw)
 
 
 class TestClosedFormDispatch:
