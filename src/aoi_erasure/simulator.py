@@ -26,19 +26,21 @@ statistically identical runs:
   success); with feedback each epoch takes the tries of its source's
   next service, written straight into their block. The feedback engine's
   retry waits are gamma draws on the arrival stream that come after
-  every first wait, so they are drawn from a copy of that stream which
-  first walks past the first waits a block at a time; the first waits
-  are drawn block by block beside their retries. Each stream is consumed
-  in the order of an all-at-once draw, so the block size changes no
-  number. Exponentials are drawn with standard_exponential, which gives
-  the values and the stream state of exponential() at less cost;
+  every first wait, so it makes two passes over the success-time block:
+  the first draws every first wait into it, block by block, and the
+  second reads each block back and adds its retries. Each stream is
+  consumed in the order of an all-at-once draw, so the block size
+  changes no number. Exponentials are drawn with standard_exponential,
+  which gives the values and the stream state of exponential() at less
+  cost;
 * a trace engine (`_run_loop`) for traced runs and wall-clock-horizon
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
   running sum of bulk exponential draws and erasure outcomes bulk
-  uniforms. One loop over attempts (not events) serves both stopping
-  rules and applies the threshold rule with the float expressions of a
-  literal battery replay. The arrival it reads after an attempt is the
+  uniforms, compared with q one _CHUNK at a time. One loop over
+  attempts (not events) serves both stopping rules and applies the
+  threshold rule with the float expressions of a literal battery
+  replay. The arrival it reads after an attempt is the
   next attempt's unless it overflows; then bisection finds the next
   stored arrival, and every arrival in between is an overflow. The loop
   tests no bound per attempt: a -inf sentinel after the last usable
@@ -47,9 +49,12 @@ statistically identical runs:
   horizon first. The one attempt a threshold pushes past the horizon is
   trimmed after the loop, and each source's successes are read by
   stride (_wins: every M-th attempt without feedback, every M-th
-  success with it).
+  success with it); a target run gathers their times into one
+  (M, target_epochs + 1) block and takes its _gaps, as the epoch
+  engines do.
   Arrivals and attempts live in typed buffers, not as Python objects,
-  and each attempt's position in the log is derived after the loop.
+  and each attempt's source and position in the log are derived after
+  the loop, the sources one _CHUNK at a time.
   The log keeps views of those buffers, the outcomes, sources and
   positions (8 bytes an arrival, 18 an attempt) and lays out any range
   of lines from them, one _CHUNK at a time, so a traced run holds its
@@ -76,7 +81,6 @@ arrival process fixed.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from array import array
@@ -247,6 +251,31 @@ _KIND_ITEM = np.dtype((np.void, _KIND_WIDTH))  # a kind's bytes as one item, gat
 _KIND_FIELD = _KIND_BYTES.view(_KIND_ITEM).ravel()
 
 
+def _nanos(time: np.ndarray) -> np.ndarray:
+    """time * 1e9 rounded to the nearest integer, ties to even as in Python's float formatting.
+
+    The exact product t * 1e9 is p + e (Dekker's two-product; 1e9 has 21
+    significant bits, so only t needs splitting). Its nearest integer is
+    rint(p), except where p lies exactly half-way between two integers:
+    the sign of e decides there. The steps run in place, four arrays of
+    the chunk's length at most, and the caller holds none of them.
+    """
+    p = time * 1e9
+    hi = time * 134217729.0  # Veltkamp split: 2**27 + 1
+    hi -= hi - time
+    e = time - hi
+    e *= 1e9
+    hi *= 1e9
+    hi -= p
+    e += hi  # (hi * 1e9 - p) + (time - hi) * 1e9
+    r = np.rint(p)
+    p -= r  # p less its nearest integer
+    nanos = r.astype(np.int64)
+    nanos += (p == 0.5) & (e > 0.0)
+    nanos -= (p == -0.5) & (e < 0.0)
+    return nanos
+
+
 def _put_digits(buf: np.ndarray, col: int, width: int, values: np.ndarray, pad: bool) -> None:
     """Write values (< 2**32) as `width` decimal columns; unless pad, leading zeros as 0 bytes."""
     values = values.astype(np.uint32)  # 32-bit division is several times faster
@@ -265,12 +294,6 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     which no line holds, and dropped at the end. The fast path returns a
     view of the array the lines are gathered in, not a copy; it compares
     equal to the same bytes, and write and bytes.join take it as they are.
-
-    The exact product t * 1e9 is p + e (Dekker's two-product; 1e9 has 21
-    significant bits, so only t needs splitting). Its nearest integer,
-    ties to even as in Python's float formatting, is rint(p), except
-    where p lies exactly half-way between two integers: the sign of e
-    decides there.
     """
     n = time.size
     if n == 0:
@@ -279,14 +302,7 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
         kinds = map(_KINDS.__getitem__, kind.tolist())
         rows = zip(time.tolist(), kinds, source.tolist())
         return "".join(f"{t:.9f}\t{k}\t{s}\n" for t, k, s in rows).encode()
-    p = time * 1e9
-    hi = time * 134217729.0  # Veltkamp split: 2**27 + 1
-    hi -= hi - time
-    e = (hi * 1e9 - p) + (time - hi) * 1e9
-    r = np.rint(p)
-    half = p - r
-    nanos = r.astype(np.int64) + ((half == 0.5) & (e > 0.0)) - ((half == -0.5) & (e < 0.0))
-    whole, frac = np.divmod(nanos, 1_000_000_000)
+    whole, frac = np.divmod(_nanos(time), 1_000_000_000)
     w = len(str(int(whole.max())))
     ws = len(str(int(source.max())))
     tab1 = w + 10
@@ -316,9 +332,9 @@ def _spawn_streams(
 
 
 class _RawRun(NamedTuple):
-    # one row per source; the epoch engines fill one (M, target) block
-    ys: Sequence[np.ndarray]  # epoch lengths
-    atts: Sequence[np.ndarray] | None  # attempts per epoch, aligned with ys; None if not kept
+    # a target run fills one (M, target) block, a horizon run gives one row per source
+    ys: np.ndarray | Sequence[np.ndarray]  # epoch lengths
+    atts: np.ndarray | Sequence[np.ndarray] | None  # attempts per epoch, aligned with ys; None if not kept
     success_times: Sequence[np.ndarray]  # includes the first success; horizon runs only
     arrivals: int
     overflows: int
@@ -416,11 +432,13 @@ def _epochs_wfb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     number of attempts; the extra waits beyond the first are a sum of
     unit exponentials, drawn as one gamma variate (shape 0 gives 0.0 and
     draws nothing). Those gamma draws follow every first wait on the
-    same stream, so they come from a copy of it that first walks past
-    the M * (target + 1) first waits, a block at a time, while the
-    stream itself draws the first waits block by block. Blocks hold
-    whole rounds of M services and carry the clock; round r holds every
-    source's success r. A source's epoch k takes the tries of its
+    same stream, so the engine makes two passes in blocks over the
+    success-time block s. The first draws each block's first waits and
+    their overflows and writes max(wait, gamma) into s; the second reads
+    each block back, adds the retry waits, which the stream now draws,
+    and sums them into success times in place. Blocks hold whole rounds
+    of M services and the second pass carries the clock; round r holds
+    every source's success r. A source's epoch k takes the tries of its
     service k + 1, so round r > 0 writes column r - 1 of the attempts.
     """
     q, M, gamma, need = cfg.q, cfg.M, cfg.gamma, cfg.target_epochs + 1
@@ -429,26 +447,29 @@ def _epochs_wfb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     s = np.empty((M, need))  # row j: source j's success times
     a = np.empty((M, need - 1), np.int64) if keep_attempts else None  # row j: source j's attempts per epoch
     waits, shape, extra = np.empty((3, rounds * M))
-    rng_r = copy.deepcopy(rng_a)  # the retry waits' stream: rng_a past the first waits
-    for lo in range(0, M * need, extra.size):
-        rng_r.standard_exponential(out=extra[: M * need - lo])
-    clock = 0.0
-    fails_total = overflows = 0
+    overflows = 0
     for lo in range(0, need, rounds):
-        w = waits[: min(rounds, need - lo) * M]  # this block's first waits, then success times
-        size = w.size
-        rng_a.standard_exponential(out=w)  # service s belongs to source s mod M
+        w = waits[: min(rounds, need - lo) * M]  # service s belongs to source s mod M
+        rng_a.standard_exponential(out=w)
         if gamma > 0.0:
             overflows += _overflows(rng_o, gamma, w)
         np.maximum(w, gamma, out=w)
+        s[:, lo : lo + w.size // M] = w.reshape(-1, M).T
+    clock = 0.0
+    fails_total = 0
+    for lo in range(0, need, rounds):
+        w = waits[: min(rounds, need - lo) * M]  # this block's first waits, then success times
+        size = w.size
+        block = s[:, lo : lo + size // M]
+        w.reshape(-1, M)[:] = block.T
         tries = rng_e.geometric(1.0 - q, size=size)  # attempts per service
         np.subtract(tries, 1, out=shape[:size])
-        w += rng_r.standard_gamma(shape[:size], out=extra[:size])
+        w += rng_a.standard_gamma(shape[:size], out=extra[:size])
         fails_total += int(tries.sum()) - size
         w[0] += clock
         np.cumsum(w, out=w)
         clock = w[-1]
-        s[:, lo : lo + size // M] = w.reshape(-1, M).T
+        block[:] = w.reshape(-1, M).T
         if a is not None:
             first = max(lo, 1)
             a[:, first - 1 : lo + size // M - 1] = tries.reshape(-1, M)[first - lo :].T
@@ -462,6 +483,18 @@ def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
     waits = rng_a.standard_exponential(size=n)
     waits[0] += A[-1] if A else 0.0  # the same additions as a cumsum that starts at A[-1]
     A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
+
+
+def _outcomes(rng_e: np.random.Generator, q: float, ok: np.ndarray, start: int = 0) -> np.ndarray:
+    """Fill ok[start:] with attempt outcomes, True where a uniform exceeds q, one _CHUNK at a time.
+
+    The values and the stream state are those of one rng_e.random(n) > q,
+    without its n floats.
+    """
+    for lo in range(start, ok.size, _CHUNK):
+        part = ok[lo : lo + _CHUNK]
+        np.greater(rng_e.random(part.size), q, out=part)
+    return ok
 
 
 def _wins(ok: np.ndarray, M: int, wfb: bool) -> Iterator[np.ndarray]:
@@ -516,9 +549,11 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     A = array("d")  # arrival times
     if horizon is None:
         n0 = int(M * (target + 1) / (1.0 - q) * 1.1) + 64
-        ok = rng_e.random(n0) > q
+        ok = _outcomes(rng_e, q, np.empty(n0, bool))
         while (n_max := _attempts_needed(ok, M, target + 1, wfb)) is None:
-            ok = np.concatenate((ok, rng_e.random(max(1024, ok.size // 4)) > q))
+            more = np.empty(ok.size + max(1024, ok.size // 4), bool)
+            more[: ok.size] = ok
+            ok = _outcomes(rng_e, q, more, ok.size)
         # an attempt spaced by max(gamma, wait) spans gamma + e^-gamma arrivals
         # on average, an upper bound for both settings
         _more_arrivals(A, rng_a, int(n_max * (gamma + math.exp(-gamma)) * 1.02) + 256)
@@ -527,7 +562,7 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
             _more_arrivals(A, rng_a, int(horizon * 1.02) + 256)
         n_max = bisect_right(A, horizon)  # every attempt spends an arrival before the cut
         del A[n_max:]
-        ok = rng_e.random(n_max) > q
+        ok = _outcomes(rng_e, q, np.empty(n_max, bool))
     # the threshold applies to every attempt without feedback, and with
     # feedback to the first attempt after a success
     gate = (b"\x01" + ok[: n_max - 1].tobytes())[:n_max] if wfb else b"\x01" * n_max
@@ -570,37 +605,63 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
 
     log = None
     if cfg.trace:
-        # the source (1..M) of each attempt, in the log's source dtype
-        dt = np.min_scalar_type(M)
-        if wfb:
-            src = ((np.cumsum(ok) - ok) % M + 1).astype(dt)
-        else:
-            src = np.resize(np.arange(1, M + 1, dtype=dt), n_att)
         arrivals = np.frombuffer(A, np.float64, n_arr)
+        src = _sources(ok, M, wfb)
         log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)))
     return _RawRun(ys, atts, stimes, n_arr, n_arr - n_att - trimmed, n_att, int(ok.sum()), log)
 
 
 def _epochs_by_stride(
     times: np.ndarray, ok: np.ndarray, M: int, wfb: bool, target: int | None, keep_attempts: bool
-) -> tuple[list[np.ndarray], list[np.ndarray] | None, list[np.ndarray]]:
-    """Each source's epochs (cut to target) and attempts per epoch, and in horizon runs its success times.
+) -> tuple[np.ndarray | list[np.ndarray], np.ndarray | list[np.ndarray] | None, list[np.ndarray]]:
+    """Each source's epochs and attempts per epoch, and in horizon runs its success times.
 
-    Source j's successes come from _wins. Without feedback an epoch's
-    attempts are the source's own between two successes; with feedback
-    each epoch takes the attempts of the source's next turn, the run of
-    attempts that ends at a success.
+    Source j's successes come from _wins. A target run gathers the times
+    of each source's first target + 1 successes into one (M, target + 1)
+    block and turns it into the (M, target) epoch block in place (_gaps);
+    a horizon run keeps every success, one row per source. Without
+    feedback an epoch's attempts are the source's own between two
+    successes; with feedback each epoch takes the attempts of the
+    source's next turn, the run of attempts that ends at a success.
     """
-    turns = np.diff(np.flatnonzero(ok), prepend=-1) if wfb and keep_attempts else None
-    ys, atts, stimes = [], [] if keep_attempts else None, []
+    turns = None
+    if wfb and keep_attempts:  # the attempts of each turn: the gaps between successes, from -1
+        turns = np.flatnonzero(ok)
+        turns[1:] = np.diff(turns)
+        turns[:1] += 1
+    rows = [None] * M if target is None else np.empty((M, target + 1))
+    atts = None if not keep_attempts else [None] * M if target is None else np.empty((M, target), np.int64)
     for j, wins in enumerate(_wins(ok, M, wfb)):
-        s = times[wins]
         if target is None:
-            stimes.append(s)
-        ys.append(np.diff(s)[:target])
+            rows[j] = times[wins]
+        else:  # take copies strided indices, so a _CHUNK at a time; clip writes out unbuffered
+            for lo in range(0, target + 1, _CHUNK):
+                part = wins[lo : min(lo + _CHUNK, target + 1)]
+                np.take(times, part, out=rows[j, lo : lo + part.size], mode="clip")
         if atts is not None:
-            atts.append((turns[j + M :: M] if wfb else np.diff(wins) // M)[:target])
-    return ys, atts, stimes
+            atts[j] = (turns[j + M :: M] if wfb else np.diff(wins) // M)[:target]
+    if target is None:
+        return [np.diff(s) for s in rows], atts, rows
+    return _gaps(rows), atts, []
+
+
+def _sources(ok: np.ndarray, M: int, wfb: bool) -> np.ndarray:
+    """The source (1..M) of each attempt, in np.min_scalar_type(M).
+
+    Without feedback attempts cycle through the sources; with feedback an
+    attempt's source is one more than the successes before it, mod M,
+    counted a _CHUNK at a time with the count carried between chunks.
+    """
+    dt = np.min_scalar_type(M)
+    if not wfb:
+        return np.resize(np.arange(1, M + 1, dtype=dt), ok.size)
+    src = np.empty(ok.size, dt)
+    served = 0  # successes before the chunk, mod M
+    for lo in range(0, ok.size, _CHUNK):
+        part = ok[lo : lo + _CHUNK]
+        src[lo : lo + part.size] = (np.cumsum(part) - part + served) % M + 1
+        served = (served + int(np.count_nonzero(part))) % M
+    return src
 
 
 def _pair_slots(arrivals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -699,8 +760,10 @@ def _renewal_estimates(ys: np.ndarray) -> tuple[list[float], float, float]:
     starts = np.arange(B) * (n // B) + np.minimum(np.arange(B), n % B)
     per_row, sum_y, sum_r = [], 0.0, 0.0
     totals = np.zeros((2, B))
+    R = np.empty(n)  # one row's areas, 0.5 * y * y in the order of that product
     for row in ys:
-        R = 0.5 * row * row
+        np.multiply(row, 0.5, out=R)
+        R *= row
         y_j, r_j = float(row.sum()), float(R.sum())
         per_row.append(r_j / y_j)
         sum_y += y_j
@@ -789,8 +852,8 @@ def run_simulation(
     raw = engine(cfg, _with_epochs)
 
     if cfg.horizon is None:
-        # every source has exactly target epochs, so the rows form one block
-        ys = np.asarray(raw.ys)
+        # every source has exactly target epochs, in one (M, target) block
+        ys = raw.ys
         per_mean, mean, ci = _renewal_estimates(ys)
         n_epochs = cfg.target_epochs
     else:
@@ -815,7 +878,7 @@ def run_simulation(
     if not _with_epochs:
         return result, None, raw.events
     if cfg.horizon is None:
-        y, att = ys.ravel(), np.ravel(raw.atts)
+        y, att = ys.ravel(), raw.atts.ravel()
     else:
         y, att = np.concatenate(raw.ys), np.concatenate(raw.atts)
     return result, Epochs(np.array([len(r) for r in raw.ys]), y, att), raw.events

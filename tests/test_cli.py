@@ -859,20 +859,21 @@ class TestMemory:
     def test_trace_engine_holds_typed_buffers(self, tmp_path):
         # 1e4 -> 1e5 traced epochs is about 86k -> 860k log events; what grows is the
         # engine's 8 B per arrival and 18 B per attempt, which the log keeps and lays out
-        # a chunk at a time: 10.7 MB of growth and a 48.6 MB peak measured (20.9 and 58.5 MB
-        # with the log laid out as 10 B columns beside them, 35.3 and 74.1 MB with a stored
-        # arrival index and an int64 source column); a time column (8 B an event) breaks both
+        # a chunk at a time: 7.7 MB of growth and a 44.9 MB peak measured (10.7 and 48.6 MB
+        # with the outcomes, sources and epochs built from run-length temporaries, 20.9 and
+        # 58.5 MB with the log laid out as 10 B columns beside them); a time column (8 B an
+        # event) breaks both
         args = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--trace",
                 "--out", str(tmp_path / "events.log"), "--epochs"]
         small = _peak_rss_mb([*args, "10000"])
         large = _peak_rss_mb([*args, "100000"])
-        assert large - small < 14.0, (small, large)
-        assert large < 53.0, large
+        assert large - small < 10.0, (small, large)
+        assert large < 49.0, large
 
     def test_trace_engine_peak_in_process(self):
-        # the traced-run cell: 6.65 MB measured by tracemalloc (12.5 MB with the log laid
-        # out as columns, 20.4 MB with a stored arrival index and an int64 source column);
-        # one more time column (3.4 MB) breaks the bound
+        # the traced-run cell: 6.02 MB measured by tracemalloc (6.63 MB with the outcomes,
+        # sources and epochs built from run-length temporaries, 12.5 MB with the log laid
+        # out as columns); one more time column (3.4 MB) breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
         tracemalloc.start()
@@ -881,12 +882,13 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 1e6 < 9.0, peak
+        assert peak / 1e6 < 7.0, peak
 
     def test_traced_command_peak_in_process(self, tmp_path):
         # what the traced simulate command runs: no attempts column, and the log laid out
-        # and written a chunk at a time; 6.3 MB measured by tracemalloc, 11.7 MB with the
-        # log laid out whole; one more time column (3.4 MB) breaks the bound
+        # and written a chunk at a time; 5.13 MB measured by tracemalloc (6.29 MB with
+        # run-length temporaries on the traced path, 11.7 MB with the log laid out whole);
+        # one more time column (3.4 MB) breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
         tracemalloc.start()
@@ -896,14 +898,14 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 1e6 < 8.0, peak
+        assert peak / 1e6 < 6.5, peak
 
     @pytest.mark.parametrize("setting,bound_mb", [("wfb", 10.0), ("nofb", 10.0)])
     def test_epoch_engine_peak_in_process(self, setting, bound_mb):
         # one untraced 1e5-epoch cell at M = 8 holds 6.4 MB of y in either engine and no
-        # first waits: 8.78 (wfb) and 8.01 MB (nofb) measured by tracemalloc, where holding
-        # the first waits read 16.2 MB; one more epoch-sized float64 temporary (6.4 MB)
-        # breaks either bound
+        # first waits: 7.21 (wfb) and 7.20 MB (nofb) measured by tracemalloc (8.01 and
+        # 8.00 MB with a fresh row of areas per source), where holding the first waits read
+        # 16.2 MB; one more epoch-sized float64 temporary (6.4 MB) breaks either bound
         cfg = SimConfig(0.7, 8, setting, 0.0, target_epochs=100_000, seed=1)
         tracemalloc.start()
         try:

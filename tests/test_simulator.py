@@ -326,8 +326,8 @@ class TestNumpyContracts:
 
     @pytest.mark.parametrize("n,block", [(1, 1), (7, 3), (100003, 1 << 14)])
     def test_a_copy_walks_past_blocked_draws(self, n, block):
-        # the feedback engine's retry waits come from a copy of the arrival stream
-        # that skips its first waits in blocks: it must continue where one n-draw call ends
+        # the feedback engine draws its first waits in blocks and then its retry waits
+        # from the same stream: those must continue where one n-draw call ends
         a = np.random.default_rng(n)
         b = copy.deepcopy(a)
         out = np.empty(block)
@@ -706,6 +706,58 @@ class TestRangeLayout:
                 log.kind[at] == simulator._CODE[ENERGY_ARRIVAL]).any()
         if len(log) > 100:
             assert all(edges[1]) and all(edges[2]) and all(edges[7])
+
+
+def _column_cells():
+    # target and horizon runs in both settings; M = 300 puts the sources in uint16
+    for setting in ("nofb", "wfb"):
+        for M, target, horizon in ((1, 6000, 10000.0), (3, 3000, 10000.0), (300, 2, 2000.0)):
+            yield SimConfig(0.3, M, setting, 0.4, target_epochs=target, seed=M, trace=True)
+            yield SimConfig(0.3, M, setting, 0.4, horizon=horizon, seed=M, trace=True)
+
+
+class TestChunkedColumns:
+    """The trace engine draws its outcomes and builds its source column one _CHUNK at a
+    time, with the stream and the success count carried across chunks; both equal the
+    whole-run expressions whatever the chunk size. The M < 300 runs hold over 8,192
+    attempts, so the default _CHUNK has an edge inside them too.
+    """
+
+    @pytest.mark.parametrize("cfg", list(_column_cells()), ids=lambda c: f"{c.setting.value}-M{c.M}-"
+                             + (f"epochs{c.target_epochs}" if c.horizon is None else f"horizon{c.horizon:g}"))
+    def test_chunked_columns_match_whole_run(self, cfg, monkeypatch):
+        runs = {}
+        for chunk in (1, 3, 7, 8192):
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
+            runs[chunk] = raw = simulator._run_loop(cfg, True)
+            trace = raw.events._trace
+            ok, n = trace.ok, trace.ok.size
+            rng_e = simulator._spawn_streams(cfg.seed, cfg.erasure_seed)[1]
+            np.testing.assert_array_equal(ok, rng_e.random(n) > cfg.q)
+            dt = np.min_scalar_type(cfg.M)
+            served = np.cumsum(ok) - ok if cfg.setting is Feedback.WFB else np.arange(n)
+            assert trace.src.dtype == dt
+            np.testing.assert_array_equal(trace.src, (served % cfg.M + 1).astype(dt))
+        if cfg.M < 300:
+            assert n > 8192
+        want = runs.pop(8192)
+        for raw in runs.values():
+            assert raw[3:-1] == want[3:-1]
+            for name in ("ys", "atts", "success_times"):
+                for got, exp in zip(getattr(raw, name), getattr(want, name), strict=True):
+                    np.testing.assert_array_equal(got, exp)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 8192])
+    @pytest.mark.parametrize("n,lo", [(0, 0), (1, 0), (20000, 0), (20000, 15001)])
+    def test_outcomes_continue_the_stream(self, chunk, n, lo, monkeypatch):
+        # a target run tops its outcomes up by filling a longer array from the old length
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        a, b = np.random.default_rng(n + lo), np.random.default_rng(n + lo)
+        ok = np.zeros(n, bool)
+        assert simulator._outcomes(a, 0.3, ok, lo) is ok
+        assert not ok[:lo].any()
+        np.testing.assert_array_equal(ok[lo:], b.random(n - lo) > 0.3)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestHorizonMode:
