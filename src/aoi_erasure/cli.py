@@ -258,9 +258,13 @@ def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[Validati
     where the platform has no sched_getaffinity. The cells are ordered
     by M: the caller takes the largest left and the helper the smallest,
     so the largest cells start first and run beside small ones, not
-    beside each other (what that does to peak RSS is unmeasured). A
-    failure stops both from starting another cell and is raised here,
-    once the helper has stopped.
+    beside each other. Since a cell holds the estimator's window and not
+    its epochs, about the same memory at every M, that order moves the
+    default grid's peak RSS little: 39.7-39.9 MB, against 39.8-40.2 MB
+    with both threads taking the largest cells first (46.5-49.7 against
+    49.5-49.6 MB when a cell held its epoch block). A failure stops both
+    from starting another cell and is raised here, once the helper has
+    stopped.
     """
     import os
     import threading

@@ -13,26 +13,22 @@ statistically identical runs:
   memoryless, so waits can be drawn in bulk with numpy and no event
   queue is needed. Every source then has exactly target_epochs epochs.
   Attempts are drawn and folded in fixed blocks of about _BLOCK, into
-  buffers reused from block to block, so attempt-level memory does not
-  grow with the run; only the epoch columns do (16 bytes an epoch: y and
-  attempts; stats.validate reads no epochs, so its runs keep no attempts
-  column and hold 8 bytes an epoch and source in either engine). Each
-  block writes every success time into its source's row of an
-  (M, target_epochs + 1) block; between blocks only the clock and the
-  success counts carry over. An epoch is the gap between two successes
-  of a source, so one in-place pass (_gaps) turns the rows into the
-  (M, target_epochs) y block that run_simulation reads without copying.
-  Kept attempts take the same route without feedback (the cycle of each
-  success); with feedback each epoch takes the tries of its source's
-  next service, written straight into their block. The feedback engine's
-  retry waits are gamma draws on the arrival stream that come after
-  every first wait, so it makes two passes over the success-time block:
-  the first draws every first wait into it, block by block, and the
-  second reads each block back and adds its retries. Each stream is
-  consumed in the order of an all-at-once draw, so the block size
-  changes no number. Exponentials are drawn with standard_exponential,
-  which gives the values and the stream state of exponential() at less
-  cost;
+  buffers reused from block to block, and each block writes its success
+  times into the window of the renewal estimator (_Renewal), which sums
+  the epochs a leaf at a time and drops them, so memory does not grow
+  with the run. Only runs that keep their epochs (run_simulation with
+  _with_epochs, which stats.validate and the CLI do not ask for) hold an
+  (M, target_epochs) y block and an attempts block, 16 bytes an epoch.
+  Kept attempts without feedback are the cycle of each success, turned
+  into counts in place (_gaps); with feedback each epoch takes the tries
+  of its source's next service, written straight into their block. The
+  feedback engine's retry waits are gamma draws on the arrival stream
+  that come after every first wait, so they come from a copy of the
+  stream set past those (_past_first_waits, one walk per seed and count
+  of services). Each stream is consumed in the order of an all-at-once
+  draw, so the block size changes no number. Exponentials are drawn with
+  standard_exponential, which gives the values and the stream state of
+  exponential() at less cost;
 * a trace engine (`_run_loop`) for traced runs and wall-clock-horizon
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
@@ -50,8 +46,8 @@ statistically identical runs:
   trimmed after the loop, and each source's successes are read by
   stride (_wins: every M-th attempt without feedback, every M-th
   success with it); a target run gathers their times into one
-  (M, target_epochs + 1) block and takes its _gaps, as the epoch
-  engines do.
+  (M, target_epochs + 1) block, takes its _gaps and feeds the epoch
+  block to the renewal estimator.
   Arrivals and attempts live in typed buffers, not as Python objects,
   and each attempt's source and position in the log are derived after
   the loop, the sources one _CHUNK at a time.
@@ -70,7 +66,11 @@ understate the interval by up to about sqrt(M). Each of the _N_BATCHES
 batches (one an epoch, with fewer epochs) totals every source's y and
 R = y**2 / 2 over a run of consecutive epochs (of time, in horizon
 runs), which keeps that correlation inside it. The point estimate is
-the ratio of the plain sums of R and y.
+the ratio of the plain sums of R and y. A target run's sums are taken
+as the epochs come (_Renewal): numpy's pairwise summation tree is cut
+into leaves that one sum call each adds, so the estimates carry the
+bits of whole-row np.sum and np.add.reduceat calls without holding the
+rows (tests/epoch_oracle.py keeps that whole-row arithmetic).
 
 Reproducibility contract: a SimConfig seed feeds a SeedSequence that is
 split into three substreams (arrival waits, erasure draws, overflow
@@ -81,6 +81,8 @@ arrival process fixed.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import warnings
 from array import array
@@ -332,10 +334,11 @@ def _spawn_streams(
 
 
 class _RawRun(NamedTuple):
-    # a target run fills one (M, target) block, a horizon run gives one row per source
-    ys: np.ndarray | Sequence[np.ndarray]  # epoch lengths
+    # a target run's epochs are one (M, target) block, a horizon run's one row per source
+    ys: np.ndarray | Sequence[np.ndarray]  # epoch lengths; a stride-0 block of NaN if the epoch engines keep none
     atts: np.ndarray | Sequence[np.ndarray] | None  # attempts per epoch, aligned with ys; None if not kept
     success_times: Sequence[np.ndarray]  # includes the first success; horizon runs only
+    estimates: tuple[list[float], float, float] | None  # a target run's _Renewal estimates
     arrivals: int
     overflows: int
     attempts: int
@@ -380,47 +383,68 @@ def _epochs_nofb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     the source's attempts before it. The run ends at the need-th success
     of the last source to get there; successes and overflows count the
     attempts before that cut. Every block is drawn and folded into the
-    same buffers.
+    same buffers, and the success times into the estimator's window
+    (_Renewal), which takes the epochs that every source has each time
+    it fills.
     """
     q, M, gamma, need = cfg.q, cfg.M, cfg.gamma, cfg.target_epochs + 1
     rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
     cycles = max(1, _BLOCK // M)
-    s = np.empty((M, need))  # row j: source j's success times
-    a = np.empty((M, need), np.int64) if keep_attempts else None  # and their cycles
-    wins = np.zeros(M, np.int64)  # successes so far, at most need
-    done = np.zeros(M, np.int64)  # attempts up to each source's need-th success
+    renewal = _Renewal(M, need - 1, keep_attempts, cycles)
+    a = np.empty((M, need), np.int64) if keep_attempts else None  # the cycles of source j's successes
+    wins = [0] * M  # successes so far, at most need
+    done = [0] * M  # attempts up to each source's need-th success
     tau, u, t = np.empty((3, cycles * M))
     ok = np.empty(tau.size, bool)
     clock = 0.0
     base = successes = overflows = 0  # base: cycles before this block
     while True:
+        s, first = renewal.window(min(max(wins) + cycles, need))  # row j: source j's success times
         rng_a.standard_exponential(out=tau)
         np.less(rng_e.random(out=u), 1.0 - q, out=ok)
         # attempt times, summed in the order of one running sum that starts at the clock
-        np.maximum(tau, gamma, out=t)
-        t[0] += clock
-        np.cumsum(t, out=t)
+        w = np.maximum(tau, gamma, out=t) if gamma > 0.0 else tau  # max(tau, 0) is tau; tau is not read again
+        w[0] += clock
+        np.cumsum(w, out=t)
         clock = t[-1]
-        for j in np.flatnonzero(wins < need):
-            k = np.flatnonzero(ok[j::M])[: need - wins[j]]
-            new = slice(wins[j], wins[j] + k.size)
-            s[j, new] = t[j::M][k]
+        for j, w in enumerate(wins):
+            if w == need:
+                continue
+            k = np.flatnonzero(ok[j::M])[: need - w]
+            s[j, w - first : w - first + k.size] = t[j::M][k]
             if a is not None:
-                a[j, new] = k + base
-            wins[j] += k.size
-            if wins[j] == need:
-                done[j] = (k[-1] + base) * M + j + 1
-        finished = wins.min() == need
-        n = int(done.max()) - base * M if finished else tau.size
+                a[j, w : w + k.size] = k + base
+            wins[j] = w = w + k.size
+            if w == need:
+                done[j] = (int(k[-1]) + base) * M + j + 1
+        renewal.advance(min(wins), max(wins))
+        finished = min(wins) == need
+        n = max(done) - base * M if finished else tau.size
         successes += int(np.count_nonzero(ok[:n]))
         if gamma > 0.0:
             overflows += _overflows(rng_o, gamma, tau[:n])
         if finished:
             break
         base += cycles
-    attempts = int(done.max())
+    attempts = max(done)
     atts = None if a is None else _gaps(a)
-    return _RawRun(_gaps(s), atts, (), attempts + overflows, overflows, attempts, successes, None)
+    return _RawRun(renewal.ys, atts, (), renewal.estimates(), attempts + overflows, overflows, attempts, successes, None)
+
+
+@functools.lru_cache(maxsize=16)
+def _past_first_waits(seed: int, n: int) -> np.random.Generator:
+    """seed's arrival stream after n exponential draws, where a feedback run's retry waits start.
+
+    The stream walks past the draws in blocks. The walk depends only on
+    the seed and n, not on q, gamma or erasure_seed, so the feedback
+    cells of a grid with one seed walk once per source count. Callers
+    draw from a copy, never from the cached stream.
+    """
+    rng_a = _spawn_streams(seed, None)[0]
+    out = np.empty(min(n, _BLOCK))
+    for lo in range(0, n, out.size):
+        rng_a.standard_exponential(out=out[: n - lo])
+    return rng_a
 
 
 def _epochs_wfb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
@@ -430,52 +454,49 @@ def _epochs_wfb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     1..M: a success makes its source the youngest, so the stalest source
     is always the least recently served one. Each turn needs a geometric
     number of attempts; the extra waits beyond the first are a sum of
-    unit exponentials, drawn as one gamma variate (shape 0 gives 0.0 and
-    draws nothing). Those gamma draws follow every first wait on the
-    same stream, so the engine makes two passes in blocks over the
-    success-time block s. The first draws each block's first waits and
-    their overflows and writes max(wait, gamma) into s; the second reads
-    each block back, adds the retry waits, which the stream now draws,
-    and sums them into success times in place. Blocks hold whole rounds
-    of M services and the second pass carries the clock; round r holds
-    every source's success r. A source's epoch k takes the tries of its
-    service k + 1, so round r > 0 writes column r - 1 of the attempts.
+    unit exponentials, drawn as one gamma variate of shape tries - 1.
+    Those gamma draws follow every first wait on the same stream, so
+    they come from a copy of the stream set past the M * need first
+    waits (_past_first_waits); a shape of 0 gives 0.0 and draws nothing,
+    so only the services with a retry draw. Blocks hold whole rounds of
+    M services and carry the clock; round r holds every source's success
+    r, and goes into the estimator's window (_Renewal). A source's epoch
+    k takes the tries of its service k + 1, so round r > 0 writes column
+    r - 1 of the attempts.
     """
     q, M, gamma, need = cfg.q, cfg.M, cfg.gamma, cfg.target_epochs + 1
     rng_a, rng_e, rng_o = _spawn_streams(cfg.seed, cfg.erasure_seed)
     rounds = max(1, _BLOCK // M)
-    s = np.empty((M, need))  # row j: source j's success times
+    renewal = _Renewal(M, need - 1, keep_attempts, rounds)
     a = np.empty((M, need - 1), np.int64) if keep_attempts else None  # row j: source j's attempts per epoch
-    waits, shape, extra = np.empty((3, rounds * M))
-    overflows = 0
+    waits = np.empty(rounds * M)
+    rng_r = copy.deepcopy(_past_first_waits(cfg.seed, M * need))  # the retry waits' stream
+    clock = 0.0
+    fails_total = overflows = 0
     for lo in range(0, need, rounds):
         w = waits[: min(rounds, need - lo) * M]  # service s belongs to source s mod M
+        size = w.size
         rng_a.standard_exponential(out=w)
         if gamma > 0.0:
             overflows += _overflows(rng_o, gamma, w)
-        np.maximum(w, gamma, out=w)
-        s[:, lo : lo + w.size // M] = w.reshape(-1, M).T
-    clock = 0.0
-    fails_total = 0
-    for lo in range(0, need, rounds):
-        w = waits[: min(rounds, need - lo) * M]  # this block's first waits, then success times
-        size = w.size
-        block = s[:, lo : lo + size // M]
-        w.reshape(-1, M)[:] = block.T
+            np.maximum(w, gamma, out=w)
         tries = rng_e.geometric(1.0 - q, size=size)  # attempts per service
-        np.subtract(tries, 1, out=shape[:size])
-        w += rng_a.standard_gamma(shape[:size], out=extra[:size])
+        retry = np.flatnonzero(tries > 1)
+        w[retry] += rng_r.standard_gamma(tries[retry] - 1.0)
         fails_total += int(tries.sum()) - size
         w[0] += clock
         np.cumsum(w, out=w)
         clock = w[-1]
-        block[:] = w.reshape(-1, M).T
+        hi = lo + size // M  # successes so far
+        s, first = renewal.window(hi)  # row j: source j's success times
+        s[:, lo - first : hi - first] = w.reshape(-1, M).T
+        renewal.advance(hi, hi)
         if a is not None:
-            first = max(lo, 1)
-            a[:, first - 1 : lo + size // M - 1] = tries.reshape(-1, M)[first - lo :].T
+            start = max(lo, 1)
+            a[:, start - 1 : hi - 1] = tries.reshape(-1, M)[start - lo :].T
     n = M * need
     attempts = n + fails_total
-    return _RawRun(_gaps(s), a, (), attempts + overflows, overflows, attempts, n, None)
+    return _RawRun(renewal.ys, a, (), renewal.estimates(), attempts + overflows, overflows, attempts, n, None)
 
 
 def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
@@ -602,13 +623,14 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     times = np.frombuffer(T, np.float64)
     ok = ok[:n_att]
     ys, atts, stimes = _epochs_by_stride(times, ok, M, wfb, target, keep_attempts)
+    estimates = None if target is None else _renewal_estimates(ys)
 
     log = None
     if cfg.trace:
         arrivals = np.frombuffer(A, np.float64, n_arr)
         src = _sources(ok, M, wfb)
         log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)))
-    return _RawRun(ys, atts, stimes, n_arr, n_arr - n_att - trimmed, n_att, int(ok.sum()), log)
+    return _RawRun(ys, atts, stimes, estimates, n_arr, n_arr - n_att - trimmed, n_att, int(ok.sum()), log)
 
 
 def _epochs_by_stride(
@@ -622,24 +644,29 @@ def _epochs_by_stride(
     a horizon run keeps every success, one row per source. Without
     feedback an epoch's attempts are the source's own between two
     successes; with feedback each epoch takes the attempts of the
-    source's next turn, the run of attempts that ends at a success.
+    source's next turn, the run of attempts that ends at a success and
+    starts after the success before it, the previous source's.
     """
-    turns = None
-    if wfb and keep_attempts:  # the attempts of each turn: the gaps between successes, from -1
-        turns = np.flatnonzero(ok)
-        turns[1:] = np.diff(turns)
-        turns[:1] += 1
+    got = _wins(ok, M, wfb)
+    if wfb and keep_attempts:  # views of one array of successes, which the turns read again
+        got = list(got)  # (held only then: freed with the generator, it leaves a traced run's peak RSS lower)
     rows = [None] * M if target is None else np.empty((M, target + 1))
     atts = None if not keep_attempts else [None] * M if target is None else np.empty((M, target), np.int64)
-    for j, wins in enumerate(_wins(ok, M, wfb)):
+    for j, wins in enumerate(got):
         if target is None:
             rows[j] = times[wins]
         else:  # take copies strided indices, so a _CHUNK at a time; clip writes out unbuffered
             for lo in range(0, target + 1, _CHUNK):
                 part = wins[lo : min(lo + _CHUNK, target + 1)]
                 np.take(times, part, out=rows[j, lo : lo + part.size], mode="clip")
-        if atts is not None:
-            atts[j] = (turns[j + M :: M] if wfb else np.diff(wins) // M)[:target]
+        if atts is not None:  # written into the block, or a row of its own
+            n = max(wins.size - 1, 0) if target is None else target
+            before = got[j - 1][(j > 0) : (j > 0) + n] if wfb else wins[:n]
+            row = np.subtract(wins[1 : n + 1], before, out=None if target is None else atts[j])
+            if not wfb:
+                row //= M
+            if target is None:
+                atts[j] = row
     if target is None:
         return [np.diff(s) for s in rows], atts, rows
     return _gaps(rows), atts, []
@@ -751,27 +778,195 @@ def ratio_estimate(y: np.ndarray, R: np.ndarray, point: float) -> float:
     return _T975[B - 2] * (sd / math.sqrt(B)) / float(y.mean())
 
 
-def _renewal_estimates(ys: np.ndarray) -> tuple[list[float], float, float]:
-    """Each row's ratio R.sum() / y.sum() of an (M, n) epoch block, the pooled ratio (row
-    sums added in row order) and its interval, from the totals of y and R over the rows
-    in B = min(_N_BATCHES, n) batches, cut as np.array_split cuts a row."""
-    n = ys.shape[1]
+_NODE = 1 << 14  # about the most values of y (of all sources) that one sum of _Renewal adds
+
+
+def _pairwise_tree(lo: int, hi: int, leaf: int, leaves: list[tuple[int, int]]) -> int | tuple | None:
+    """numpy's pairwise summation tree over [lo, hi), down to leaves of at most `leaf` values.
+
+    np.sum of n > 128 contiguous float64 values adds the sum of the first
+    n // 2 - (n // 2) % 8 and the sum of the rest, so np.sum over each
+    leaf, added back up along this tree, gives np.sum over the range bit
+    for bit (tests/test_simulator.py::TestNumpyContracts pins this). The
+    leaves are appended to `leaves`, and the tree holds their indices;
+    an empty range gives None.
+    """
+    n = hi - lo
+    if n <= 0:
+        return None
+    if n <= leaf:
+        leaves.append((lo, hi))
+        return len(leaves) - 1
+    half = n // 2 - n // 2 % 8
+    return _pairwise_tree(lo, lo + half, leaf, leaves), _pairwise_tree(lo + half, hi, leaf, leaves)
+
+
+class _Plan(NamedTuple):
+    """Which sums _Renewal takes of n epochs, and how it adds them up."""
+
+    leaves: list[tuple[int, int, int]]  # (node, first epoch, end), in the order of their ends
+    needed: list[int]  # the first epoch that leaves[i:] read
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (node, left, right), children before parents
+    nodes: int  # leaves first, then the sums of two nodes
+    row: int  # the node of a row's sum
+    batches: list[int]  # the node of each batch's total
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(n: int, leaf: int) -> _Plan:
+    """The leaves and trees of n epochs' row sums and batch totals, for leaves of at most `leaf` epochs."""
     B = min(_N_BATCHES, n)
-    starts = np.arange(B) * (n // B) + np.minimum(np.arange(B), n % B)
-    per_row, sum_y, sum_r = [], 0.0, 0.0
-    totals = np.zeros((2, B))
-    R = np.empty(n)  # one row's areas, 0.5 * y * y in the order of that product
-    for row in ys:
-        np.multiply(row, 0.5, out=R)
-        R *= row
-        y_j, r_j = float(row.sum()), float(R.sum())
-        per_row.append(r_j / y_j)
-        sum_y += y_j
-        sum_r += r_j
-        totals[0] += np.add.reduceat(row, starts)
-        totals[1] += np.add.reduceat(R, starts)
-    mean = sum_r / sum_y
-    return per_row, mean, ratio_estimate(*totals, mean)
+    starts = [b * (n // B) + min(b, n % B) for b in range(B)]  # np.array_split's cuts
+    ranges: list[tuple[int, int]] = []
+    row = _pairwise_tree(0, n, leaf, ranges)
+    firsts, rests = [], []  # np.add.reduceat gives a batch as its first epoch plus the sum of the rest
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        firsts.append(len(ranges))
+        ranges.append((lo, lo + 1))
+        rests.append(_pairwise_tree(lo + 1, hi, leaf, ranges))
+    joins: list[tuple[int, int]] = []
+    depth = [0] * len(ranges)
+
+    def join(a: int, b: int) -> int:
+        joins.append((a, b))
+        depth.append(1 + max(depth[a], depth[b]))
+        return len(depth) - 1
+
+    def number(tree: int | tuple) -> int:
+        return tree if isinstance(tree, int) else join(number(tree[0]), number(tree[1]))
+
+    row = number(row)
+    batches = [first if rest is None else join(first, number(rest)) for first, rest in zip(firsts, rests)]
+    levels = []
+    for d in range(1, max(depth) + 1):
+        at = [i for i in range(len(ranges), len(depth)) if depth[i] == d]
+        left, right = zip(*(joins[i - len(ranges)] for i in at))
+        levels.append((np.array(at), np.array(left), np.array(right)))
+    leaves = sorted(((i, lo, hi) for i, (lo, hi) in enumerate(ranges)), key=lambda leaf: leaf[2])
+    needed = [n] * (len(leaves) + 1)
+    for i in reversed(range(len(leaves))):
+        needed[i] = min(needed[i + 1], leaves[i][1])
+    return _Plan(leaves, needed, levels, len(depth), row, batches)
+
+
+class _Renewal:
+    """The renewal estimates of an (M, n) epoch block, taken a run of epochs at a time.
+
+    Each row's sums of y and of R = 0.5 * y * y are np.sum's, added up
+    along its pairwise tree (_pairwise_tree), and each batch's totals are
+    np.add.reduceat's: the batch's first epoch plus the tree of the rest.
+    A leaf of a tree is summed for y and R of every source in one call,
+    once its last epoch is in (a row slice of a 2-D array sums each row
+    as np.sum sums it alone), and the trees are added up once, in
+    estimates. Only the epochs of the leaves still open are held.
+
+    An epoch engine writes its success times into the window that
+    window(upto) returns, where column c holds success `first` + c, and
+    tells advance how many successes every source has. When the window
+    is full, the epochs that every source has are taken, and the window
+    moves up to the success they end at. feed(ys) takes a block of
+    epochs instead. A leaf holds at most _NODE // M epochs of a source,
+    so an engine block of b successes a source bounds the window and
+    leaves by about (40 * (_NODE // M) + 48 * b) bytes a source, and the
+    sums take about 32 bytes a source for each leaf. With keep, the
+    epochs are also kept, in ys.
+    """
+
+    def __init__(self, M: int, n: int, keep: bool = False, block: int = 0) -> None:
+        self._leaf = max(512, _NODE // M)  # epochs of each source
+        self._plan = _plan(n, self._leaf)
+        self._sums = np.empty((self._plan.nodes, 2, M))
+        self._s = np.empty((M, min(n, self._leaf + 2 * block) + 1 if block else 0))  # from success _first on
+        self._yr = np.empty((2, M, 2 * (self._leaf + block)))  # y and R of the epochs from _lo on
+        self._first = self._ready = self._filled = 0
+        self._lo = self._n = self._next = 0  # _n epochs taken, the first _next leaves summed
+        self.ys = np.empty((M, n)) if keep else np.broadcast_to(np.nan, (M, n))
+        self._keep = keep
+
+    def window(self, upto: int) -> tuple[np.ndarray, int]:
+        """The success-time window with room for the successes before `upto`, and its first success."""
+        if upto - self._first > self._s.shape[1]:
+            self._take_window()
+            if upto - self._first > self._s.shape[1]:  # a source ran far ahead of another
+                s = np.empty((self._s.shape[0], 2 * (upto - self._first)))
+                s[:, : self._s.shape[1]] = self._s
+                self._s = s
+        return self._s, self._first
+
+    def advance(self, ready: int, filled: int) -> None:
+        """Every source has its first `ready` successes in the window, and none more than `filled`."""
+        self._ready, self._filled = ready, filled
+
+    def _take_window(self) -> None:
+        """Take the epochs that every source has in the window, and move it up to the last."""
+        s, k = self._s, self._ready - 1 - self._first
+        if k > 0:
+            np.subtract(s[:, 1 : k + 1], s[:, :k], out=self._space(k))
+            self._commit(k)
+            held = self._filled - self._first - k
+            s[:, :held] = s[:, k : k + held]
+            self._first += k
+
+    def _space(self, k: int) -> np.ndarray:
+        """The (M, k) slice that the y of the next k epochs go into."""
+        yr, held = self._yr, self._n - self._lo
+        if held + k > yr.shape[2]:
+            drop = self._plan.needed[self._next] - self._lo
+            held -= drop
+            if held + k > yr.shape[2]:
+                self._yr = np.empty((2, yr.shape[1], held + k))
+            self._yr[:, :, :held] = yr[:, :, drop : drop + held]
+            self._lo += drop
+        return self._yr[0, :, held : held + k]
+
+    def _commit(self, k: int) -> None:
+        """Take the k epochs written into _space(k), and sum every leaf they close."""
+        yr, lo, at = self._yr, self._lo, self._n - self._lo
+        y, R = yr[:, :, at : at + k]
+        np.multiply(y, 0.5, out=R)
+        R *= y
+        if self._keep:
+            self.ys[:, self._n : self._n + k] = y
+        self._n += k
+        leaves, sums, i = self._plan.leaves, self._sums, self._next
+        while i < len(leaves) and leaves[i][2] <= self._n:
+            node, a, b = leaves[i]
+            np.add.reduce(yr[:, :, a - lo : b - lo], axis=2, out=sums[node])
+            i += 1
+        self._next = i
+
+    def feed(self, ys: np.ndarray) -> None:
+        """Take an (M, k) block of the next epochs, a leaf's width at a time."""
+        for lo in range(0, ys.shape[1], self._leaf):
+            part = ys[:, lo : lo + self._leaf]
+            self._space(part.shape[1])[:] = part
+            self._commit(part.shape[1])
+
+    def estimates(self) -> tuple[list[float], float, float]:
+        """Each row's ratio R.sum() / y.sum(), the pooled ratio (row sums added in row order)
+        and its interval, from the batch totals of y and R added over the rows in row order."""
+        self._take_window()
+        plan, sums = self._plan, self._sums
+        for node, left, right in plan.levels:
+            sums[node] = sums[left] + sums[right]
+        per_row, sum_y, sum_r = [], 0.0, 0.0
+        for y_j, r_j in zip(*sums[plan.row].tolist()):
+            per_row.append(r_j / y_j)
+            sum_y += y_j
+            sum_r += r_j
+        # a running sum over the rows is the reference's row-by-row addition
+        totals = np.cumsum(sums[plan.batches], axis=2)[:, :, -1].T
+        mean = sum_r / sum_y
+        return per_row, mean, ratio_estimate(*totals, mean)
+
+
+def _renewal_estimates(ys: np.ndarray) -> tuple[list[float], float, float]:
+    """Each row's ratio R.sum() / y.sum() of an (M, n) epoch block, the pooled ratio and its
+    interval, with the bits of the whole-row arithmetic in tests/epoch_oracle.py
+    (renewal_estimates); _Renewal reads the block a leaf's width at a time."""
+    renewal = _Renewal(*ys.shape)
+    renewal.feed(ys)
+    return renewal.estimates()
 
 
 def _horizon_estimates(
@@ -851,10 +1046,8 @@ def run_simulation(
     engine = _run_loop if replay else _epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb
     raw = engine(cfg, _with_epochs)
 
-    if cfg.horizon is None:
-        # every source has exactly target epochs, in one (M, target) block
-        ys = raw.ys
-        per_mean, mean, ci = _renewal_estimates(ys)
+    if cfg.horizon is None:  # every source has exactly target epochs
+        per_mean, mean, ci = raw.estimates
         n_epochs = cfg.target_epochs
     else:
         if any(s.size < 2 for s in raw.success_times):
@@ -878,7 +1071,7 @@ def run_simulation(
     if not _with_epochs:
         return result, None, raw.events
     if cfg.horizon is None:
-        y, att = ys.ravel(), raw.atts.ravel()
+        y, att = raw.ys.ravel(), raw.atts.ravel()
     else:
         y, att = np.concatenate(raw.ys), np.concatenate(raw.atts)
     return result, Epochs(np.array([len(r) for r in raw.ys]), y, att), raw.events

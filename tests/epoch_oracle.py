@@ -12,11 +12,17 @@ shares no code with aoi_erasure.stats, which must match it to rounding
 paired_ratio_difference takes the same batches from two runs that share
 their draws and gives the difference of their ratios with a paired
 interval (tests/test_stats.py::TestPairedThresholdShape).
+renewal_estimates is the simulator's renewal estimator as it was before
+it took its sums a leaf at a time: whole-row sums and np.add.reduceat
+over an (M, n) block. The streaming estimator must give its numbers bit
+for bit (tests/test_simulator.py::TestRenewalStream).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from aoi_erasure.simulator import _N_BATCHES, ratio_estimate
 
 
 def epochs_nofb(q, M, gamma, target, rng_a, rng_e, rng_o):
@@ -123,3 +129,26 @@ def paired_ratio_difference(rows_a, rows_b):
     d = residuals[1] - residuals[0]
     B = d.size
     return points[1] - points[0], float(stats.t.ppf(0.975, B - 1) * d.std(ddof=1) / np.sqrt(B))
+
+
+def renewal_estimates(ys):
+    """Each row's ratio R.sum() / y.sum() of an (M, n) epoch block, the pooled ratio (row sums
+    added in row order) and its interval, from the totals of y and R over the rows in
+    B = min(_N_BATCHES, n) batches, cut as np.array_split cuts a row."""
+    n = ys.shape[1]
+    B = min(_N_BATCHES, n)
+    starts = np.arange(B) * (n // B) + np.minimum(np.arange(B), n % B)
+    per_row, sum_y, sum_r = [], 0.0, 0.0
+    totals = np.zeros((2, B))
+    R = np.empty(n)  # one row's areas, 0.5 * y * y in the order of that product
+    for row in ys:
+        np.multiply(row, 0.5, out=R)
+        R *= row
+        y_j, r_j = float(row.sum()), float(R.sum())
+        per_row.append(r_j / y_j)
+        sum_y += y_j
+        sum_r += r_j
+        totals[0] += np.add.reduceat(row, starts)
+        totals[1] += np.add.reduceat(R, starts)
+    mean = sum_r / sum_y
+    return per_row, mean, ratio_estimate(*totals, mean)

@@ -343,6 +343,55 @@ class TestSymbolicCertificates:
                 assert p_wfb(x * dq / 2, qf) == pytest.approx(lower_num(qf, x * dq / 2), rel=1e-12, abs=1e-12)
 
 
+class TestFormsFromTheModel:
+    """The closed forms, derived in sympy from the model that the epoch engines simulate.
+
+    The model: zero service time, so max-age-first serves the sources
+    cyclically; a success takes K ~ Geometric(1 - q) tries, drawn apart
+    from the waits; a wait W = max(gamma, tau), tau ~ Exp(1), comes before
+    every attempt without feedback and before the first try of a service
+    with feedback, whose retries wait one Exp(1) arrival each. The renewal
+    ratio E[Y^2] / (2 E[Y]) of a source's epoch Y must be the code's form
+    (TestSymbolicCertificates ties the symbols to the code), and the source
+    counts where waiting stops paying at q = 0.3 follow from it.
+    """
+
+    def test_renewal_ratio_is_the_closed_form(self):
+        (q, M, g), forms = _symbolic_forms()
+        E, e, z = sp.exp(-g), sp.Symbol("e"), sp.Symbol("z")
+        # W is gamma while tau <= gamma, else gamma plus a fresh Exp(1) (no memory)
+        w1 = g * (1 - E) + E * (g + 1)
+        w2 = g**2 * (1 - E) + E * (g**2 + 2 * g + 2)
+        tries = (1 - q) * z / (1 - q * z)  # K's generating function
+        k1 = sp.diff(tries, z).subs(z, 1)
+        k2 = (sp.diff(tries, z, 2) + sp.diff(tries, z)).subs(z, 1)
+
+        def wald(n1, n2, x1, x2):
+            # a sum of N iid X, N apart from them: E[N] E[X] and E[N] Var X + E[N^2] E[X]^2
+            return n1 * x1, n1 * (x2 - x1**2) + n2 * x1**2
+
+        retries = wald(k1 - 1, k2 - 2 * k1 + 1, 1, 2)  # K - 1 Exp(1) waits
+        epochs = {
+            Feedback.NOFB: wald(M * k1, M**2 * k2, w1, w2),  # the waits of M K attempts
+            Feedback.WFB: wald(M, M**2, w1 + retries[0], w2 + 2 * w1 * retries[0] + retries[1]),  # M services
+        }
+        counts = []
+        for setting in Feedback:
+            y1, y2 = epochs[setting]
+            derived = (y2 / (2 * y1)).subs(E, e)  # a rational function of q, M, gamma and e = e^-gamma
+            assert sp.cancel(derived - forms[setting][0].subs(E, e)) == 0, setting
+            # f'(0) = 0 in both settings, so waiting pays first where f''(0) < 0; d/dgamma of
+            # h(gamma, e) is dh/dgamma - e dh/de
+            at = derived.subs(q, sp.Rational(3, 10))
+            for _ in range(2):
+                at = sp.diff(at, g) - e * sp.diff(at, e)
+            curvature = sp.cancel(at.subs({g: 0, e: 1}))
+            counts.append(next(m for m in range(1, 10) if curvature.subs(M, m) >= 0))
+        # the counts test_05 expects are (3, 4); the model gives (2, 3), as the code does
+        assert counts == [2, 3]
+        assert counts == [next(m for m in range(1, 10) if _zero_threshold_optimal(0.3, m, s)) for s in Feedback]
+
+
 class TestAoiRrNofb:
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.7])
     def test_single_source_greedy_value(self, q):

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
@@ -847,9 +848,20 @@ def _peak_rss_mb(args: list[str]) -> float:
     return float(peak)
 
 
+def _tracemalloc_peak_mb(run: Callable[[], object]) -> float:
+    """tracemalloc's peak over a second call of run, once the first has made its imports and caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
     def test_attempt_buffers_do_not_grow_with_the_run(self):
-        # 1e4 -> 1e5 epochs is 2e6 -> 2e7 attempts; only the epoch columns (16 B each) may grow
+        # 1e4 -> 1e5 epochs is 2e6 -> 2e7 attempts; the command keeps no epochs, so nothing need grow
         args = ["simulate", "--q", "0.99", "--m", "2", "--setting", "nofb", "--epochs"]
         small = _peak_rss_mb([*args, "10000"])
         large = _peak_rss_mb([*args, "100000"])
@@ -871,18 +883,14 @@ class TestMemory:
         assert large < 49.0, large
 
     def test_trace_engine_peak_in_process(self):
-        # the traced-run cell: 6.02 MB measured by tracemalloc (6.63 MB with the outcomes,
-        # sources and epochs built from run-length temporaries, 12.5 MB with the log laid
-        # out as columns); one more time column (3.4 MB) breaks the bound
+        # the traced-run cell: 5.84 MB measured by tracemalloc on a second run (6.02 MB with a
+        # second array of the successes for the feedback turns, 6.63 MB with the outcomes,
+        # sources and epochs built from run-length temporaries, 12.5 MB with the log laid out
+        # as columns); one more time column (3.4 MB) breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
-        tracemalloc.start()
-        try:
-            _run_loop(cfg, True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 1e6 < 7.0, peak
+        peak = _tracemalloc_peak_mb(lambda: _run_loop(cfg, True))
+        assert peak < 6.0, peak
 
     def test_traced_command_peak_in_process(self, tmp_path):
         # what the traced simulate command runs: no attempts column, and the log laid out
@@ -900,29 +908,34 @@ class TestMemory:
             tracemalloc.stop()
         assert peak / 1e6 < 6.5, peak
 
-    @pytest.mark.parametrize("setting,bound_mb", [("wfb", 10.0), ("nofb", 10.0)])
+    @pytest.mark.parametrize("setting,bound_mb", [("wfb", 3.3), ("nofb", 2.4)])
     def test_epoch_engine_peak_in_process(self, setting, bound_mb):
-        # one untraced 1e5-epoch cell at M = 8 holds 6.4 MB of y in either engine and no
-        # first waits: 7.21 (wfb) and 7.20 MB (nofb) measured by tracemalloc (8.01 and
-        # 8.00 MB with a fresh row of areas per source), where holding the first waits read
-        # 16.2 MB; one more epoch-sized float64 temporary (6.4 MB) breaks either bound
+        # one untraced 1e5-epoch cell at M = 8 holds no epoch block: the estimator's window
+        # and leaves, the engine's block buffers and, with feedback, a block's retry draws:
+        # 3.02 (wfb) and 2.10 MB (nofb) measured by tracemalloc, where a 6.4 MB y block read
+        # 7.21 and 7.20 MB; one (M, target) float32 block (3.2 MB) breaks either bound
         cfg = SimConfig(0.7, 8, setting, 0.0, target_epochs=100_000, seed=1)
-        tracemalloc.start()
-        try:
-            run_simulation(cfg, _with_epochs=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 1e6 < bound_mb, peak
+        peak = _tracemalloc_peak_mb(lambda: run_simulation(cfg, _with_epochs=False))
+        assert peak < bound_mb, peak
+
+    @pytest.mark.parametrize("setting", ["nofb", "wfb"])
+    def test_epoch_engine_peak_is_flat_in_the_epochs(self, setting):
+        # 1e5 -> 1e6 epochs at M = 1: 2.11 -> 2.24 (nofb) and 1.91 -> 1.98 MB (wfb) measured by
+        # tracemalloc, where an epoch block read 1.6 -> 16.0 MB; 8 B an epoch breaks the bound
+        peaks = [
+            _tracemalloc_peak_mb(lambda: run_simulation(SimConfig(0.3, 1, setting, 0.0, target_epochs=n, seed=1),
+                                                        _with_epochs=False))
+            for n in (100_000, 1_000_000)
+        ]
+        assert abs(peaks[1] - peaks[0]) < 1.0, peaks
 
     def test_validate_cell_keeps_no_attempts_column(self):
-        # a validate cell holds 8 B per epoch and source of y in either engine, and no
-        # attempts column: 49.7-51.4 MB measured with both cells in flight on two CPUs,
-        # the import included (50.8 MB one after the other, while the feedback engine
-        # held 8 B more of first waits); with the attempts column it read 58 MB
+        # a validate cell holds no epoch block and no attempts column in either engine:
+        # 39.4-39.6 MB measured with both cells in flight on two CPUs, the import included,
+        # where 8 B per epoch and source of y read 48.8-51.4 MB and the attempts column 58 MB
         args = ["validate", "--q", "0.7", "--m", "8", "--setting", "nofb,wfb", "--epochs", "100000"]
         peak = _peak_rss_mb(args)
-        assert peak < 54.0, peak
+        assert peak < 44.0, peak
 
 
 class TestConfigFile:

@@ -22,7 +22,7 @@ from aoi_erasure.simulator import (
     SimConfig,
     run_simulation,
 )
-from epoch_oracle import batch_ratio_estimate, epochs_nofb, epochs_wfb
+from epoch_oracle import batch_ratio_estimate, epochs_nofb, epochs_wfb, renewal_estimates
 from trace_oracle import check_invariants as replay_invariants
 from trace_oracle import lines, policy_nofb_single, policy_wfb_single, scheduler_maf, scheduler_rr
 from trace_oracle import run_loop as oracle_run_loop
@@ -299,6 +299,16 @@ class TestEngineBlocks:
         cfg = SimConfig(q, M, setting, gamma, target_epochs=target, seed=seed)
         _assert_same_run(_run_with_block(block, cfg), run_simulation(cfg))
 
+    @pytest.mark.parametrize("target", [1, 2, 19, 20, 21, 4097, 40000])
+    @pytest.mark.parametrize("q,M", [(0.0, 1), (0.3, 2), (0.7, 8), (0.95, 3)])
+    @pytest.mark.parametrize("setting", ["nofb", "wfb"])
+    def test_runs_that_keep_no_epochs_give_the_same_result(self, setting, q, M, target):
+        # the epoch block, when kept, is written beside the estimator, which reads the same success times
+        cfg = SimConfig(q, M, setting, 0.4, target_epochs=target, seed=target + M)
+        res, epochs, _ = run_simulation(cfg)
+        assert run_simulation(cfg, _with_epochs=False)[0] == res
+        assert list(res.per_source_mean) == renewal_estimates(epochs.y.reshape(M, target))[0]
+
     @pytest.mark.parametrize("past", [0, 1])
     @pytest.mark.parametrize("q", [0.0, 0.95])
     @pytest.mark.parametrize("M", [1, 3, 8])
@@ -360,6 +370,40 @@ class TestNumpyContracts:
         tries = np.random.default_rng(6).geometric(1.0, size=65536)
         assert tries.dtype == np.int64 and np.all(tries == 1)
 
+    @pytest.mark.parametrize("leaf", [128, 4096, 16384])
+    def test_pairwise_tree_replays_np_sum(self, leaf):
+        # np.sum of a contiguous row, as sums of the tree's leaves added back up in tree order
+        rng = np.random.default_rng(leaf)
+        for n in [*range(1, 300, 7), 4095, 4096, 4097, 16383, 16385, 65536, 100000, 123457]:
+            a = rng.exponential(size=n) * rng.exponential(size=n)
+            leaves = []
+            tree = simulator._pairwise_tree(0, n, leaf, leaves)
+            assert all(hi - lo <= leaf for lo, hi in leaves)
+            assert _add_up(tree, [np.sum(a[lo:hi]) for lo, hi in leaves]) == np.sum(a), n
+
+    def test_reduceat_is_first_plus_tree(self):
+        # np.add.reduceat's batch total, as the batch's first value plus the tree of the rest
+        rng = np.random.default_rng(3)
+        for n in [1, 2, 19, 20, 21, 999, 4097, 100000, 250001]:
+            a = rng.exponential(size=n) ** 2
+            B = min(20, n)
+            starts = np.arange(B) * (n // B) + np.minimum(np.arange(B), n % B)
+            for got, lo, hi in zip(np.add.reduceat(a, starts), starts, [*starts[1:], n]):
+                leaves = []
+                rest = simulator._pairwise_tree(lo + 1, hi, 4096, leaves)
+                want = a[lo] if rest is None else a[lo] + _add_up(rest, [np.sum(a[x:y]) for x, y in leaves])
+                assert got == want, (n, lo, hi)
+
+    @pytest.mark.parametrize("rows", [1, 2, 8, 16])
+    def test_row_slices_sum_as_rows(self, rows):
+        # one 2-D call sums each row of a column slice as np.sum sums the row alone
+        rng = np.random.default_rng(rows)
+        buf = rng.exponential(size=(2, rows, 40000))
+        for lo, hi in [(0, 1), (3, 10), (5, 133), (1000, 5096), (7, 16391), (0, 40000)]:
+            got = np.add.reduce(buf[:, :, lo:hi], axis=2)
+            want = [[np.sum(buf[p, j, lo:hi].copy()) for j in range(rows)] for p in range(2)]
+            assert got.tolist() == want, (lo, hi)
+
     @pytest.mark.parametrize("clock", [0.0, 0.1, 123.456, 9.87e5])
     def test_in_place_running_sum(self, clock):
         w = np.maximum(np.random.default_rng(9).exponential(size=65536), 0.4)
@@ -367,6 +411,59 @@ class TestNumpyContracts:
         w[0] += clock
         np.cumsum(w, out=w)
         assert w.tobytes() == want.tobytes()
+
+
+def _add_up(tree, sums):
+    return sums[tree] if isinstance(tree, int) else _add_up(tree[0], sums) + _add_up(tree[1], sums)
+
+
+class TestRenewalStream:
+    """The renewal estimator fed a run of epochs at a time equals the whole-block reference.
+
+    Pieces of any size, from one epoch to the whole block, either as epochs
+    (feed) or as success times through the engines' window, must give
+    per_row, mean and ci with the same bits as tests/epoch_oracle.py's
+    whole-row sums. Small leaves put many leaves, and many moves of the
+    window, into a short block.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        M=st.integers(1, 5),
+        n=st.integers(1, 3000),
+        node=st.sampled_from([512, 1000, 1 << 14]),
+        through_window=st.booleans(),
+        data=st.data(),
+    )
+    def test_pieces_give_the_whole_block_bits(self, M, n, node, through_window, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        times = np.cumsum(rng.exponential(size=(M, n + 1)), axis=1)
+        ys = np.diff(times, axis=1)
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=12))) | {n})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_NODE", node * M)
+            block = data.draw(st.integers(1, n + 1))
+            renewal = simulator._Renewal(M, n, keep=through_window, block=block if through_window else 0)
+            lo = 0
+            for hi in cuts:
+                if through_window:  # successes lo + 1 ..= hi, after success 0
+                    first_piece = lo == 0
+                    s, first = renewal.window(hi + 1)
+                    s[:, lo + (not first_piece) - first : hi + 1 - first] = times[:, lo + (not first_piece) : hi + 1]
+                    renewal.advance(hi + 1, hi + 1)
+                else:
+                    renewal.feed(ys[:, lo:hi])
+                lo = hi
+            got = renewal.estimates()
+        assert got == renewal_estimates(ys)
+        if through_window:
+            assert renewal.ys.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 4096, 4097, 12345, 100000])
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    def test_whole_blocks(self, M, n):
+        ys = np.random.default_rng(M * n).exponential(size=(M, n)) + 0.01
+        assert simulator._renewal_estimates(ys) == renewal_estimates(ys)
 
 
 _FIRST_SUCCESS_MAX = 400  # attempts searched for a source's first success; P(miss) <= 0.9**400
