@@ -423,8 +423,9 @@ class TestRenewalStream:
     Pieces of any size, from one epoch to the whole block, either as epochs
     (feed) or as success times through the engines' window, must give
     per_row, mean and ci with the same bits as tests/epoch_oracle.py's
-    whole-row sums. Small leaves put many leaves, and many moves of the
-    window, into a short block.
+    whole-row sums, also with some sources ahead of others in the window.
+    Small leaves put many leaves, and many moves of the window, into a
+    short block.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -442,15 +443,18 @@ class TestRenewalStream:
         cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=12))) | {n})
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_NODE", node * M)
-            block = data.draw(st.integers(1, n + 1))
+            block = data.draw(st.integers(1, 64))  # a window of about leaf + 2 * block successes
             renewal = simulator._Renewal(M, n, keep=through_window, block=block if through_window else 0)
-            lo = 0
+            lo, written = 0, [0] * M  # successes in the window, per source
             for hi in cuts:
-                if through_window:  # successes lo + 1 ..= hi, after success 0
-                    first_piece = lo == 0
-                    s, first = renewal.window(hi + 1)
-                    s[:, lo + (not first_piece) - first : hi + 1 - first] = times[:, lo + (not first_piece) : hi + 1]
-                    renewal.advance(hi + 1, hi + 1)
+                if through_window:  # every source up to success hi, and some sources further, as without feedback
+                    ahead = data.draw(st.lists(st.integers(0, 300), min_size=M, max_size=M))
+                    tops = [max(w, min(n + 1, hi + 1 + a)) for w, a in zip(written, ahead)]
+                    s, first = renewal.window(max(tops))
+                    for j, (w, top) in enumerate(zip(written, tops)):
+                        s[j, w - first : top - first] = times[j, w:top]
+                    renewal.advance(min(tops), max(tops))
+                    written = tops
                 else:
                     renewal.feed(ys[:, lo:hi])
                 lo = hi
