@@ -403,9 +403,9 @@ def _epochs_nofb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
         rng_a.standard_exponential(out=tau)
         np.less(rng_e.random(out=u), 1.0 - q, out=ok)
         # attempt times, summed in the order of one running sum that starts at the clock
-        w = np.maximum(tau, gamma, out=t) if gamma > 0.0 else tau  # max(tau, 0) is tau; tau is not read again
-        w[0] += clock
-        np.cumsum(w, out=t)
+        spaced = np.maximum(tau, gamma, out=t) if gamma > 0.0 else tau  # max(tau, 0) is tau, not read again
+        spaced[0] += clock
+        np.cumsum(spaced, out=t)
         clock = t[-1]
         for j, w in enumerate(wins):
             if w == need:
