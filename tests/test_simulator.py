@@ -1,6 +1,8 @@
 import copy
 import math
 import re
+import sys
+import threading
 import warnings
 from bisect import bisect_right
 
@@ -308,6 +310,33 @@ class TestEngineBlocks:
         res, epochs, _ = run_simulation(cfg)
         assert run_simulation(cfg, _with_epochs=False)[0] == res
         assert list(res.per_source_mean) == renewal_estimates(epochs.y.reshape(M, target))[0]
+
+    def test_threads_share_the_feedback_walk(self):
+        # feedback runs on more threads than cores take their retry streams from one cached
+        # walk per (seed, services); from an empty cache, with a short switch interval, each
+        # run must equal its run alone
+        cfgs = [SimConfig(q, M, "wfb", 0.3, target_epochs=3000, seed=seed)
+                for q in (0.3, 0.7) for M in (1, 3) for seed in (1, 2)]
+        simulator._past_first_waits.cache_clear()
+        alone = [run_simulation(cfg, _with_epochs=False)[0] for cfg in cfgs]
+        simulator._past_first_waits.cache_clear()
+        got = [None] * len(cfgs)
+
+        def work(i):
+            got[i] = run_simulation(cfgs[i], _with_epochs=False)[0]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == alone
 
     @pytest.mark.parametrize("past", [0, 1])
     @pytest.mark.parametrize("q", [0.0, 0.95])
