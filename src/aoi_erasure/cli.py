@@ -17,8 +17,12 @@ flags, so flags override config values, which override the defaults. A
 comma-list flag refuses an empty list. Exit codes: 0 ok, 1 solver,
 simulation or allocation failure, 2 usage error, 3 validation FAIL.
 simulate prints one seeded run's SimResult as run_simulation returns
-it. The simulator and stats modules, and numpy with them, are imported
-only by the commands that simulate (simulate, validate, sweep --epochs).
+it. With --trace, --out receives the event log as the run makes it, a
+window of attempts at a time, so the command's memory does not grow
+with --epochs; where --out cannot be opened, the run is still made and
+printed before the error exits 1. The simulator and stats modules, and
+numpy with them, are imported only by the commands that simulate
+(simulate, validate, sweep --epochs).
 validate and sweep --epochs simulate their cells on two threads where
 two CPUs are usable; the rows and messages are those of one thread.
 """
@@ -26,6 +30,7 @@ two CPUs are usable; the rows and messages are those of one thread.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -202,15 +207,24 @@ def _cmd_simulate(opts: argparse.Namespace) -> int:
     # the run is checked before gamma is optimized, so a q it refuses draws no warning
     cfg = SimConfig(q, M, setting, 0.0, target_epochs=opts.epochs, seed=opts.seed, trace=opts.trace)
     gamma = _resolve_gamma(spec, q, M, setting)
-    res, _, log = run_simulation(replace(cfg, gamma=gamma), _with_epochs=False)
+    unwritable = None
+    try:
+        out = open(opts.out, "wb") if opts.out else None
+    except OSError as exc:  # the run is still made and printed, then the error reported
+        out, unwritable = open(os.devnull, "wb"), exc
+    try:
+        res, _, _ = run_simulation(replace(cfg, gamma=gamma), _with_epochs=False, _out=out)
+    finally:
+        if out is not None:
+            out.close()
     print(
         f"q={_fmt_q(q)} M={M} setting={setting.value} gamma={_fmt(gamma)} "
         f"sim_mean={_fmt(res.mean_aoi)} sim_ci={_fmt(res.ci_half_width)} epochs_per_source={res.epochs_per_source} "
         f"arrivals={res.arrivals} overflows={res.overflows} attempts={res.attempts} "
         f"successes={res.successes} seed={res.seed}"
     )
-    if opts.out:
-        log.dump(opts.out)
+    if unwritable is not None:
+        raise unwritable
     return 0
 
 

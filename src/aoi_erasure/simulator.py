@@ -43,19 +43,26 @@ statistically identical runs:
   arrival sends it into that search, which tops up a target run's
   arrivals and ends a horizon run, whose arrivals are cut at the
   horizon first. The one attempt a threshold pushes past the horizon is
-  trimmed after the loop, and each source's successes are read by
+  trimmed after the loop.
+  The loop makes at most _WINDOW attempts at a time and carries its
+  state across. A window draws its outcomes first, so a target run
+  stops inside the window where the last source gets its
+  target_epochs + 1-th success. Each source's successes are read by
   stride (_wins: every M-th attempt without feedback, every M-th
-  success with it); a target run gathers their times into one
-  (M, target_epochs + 1) block, takes its _gaps and feeds the epoch
-  block to the renewal estimator.
+  success with it), and a target run hands their times to the renewal
+  estimator window by window.
   Arrivals and attempts live in typed buffers, not as Python objects,
-  and each attempt's source and position in the log are derived after
-  the loop, the sources one _CHUNK at a time.
-  The log keeps views of those buffers, the outcomes, sources and
-  positions (8 bytes an arrival, 18 an attempt) and lays out any range
-  of lines from them, one _CHUNK at a time, so a traced run holds its
-  arrays and one chunk of lines, and no Python object is kept per
-  arrival, attempt, event or epoch.
+  and each attempt's source and position in the log are derived from
+  them, the sources one _CHUNK at a time. A window's log, from the
+  stored arrival its first attempt spends to its last outcome, is an
+  EventLog of its own. The simulate command passes its --out file
+  (run_simulation's _out): each window's log is dumped there as the
+  window ends, and its arrivals and attempts are dropped, so the
+  command holds one window at any epoch count. Otherwise the run keeps
+  every arrival, attempt and outcome, and its log keeps views of
+  them, with the sources and positions (8 bytes an arrival, 18 an
+  attempt), and lays out any range of lines one _CHUNK at a time. No
+  Python object is kept per arrival, attempt, event or epoch.
   tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
   engine must match bit for bit.
 
@@ -84,11 +91,12 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import os
 import warnings
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -119,14 +127,17 @@ class EventLog:
     The engine's log holds its arrays (_Trace: 8 bytes an arrival, 18 an
     attempt, 19 above M = 255), and dump and to_lines lay out one _CHUNK
     of lines at a time from them, so a dump holds no more than one
-    chunk's lines beside the arrays.
+    chunk's lines beside the arrays. A run that writes its log as it
+    runs (run_simulation's _out) dumps one such log per window of
+    attempts, from the stored arrival the window's first attempt spends
+    to its last outcome, into the one file, and returns no log.
     The columns time (float64), kind (uint8 index into the kind names)
     and source (0 for battery events, else 1..M; np.min_scalar_type(M)
     from the engine, int64 from Events) are laid out whole on first read,
     10 bytes more an event. `events` is a read-only Event sequence.
     """
 
-    __slots__ = ("_trace", "_columns")
+    __slots__ = ("_trace", "_columns", "_lines")
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         events = list(events)
@@ -136,18 +147,19 @@ class EventLog:
             raise ValueError(f"unknown event kind {exc.args[0]!r}") from None
         time = np.array([e.time for e in events], dtype=np.float64)
         source = np.array([e.source_id for e in events], dtype=np.int64)
-        self._trace, self._columns = None, (time, np.array(kind, dtype=np.uint8), source)
+        self._trace, self._columns, self._lines = None, (time, np.array(kind, dtype=np.uint8), source), None
 
     @classmethod
     def from_columns(cls, time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> EventLog:
         log = cls.__new__(cls)
-        log._trace, log._columns = None, (time, kind, source)
+        log._trace, log._columns, log._lines = None, (time, kind, source), None
         return log
 
     @classmethod
-    def _from_trace(cls, trace: _Trace) -> EventLog:
+    def _from_trace(cls, trace: _Trace, lines: bytearray | None = None) -> EventLog:
+        """The log of a trace; lines, if given, is the buffer its chunks are formatted in."""
         log = cls.__new__(cls)
-        log._trace, log._columns = trace, None
+        log._trace, log._columns, log._lines = trace, None, lines
         return log
 
     def __len__(self) -> int:
@@ -167,20 +179,23 @@ class EventLog:
     def events(self) -> _EventView:
         return _EventView(self)
 
-    def _chunks(self) -> Iterator[bytes | memoryview]:
+    def _chunks(self) -> Iterator[bytes | bytearray]:
         n = len(self)
+        lines = bytearray() if self._lines is None else self._lines
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             cols = _lay_out(self._trace, lo, hi) if self._columns is None else (c[lo:hi] for c in self._columns)
-            yield _format_lines(*cols)
+            yield _format_lines(*cols, lines)
 
     def to_lines(self) -> list[str]:
         return b"".join(self._chunks()).decode().splitlines()
 
-    def dump(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            for chunk in self._chunks():
-                fh.write(chunk)
+    def dump(self, out: str | os.PathLike | BinaryIO) -> None:
+        """Write the lines to the file at path out, or to out, a binary file open for writing."""
+        if not hasattr(out, "writelines"):
+            with open(out, "wb") as fh:
+                return self.dump(fh)
+        out.writelines(self._chunks())
 
     def check_invariants(self) -> None:
         """Check the log against the battery and ordering rules, column-wise.
@@ -289,13 +304,18 @@ def _put_digits(buf: np.ndarray, col: int, width: int, values: np.ndarray, pad: 
         values = higher
 
 
-def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> bytes | memoryview:
+def _format_lines(
+    time: np.ndarray, kind: np.ndarray, source: np.ndarray, lines: bytearray | None = None
+) -> bytes | bytearray:
     """The bytes of the lines f"{t:.9f}\\t{kind}\\t{source}\\n", built column-wise.
 
-    Leading zeros and the kind field's padding are written as 0 bytes,
-    which no line holds, and dropped at the end. The fast path returns a
-    view of the array the lines are gathered in, not a copy; it compares
-    equal to the same bytes, and write and bytes.join take it as they are.
+    The lines are written into a byte buffer, one row a line, with
+    leading zeros and the kind field's padding as 0 bytes, which no line
+    holds; bytearray.translate drops them into the bytes returned, so no
+    mask is held beside the buffer. lines, if given, is resized to be
+    that buffer: a dump reuses one for all its chunks, and a run that
+    writes its log as it goes one for all its windows, so the allocator
+    is not asked for a fresh buffer, and fresh pages, every chunk.
     """
     n = time.size
     if n == 0:
@@ -309,7 +329,13 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     ws = len(str(int(source.max())))
     tab1 = w + 10
     tab2 = tab1 + 1 + _KIND_WIDTH
-    buf = np.empty((n, tab2 + ws + 2), np.uint8)
+    size = n * (tab2 + ws + 2)
+    if lines is None:
+        lines = bytearray(size)
+    else:  # every byte is written below
+        del lines[size:]
+        lines.extend(bytes(size - len(lines)))
+    buf = np.frombuffer(lines, np.uint8).reshape(n, -1)
     _put_digits(buf, 0, w, whole, pad=False)
     buf[:, w] = ord(".")
     _put_digits(buf, w + 1, 9, frac, pad=True)
@@ -317,7 +343,7 @@ def _format_lines(time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> byt
     buf[:, tab1 + 1 : tab2].view(_KIND_ITEM)[:, 0] = np.take(_KIND_FIELD, kind)
     _put_digits(buf, tab2 + 1, ws, source, pad=False)
     buf[:, -1] = ord("\n")
-    return buf[buf != 0].data
+    return lines.translate(None, b"\0")
 
 
 def _spawn_streams(
@@ -343,7 +369,7 @@ class _RawRun(NamedTuple):
     overflows: int
     attempts: int
     successes: int
-    events: EventLog | None
+    events: EventLog | range | None  # a log written as it ran is the range of its lines
 
 
 _BLOCK = 1 << 14  # attempts (nofb) or services (wfb) an epoch engine draws per pass
@@ -506,19 +532,19 @@ def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
     A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
 
 
-def _outcomes(rng_e: np.random.Generator, q: float, ok: np.ndarray, start: int = 0) -> np.ndarray:
-    """Fill ok[start:] with attempt outcomes, True where a uniform exceeds q, one _CHUNK at a time.
+def _outcomes(rng_e: np.random.Generator, q: float, ok: np.ndarray) -> np.ndarray:
+    """Fill ok with attempt outcomes, True where a uniform exceeds q, one _CHUNK at a time.
 
     The values and the stream state are those of one rng_e.random(n) > q,
     without its n floats.
     """
-    for lo in range(start, ok.size, _CHUNK):
+    for lo in range(0, ok.size, _CHUNK):
         part = ok[lo : lo + _CHUNK]
         np.greater(rng_e.random(part.size), q, out=part)
     return ok
 
 
-def _wins(ok: np.ndarray, M: int, wfb: bool) -> Iterator[np.ndarray]:
+def _wins(ok: np.ndarray, M: int, wfb: bool, start: int = 0) -> Iterator[np.ndarray]:
     """Each source's successful attempts, as indices into ok, one source at a time.
 
     Without feedback source j makes every M-th attempt from the j-th
@@ -526,24 +552,20 @@ def _wins(ok: np.ndarray, M: int, wfb: bool) -> Iterator[np.ndarray]:
     serves the sources cyclically (see _epochs_wfb), so source j gets
     every M-th success from the j-th. A replay that compares rounded
     ages could depart from that order only if two sources' last
-    successes lay within one rounding unit of the age apart.
+    successes lay within one rounding unit of the age apart. ok may be
+    a window of the run: start is then the attempts (without feedback)
+    or the successes (with it) before the window, mod M.
     """
     wins = np.flatnonzero(ok) if wfb else None
     for j in range(M):
-        yield wins[j::M] if wfb else np.flatnonzero(ok[j::M]) * M + j
+        at = (j - start) % M
+        yield wins[at::M] if wfb else np.flatnonzero(ok[at::M]) * M + at
 
 
-def _attempts_needed(ok: np.ndarray, M: int, need: int, wfb: bool) -> int | None:
-    """Attempts until every source has `need` successes, or None if ok runs out."""
-    last = 0
-    for wins in _wins(ok, M, wfb):
-        if wins.size < need:
-            return None
-        last = max(last, int(wins[need - 1]))
-    return last + 1
+_WINDOW = 1 << 12  # attempts the trace engine makes, and settles the log of, at a time
 
 
-def _run_loop(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
+def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) -> _RawRun:
     """Trace engine: one Poisson arrival stream through one unit battery.
 
     The battery is full from a stored arrival until the attempt that
@@ -559,106 +581,162 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     attempt that a threshold pushes past the horizon is made and then
     trimmed after the loop.
 
-    Each source's successes follow from the outcomes (_wins). The log
-    is kept when cfg.trace is set.
+    The loop makes its attempts a window of at most _WINDOW at a time and
+    carries its state from one window to the next. A window draws its
+    outcomes first, so a target run stops inside the window where the
+    last source gets its target + 1-th success, and each source's
+    successes in it (_wins) go to the renewal estimator as the window
+    ends. A window's log runs from the stored arrival its first attempt
+    spends to its last outcome, and is an EventLog of its own. With out,
+    that log is dumped there and the window's attempts and arrivals are
+    dropped, so a run holds one window at any length; events is then the
+    range of the lines written. Otherwise the run keeps every arrival,
+    attempt and outcome: a traced run's EventLog lays out the whole log
+    from them, and a horizon run's success times and any kept attempts
+    per epoch are read from them at the end (_epochs_by_stride).
     """
     q, M, gamma = cfg.q, cfg.M, cfg.gamma
     wfb = cfg.setting is Feedback.WFB
     target, horizon = cfg.target_epochs, cfg.horizon
     rng_a, rng_e, _ = _spawn_streams(cfg.seed, cfg.erasure_seed)
 
-    A = array("d")  # arrival times
+    A = array("d")  # arrival times, from the a0-th on
     if horizon is None:
-        n0 = int(M * (target + 1) / (1.0 - q) * 1.1) + 64
-        ok = _outcomes(rng_e, q, np.empty(n0, bool))
-        while (n_max := _attempts_needed(ok, M, target + 1, wfb)) is None:
-            more = np.empty(ok.size + max(1024, ok.size // 4), bool)
-            more[: ok.size] = ok
-            ok = _outcomes(rng_e, q, more, ok.size)
-        # an attempt spaced by max(gamma, wait) spans gamma + e^-gamma arrivals
-        # on average, an upper bound for both settings
-        _more_arrivals(A, rng_a, int(n_max * (gamma + math.exp(-gamma)) * 1.02) + 256)
+        need = target + 1
+        # arrivals drawn at a time, about a window's: an attempt spaced by max(gamma, wait)
+        # spans gamma + e^-gamma arrivals on average, an upper bound for both settings
+        more = int(_WINDOW * (gamma + math.exp(-gamma)) * 1.02) + 256
+        _more_arrivals(A, rng_a, more)
+        bound = math.inf
     else:
         while not A or A[-1] <= horizon:
             _more_arrivals(A, rng_a, int(horizon * 1.02) + 256)
-        n_max = bisect_right(A, horizon)  # every attempt spends an arrival before the cut
-        del A[n_max:]
-        ok = _outcomes(rng_e, q, np.empty(n_max, bool))
-    # the threshold applies to every attempt without feedback, and with
-    # feedback to the first attempt after a success
-    gate = (b"\x01" + ok[: n_max - 1].tobytes())[:n_max] if wfb else b"\x01" * n_max
+        bound = bisect_right(A, horizon)  # every attempt spends an arrival before the cut
+        del A[bound:]
 
     n_a = len(A)  # usable arrivals, then the sentinel
     A.append(-math.inf)
-    T = array("d")  # attempt times
-    append = T.append
-    k, prev, fill = 0, 0.0, A[0]  # fill: the stored arrival the next attempt spends, A[k]
-    for g in gate:
-        d = fill - prev
-        if g and gamma > d:
-            d = gamma
-        t = prev + d
-        append(t)
-        prev = t
-        k += 1
-        fill = A[k]
-        if fill <= t:  # overflows, or the sentinel: search past them
-            k = bisect_right(A, t, k, n_a)
-            while k == n_a and horizon is None:  # a target run tops its arrivals up
-                A.pop()
-                _more_arrivals(A, rng_a, max(1024, n_a // 8))
-                n_a = len(A)
-                A.append(-math.inf)
-                k = bisect_right(A, t, k, n_a)
-            if k == n_a:  # a horizon run has spent its arrivals
-                break
+    T = array("d")  # attempt times, from the window's first on when out is given
+    kept = bytearray()  # every outcome, unless out is given
+    lines = bytearray()  # the buffer every window's log lines are formatted in, when out is given
+    renewal = None if target is None else _Renewal(M, target, keep_attempts, -(-_WINDOW // M))
+    got = [0] * M  # successes of each source so far, up to need
+    buf = np.empty(min(_WINDOW, bound), bool)
+    a0 = i0 = successes = trimmed = 0  # a0: arrivals before A[0]; i0: attempts before the window
+    k, prev, fill, last = 0, 0.0, A[0], b"\x01"  # last: the gate of the window's first attempt
+    while True:
+        ok = _outcomes(rng_e, q, buf[: min(_WINDOW, bound - i0)])
+        start = (successes if wfb else i0) % M
+        wins = [] if horizon is not None else [w[: need - g] for w, g in zip(_wins(ok, M, wfb, start), got)]
+        done = horizon is None and sum(got) + sum(w.size for w in wins) == M * need
+        if done:  # the run ends at the need-th success of the last source to get there
+            ok = ok[: 1 + max(int(w[-1]) for w in wins if w.size)]
+        # the threshold applies to every attempt without feedback, and with
+        # feedback to the first attempt after a success
+        gate = (last + ok[:-1].tobytes())[: ok.size] if wfb else b"\x01" * ok.size
+
+        t0 = len(T)
+        append = T.append
+        for g in gate:
+            d = fill - prev
+            if g and gamma > d:
+                d = gamma
+            t = prev + d
+            append(t)
+            prev = t
+            k += 1
             fill = A[k]
-    # the attempt that a threshold pushed past the horizon; its stored arrival is kept
-    trimmed = horizon is not None and bool(T) and T[-1] > horizon
-    if trimmed:
-        T.pop()
+            if fill <= t:  # overflows, or the sentinel: search past them
+                k = bisect_right(A, t, k, n_a)
+                while k == n_a and horizon is None:  # a target run tops its arrivals up
+                    A.pop()
+                    _more_arrivals(A, rng_a, more)
+                    n_a = len(A)
+                    A.append(-math.inf)
+                    k = bisect_right(A, t, k, n_a)
+                if k == n_a:  # a horizon run has spent its arrivals
+                    break
+                fill = A[k]
+        ended = done or k == n_a
+        # the attempt that a threshold pushed past the horizon; its stored arrival is kept
+        if horizon is not None and ended and len(T) > t0 and T[-1] > horizon:
+            T.pop()
+            trimmed = 1
+        made = len(T) - t0
+        ok = ok[:made]
+        times = np.frombuffer(T, np.float64)[t0:]
+        if renewal is not None:
+            _put_successes(renewal, got, times, wins)
+        successes += int(np.count_nonzero(ok))
+        last = ok[-1:].tobytes()
 
-    # views, not copies: nothing is appended to A or T from here on
-    n_att, n_arr = len(T), k
-    times = np.frombuffer(T, np.float64)
-    ok = ok[:n_att]
-    ys, atts, stimes = _epochs_by_stride(times, ok, M, wfb, target, keep_attempts)
-    estimates = None if target is None else _renewal_estimates(ys)
+        if out is None:
+            kept += ok.data
+        else:  # the window's own log, from the stored arrival A[0] to its last outcome
+            arrivals = np.frombuffer(A, np.float64, k)
+            src = _sources(ok, M, wfb, start)
+            log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)), lines)
+            log.dump(out)
+            del arrivals, log  # views of A
+        i0 += made
+        del times  # a view of T, which grows again
+        if ended:
+            break
+        if out is not None:
+            del A[:k], T[:]
+            a0, n_a, k = a0 + k, n_a - k, 0
 
+    n_arr = a0 + k
+    estimates = None if renewal is None else renewal.estimates()
+    ys = None if renewal is None else renewal.ys
+    del renewal  # its window and leaves
+    counts = (n_arr, n_arr - i0 - trimmed, i0, successes)
+    if out is not None:
+        return _RawRun(ys, None, [], estimates, *counts, range(n_arr + 2 * i0))
+    times, ok = np.frombuffer(T, np.float64), np.frombuffer(kept, bool)
+    atts, stimes = None, []
+    if keep_attempts or target is None:
+        atts, stimes = _epochs_by_stride(times, ok, M, wfb, target, keep_attempts)
+    if target is None:
+        ys = [np.diff(s) for s in stimes]
     log = None
     if cfg.trace:
         arrivals = np.frombuffer(A, np.float64, n_arr)
-        src = _sources(ok, M, wfb)
-        log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)))
-    return _RawRun(ys, atts, stimes, estimates, n_arr, n_arr - n_att - trimmed, n_att, int(ok.sum()), log)
+        log = EventLog._from_trace(_Trace(arrivals, times, ok, _sources(ok, M, wfb), _pair_slots(arrivals, times)))
+    return _RawRun(ys, atts, stimes, estimates, *counts, log)
+
+
+def _put_successes(renewal: _Renewal, got: list[int], times: np.ndarray, wins: list[np.ndarray]) -> None:
+    """Write source j's successes at times[wins[j]] into the estimator's window after its got[j]
+    others, and count them in got."""
+    s, first = renewal.window(max(g + w.size for g, w in zip(got, wins)))
+    for j, w in enumerate(wins):
+        s[j, got[j] - first : got[j] - first + w.size] = times[w]
+        got[j] += w.size
+    renewal.advance(min(got), max(got))
 
 
 def _epochs_by_stride(
     times: np.ndarray, ok: np.ndarray, M: int, wfb: bool, target: int | None, keep_attempts: bool
-) -> tuple[np.ndarray | list[np.ndarray], np.ndarray | list[np.ndarray] | None, list[np.ndarray]]:
-    """Each source's epochs and attempts per epoch, and in horizon runs its success times.
+) -> tuple[np.ndarray | list[np.ndarray] | None, list[np.ndarray]]:
+    """Each source's attempts per epoch if kept, and in horizon runs its success times.
 
-    Source j's successes come from _wins. A target run gathers the times
-    of each source's first target + 1 successes into one (M, target + 1)
-    block and turns it into the (M, target) epoch block in place (_gaps);
-    a horizon run keeps every success, one row per source. Without
-    feedback an epoch's attempts are the source's own between two
+    Source j's successes come from _wins. A horizon run keeps the times
+    of every success, one row per source; a target run's epochs are its
+    renewal estimator's, and its attempts go into an (M, target) block.
+    Without feedback an epoch's attempts are the source's own between two
     successes; with feedback each epoch takes the attempts of the
     source's next turn, the run of attempts that ends at a success and
     starts after the success before it, the previous source's.
     """
     got = _wins(ok, M, wfb)
     if wfb and keep_attempts:  # views of one array of successes, which the turns read again
-        got = list(got)  # (held only then: freed with the generator, it leaves a traced run's peak RSS lower)
-    rows = [None] * M if target is None else np.empty((M, target + 1))
+        got = list(got)
+    rows = [None] * M
     atts = None if not keep_attempts else [None] * M if target is None else np.empty((M, target), np.int64)
     for j, wins in enumerate(got):
         if target is None:
             rows[j] = times[wins]
-        else:  # take copies strided indices, so a _CHUNK at a time; clip writes out unbuffered
-            for lo in range(0, target + 1, _CHUNK):
-                part = wins[lo : min(lo + _CHUNK, target + 1)]
-                np.take(times, part, out=rows[j, lo : lo + part.size], mode="clip")
         if atts is not None:  # written into the block, or a row of its own
             n = max(wins.size - 1, 0) if target is None else target
             before = got[j - 1][(j > 0) : (j > 0) + n] if wfb else wins[:n]
@@ -667,23 +745,22 @@ def _epochs_by_stride(
                 row //= M
             if target is None:
                 atts[j] = row
-    if target is None:
-        return [np.diff(s) for s in rows], atts, rows
-    return _gaps(rows), atts, []
+    return atts, rows if target is None else []
 
 
-def _sources(ok: np.ndarray, M: int, wfb: bool) -> np.ndarray:
+def _sources(ok: np.ndarray, M: int, wfb: bool, start: int = 0) -> np.ndarray:
     """The source (1..M) of each attempt, in np.min_scalar_type(M).
 
     Without feedback attempts cycle through the sources; with feedback an
     attempt's source is one more than the successes before it, mod M,
     counted a _CHUNK at a time with the count carried between chunks.
+    start is as in _wins.
     """
     dt = np.min_scalar_type(M)
     if not wfb:
-        return np.resize(np.arange(1, M + 1, dtype=dt), ok.size)
+        return np.resize(np.roll(np.arange(1, M + 1, dtype=dt), -start), ok.size)
     src = np.empty(ok.size, dt)
-    served = 0  # successes before the chunk, mod M
+    served = start  # successes before the chunk, mod M
     for lo in range(0, ok.size, _CHUNK):
         part = ok[lo : lo + _CHUNK]
         src[lo : lo + part.size] = (np.cumsum(part) - part + served) % M + 1
@@ -960,15 +1037,6 @@ class _Renewal:
         return per_row, mean, ratio_estimate(*totals, mean)
 
 
-def _renewal_estimates(ys: np.ndarray) -> tuple[list[float], float, float]:
-    """Each row's ratio R.sum() / y.sum() of an (M, n) epoch block, the pooled ratio and its
-    interval, with the bits of the whole-row arithmetic in tests/epoch_oracle.py
-    (renewal_estimates); _Renewal reads the block a leaf's width at a time."""
-    renewal = _Renewal(*ys.shape)
-    renewal.feed(ys)
-    return renewal.estimates()
-
-
 def _horizon_estimates(
     success_times: Sequence[np.ndarray], T: float
 ) -> tuple[list[float], float, float]:
@@ -1032,7 +1100,7 @@ class Epochs:
 
 
 def run_simulation(
-    cfg: SimConfig, *, _with_epochs: bool = True
+    cfg: SimConfig, *, _with_epochs: bool = True, _out: BinaryIO | None = None
 ) -> tuple[SimResult, Epochs | None, EventLog | None]:
     """Run one seeded simulation and aggregate it.
 
@@ -1040,11 +1108,17 @@ def run_simulation(
     source, then time), and the event log when tracing was requested.
     stats.validate and the simulate command read only the result: they
     pass _with_epochs=False, get None for the epochs, and the engines
-    keep no attempts per epoch.
+    keep no attempts per epoch. The simulate command also passes its
+    --out file as _out: a traced run then writes its log there as it
+    runs, in bounded memory, and returns None for it.
     """
+    if _out is not None and not (cfg.trace and cfg.horizon is None and not _with_epochs):
+        raise ValueError("_out takes the log of a traced target run that keeps no epochs")
     replay = cfg.trace or cfg.horizon is not None
-    engine = _run_loop if replay else _epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb
-    raw = engine(cfg, _with_epochs)
+    if replay:
+        raw = _run_loop(cfg, _with_epochs, _out)
+    else:
+        raw = (_epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb)(cfg, _with_epochs)
 
     if cfg.horizon is None:  # every source has exactly target epochs
         per_mean, mean, ci = raw.estimates
@@ -1068,13 +1142,14 @@ def run_simulation(
         epochs_per_source=n_epochs,
         seed=cfg.seed,
     )
+    log = None if _out is not None else raw.events
     if not _with_epochs:
-        return result, None, raw.events
+        return result, None, log
     if cfg.horizon is None:
         y, att = raw.ys.ravel(), raw.atts.ravel()
     else:
         y, att = np.concatenate(raw.ys), np.concatenate(raw.atts)
-    return result, Epochs(np.array([len(r) for r in raw.ys]), y, att), raw.events
+    return result, Epochs(np.array([len(r) for r in raw.ys]), y, att), log
 
 
 # kept only for perfbench/probe.py, which builds its run by this name; it goes when the probe stops using it

@@ -82,6 +82,14 @@ ROWS: list[list[str]] = [
      "--trace", "--out", "events.log"],
     ["simulate", "--q", "0.3", "--m", "300", "--setting", "wfb", "--epochs", "4", "--seed", "2", "--trace",
      "--out", "events.log"],
+    # traced runs over many of the trace engine's attempt windows: a long run, round-robin
+    # sources under a short threshold, and about ten attempts an epoch
+    ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "200000", "--trace", "--out", "events.log",
+     "--seed", "4"],
+    ["simulate", "--q", "0.3", "--m", "3", "--setting", "nofb", "--gamma", "0.2", "--epochs", "20000", "--seed", "6",
+     "--trace", "--out", "events.log"],
+    ["simulate", "--q", "0.9", "--m", "1", "--setting", "wfb", "--epochs", "5000", "--seed", "8", "--trace",
+     "--out", "events.log"],
 ]
 
 _WARNING_PATH = re.compile(r"^.*?(?=aoi_erasure[\\/]\w+\.py:\d+: )", re.MULTILINE)

@@ -869,18 +869,16 @@ class TestMemory:
         assert large < 100.0, large
 
     def test_trace_engine_holds_typed_buffers(self, tmp_path):
-        # 1e4 -> 1e5 traced epochs is about 86k -> 860k log events; what grows is the
-        # engine's 8 B per arrival and 18 B per attempt, which the log keeps and lays out
-        # a chunk at a time: 7.7 MB of growth and a 44.9 MB peak measured (10.7 and 48.6 MB
-        # with the outcomes, sources and epochs built from run-length temporaries, 20.9 and
-        # 58.5 MB with the log laid out as 10 B columns beside them); a time column (8 B an
-        # event) breaks both
+        # 5e4 -> 2e5 traced epochs is about 430k -> 1.7M log events; the command writes
+        # its log a window of attempts at a time and holds one window: 37.2 and 37.1 MB
+        # measured (40.3 and 53.8 MB holding the engine's 8 B per arrival and 18 B per
+        # attempt for the whole run); 8 B an attempt (3.4 MB) breaks both
         args = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--trace",
                 "--out", str(tmp_path / "events.log"), "--epochs"]
-        small = _peak_rss_mb([*args, "10000"])
-        large = _peak_rss_mb([*args, "100000"])
-        assert large - small < 10.0, (small, large)
-        assert large < 49.0, large
+        small = _peak_rss_mb([*args, "50000"])
+        large = _peak_rss_mb([*args, "200000"])
+        assert large - small < 1.0, (small, large)
+        assert large < 39.0, large
 
     def test_trace_engine_peak_in_process(self):
         # the traced-run cell: 5.84 MB measured by tracemalloc on a second run (6.02 MB with a
@@ -893,10 +891,11 @@ class TestMemory:
         assert peak < 6.0, peak
 
     def test_traced_command_peak_in_process(self, tmp_path):
-        # what the traced simulate command runs: no attempts column, and the log laid out
-        # and written a chunk at a time; 5.13 MB measured by tracemalloc (6.29 MB with
-        # run-length temporaries on the traced path, 11.7 MB with the log laid out whole);
-        # one more time column (3.4 MB) breaks the bound
+        # a library run's log, dumped: no attempts column, and the log laid out and written
+        # a chunk at a time; 4.64 MB measured by tracemalloc once the imports are made (5.43
+        # on a cold first call; 5.12 MB with a mask beside each chunk's line buffer, 6.29 MB
+        # with run-length temporaries on the traced path, 11.7 MB with the log laid out
+        # whole); one more time column (3.4 MB) breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
         tracemalloc.start()
@@ -906,7 +905,23 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 1e6 < 6.5, peak
+        assert peak / 1e6 < 6.0, peak
+
+    def test_streamed_command_peak_is_flat_in_the_epochs(self, tmp_path):
+        # what the traced simulate command runs: the log written to --out a window of
+        # attempts at a time; 1.75 and 1.80 MB measured by tracemalloc at 1e4 and 5e4
+        # epochs (1.57 and 4.64 MB with the run's arrays held and dumped at the end);
+        # 8 B an epoch breaks the bound
+        gamma, _ = optimize_gamma(0.3, 2, "wfb")
+
+        def run(n):
+            cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=n, seed=1, trace=True)
+            with open(tmp_path / "events.log", "wb") as out:
+                run_simulation(cfg, _with_epochs=False, _out=out)
+
+        peaks = [_tracemalloc_peak_mb(lambda: run(n)) for n in (10_000, 50_000)]
+        assert abs(peaks[1] - peaks[0]) < 0.25, peaks
+        assert max(peaks) < 2.5, peaks
 
     @pytest.mark.parametrize("setting,bound_mb", [("wfb", 3.3), ("nofb", 2.4)])
     def test_epoch_engine_peak_in_process(self, setting, bound_mb):

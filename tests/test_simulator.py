@@ -8,7 +8,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoi_erasure import simulator
@@ -270,6 +270,8 @@ class TestEngineBlocks:
         target=st.sampled_from([1, 2, 7, 3000]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # two near-equal epochs, where a reference through np.cov was off by 2.3e-10 relative
+    @example(setting="nofb", M=1, q=0.0, gamma=0.0, target=2, seed=167047)
     def test_matches_all_at_once_engines(self, setting, M, q, gamma, target, seed):
         cfg = SimConfig(q, M, setting, gamma, target_epochs=target, seed=seed)
         res, epochs, _ = run_simulation(cfg)
@@ -282,7 +284,7 @@ class TestEngineBlocks:
         assert list(res.per_source_mean) == (Rs.sum(1) / ys.sum(1)).tolist()
         point, ci = batch_ratio_estimate(ys)
         assert res.mean_aoi == pytest.approx(point, rel=1e-12)
-        # near-equal epochs leave a CI of rounding size, where np.cov itself is off
+        # near-equal epochs leave a CI of rounding size
         assert res.ci_half_width == pytest.approx(ci, rel=1e-12, abs=1e-15 * point)
 
     @settings(max_examples=60)
@@ -496,7 +498,9 @@ class TestRenewalStream:
     @pytest.mark.parametrize("M", [1, 3, 8])
     def test_whole_blocks(self, M, n):
         ys = np.random.default_rng(M * n).exponential(size=(M, n)) + 0.01
-        assert simulator._renewal_estimates(ys) == renewal_estimates(ys)
+        renewal = simulator._Renewal(M, n)
+        renewal.feed(ys)
+        assert renewal.estimates() == renewal_estimates(ys)
 
 
 _FIRST_SUCCESS_MAX = 400  # attempts searched for a source's first success; P(miss) <= 0.9**400
@@ -880,14 +884,70 @@ class TestChunkedColumns:
     @pytest.mark.parametrize("chunk", [1, 3, 7, 8192])
     @pytest.mark.parametrize("n,lo", [(0, 0), (1, 0), (20000, 0), (20000, 15001)])
     def test_outcomes_continue_the_stream(self, chunk, n, lo, monkeypatch):
-        # a target run tops its outcomes up by filling a longer array from the old length
+        # each window of the trace engine fills a slice of one reused buffer
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         a, b = np.random.default_rng(n + lo), np.random.default_rng(n + lo)
         ok = np.zeros(n, bool)
-        assert simulator._outcomes(a, 0.3, ok, lo) is ok
+        part = ok[lo:]
+        assert simulator._outcomes(a, 0.3, part) is part
         assert not ok[:lo].any()
         np.testing.assert_array_equal(ok[lo:], b.random(n - lo) > 0.3)
         assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestStreamedLog:
+    """A traced target run can write its log to a file as it runs (run_simulation's _out),
+    one window of at most _WINDOW attempts at a time. At windows of 1, 7 and 64 attempts,
+    window edges fall at every attempt, inside a cycle of the sources and across chunks
+    of lines; the file must have the bytes of the library's EventLog.dump and of the
+    literal loop (tests/trace_oracle.py), and the run the same estimates and counters.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        setting=st.sampled_from(["nofb", "wfb"]),
+        M=st.sampled_from([1, 2, 3, 5]),
+        q=st.sampled_from([0.0, 0.3, 0.9]),
+        gamma=st.sampled_from([0.0, 0.4, 3.0]),
+        window=st.sampled_from([1, 7, 64]),
+        chunk=st.sampled_from([3, 8192]),
+        target=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_windows_match_the_library_log(self, tmp_path_factory, setting, M, q, gamma, window, chunk,
+                                                  target, seed):
+        cfg = SimConfig(q, M, setting, gamma, target_epochs=target, seed=seed, trace=True)
+        want = simulator._run_loop(cfg, False)
+        tmp = tmp_path_factory.mktemp("stream")
+        want.events.dump(str(tmp / "dump.log"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_WINDOW", window)
+            mp.setattr(simulator, "_CHUNK", chunk)
+            with open(tmp / "streamed.log", "wb") as out:
+                got = simulator._run_loop(cfg, False, out)
+        assert got[3:-1] == want[3:-1]
+        assert len(got.events) == len(want.events)
+        streamed = (tmp / "streamed.log").read_bytes()
+        assert streamed == (tmp / "dump.log").read_bytes()
+        assert streamed == "".join(f"{line}\n" for line in lines(oracle_run_loop(cfg, True).events)).encode()
+
+    def test_the_command_gets_no_log_back(self, tmp_path):
+        cfg = SimConfig(0.3, 2, "wfb", 0.4, target_epochs=3000, seed=2, trace=True)
+        with open(tmp_path / "events.log", "wb") as out:
+            res, epochs, log = run_simulation(cfg, _with_epochs=False, _out=out)
+        assert (res, epochs, log) == (run_simulation(cfg, _with_epochs=False)[0], None, None)
+
+    @pytest.mark.parametrize("cfg, with_epochs", [
+        (SimConfig(0.3, 2, "wfb", 0.4, target_epochs=30, seed=2, trace=True), True),
+        (SimConfig(0.3, 2, "wfb", 0.4, horizon=30.0, seed=2, trace=True), False),
+        (SimConfig(0.3, 2, "wfb", 0.4, target_epochs=30, seed=2), False),
+    ], ids=["epochs-kept", "horizon", "untraced"])
+    def test_only_traced_target_runs_without_epochs_stream(self, tmp_path, cfg, with_epochs):
+        # a horizon run's success times and kept epochs are read from the whole run, which a
+        # streamed run does not hold
+        with open(tmp_path / "events.log", "wb") as out:
+            with pytest.raises(ValueError, match="_out takes the log of a traced target run"):
+                run_simulation(cfg, _with_epochs=with_epochs, _out=out)
 
 
 class TestHorizonMode:

@@ -19,7 +19,10 @@ from gamma_oracle import RenewalEstimate, grid_oracle_gamma, sim_gamma_curve
 
 def _estimate(ys):
     """The simulator's point and interval for an (M, n) block of epochs."""
-    _, point, ci = simulator._renewal_estimates(np.atleast_2d(ys))
+    ys = np.atleast_2d(ys)
+    renewal = simulator._Renewal(*ys.shape)
+    renewal.feed(ys)
+    _, point, ci = renewal.estimates()
     return point, ci
 
 
@@ -131,7 +134,8 @@ class TestPairedThresholdShape:
     gamma = 0 and 0.2 with one seed share every draw but the overflow
     counts, so their batch errors largely cancel in the difference: at
     1e5 epochs the paired half-width is 2 to 4e-4, against differences
-    of 2 to 9e-3.
+    of 2 to 9e-3. Where the optimizer gives gamma* > 0, the gain of
+    gamma* over gamma = 0 is measured the same way.
     """
 
     @pytest.mark.parametrize("M, setting", [(2, "nofb"), (3, "wfb"), (1, "nofb"), (2, "wfb")])
@@ -145,6 +149,26 @@ class TestPairedThresholdShape:
         exact = closed_form_aoi(q, M, setting, 0.2) - closed_form_aoi(q, M, setting, 0.0)
         assert np.sign(cost) == np.sign(exact) and abs(cost) > 3 * hw, (cost, hw)
         assert abs(cost - exact) <= 3 * hw, (cost, exact, hw)
+
+    # every default-grid (q, M, setting) where gamma* > 0; the closed-form gains run from
+    # 0.0021 at (0.3, 2, wfb) to 0.091 at (0.1, 1, wfb), 5.5 to 47 paired half-widths at
+    # 1e5 epochs (seeds 1-3), where the simulated gains lay within 1.2 half-widths of them
+    @pytest.mark.parametrize("q, M, setting", [
+        (0.1, 1, "nofb"), (0.1, 1, "wfb"), (0.1, 2, "nofb"), (0.1, 2, "wfb"), (0.3, 1, "nofb"),
+        (0.3, 1, "wfb"), (0.3, 2, "wfb"), (0.5, 1, "wfb"), (0.7, 1, "wfb"),
+    ])
+    def test_optimal_threshold_gain_matches_the_closed_form(self, q, M, setting):
+        n = 100_000
+        gamma_star, _ = optimize_gamma(q, M, setting)
+        assert gamma_star > 0.0
+        rows = []
+        for gamma in (gamma_star, 0.0):
+            _, epochs, _ = run_simulation(SimConfig(q, M, setting, gamma, target_epochs=n, seed=1))
+            rows.append(epochs.y.reshape(M, n))
+        gain, hw = paired_ratio_difference(*rows)  # f(0) - f(gamma*)
+        exact = closed_form_aoi(q, M, setting, 0.0) - closed_form_aoi(q, M, setting, gamma_star)
+        assert abs(gain - exact) <= 3 * hw, (gain, exact, hw)
+        assert hw < exact / 3, (exact, hw)
 
 
 class TestClosedFormDispatch:
