@@ -731,7 +731,7 @@ def _epochs_by_stride(
     """
     got = _wins(ok, M, wfb)
     if wfb and keep_attempts:  # views of one array of successes, which the turns read again
-        got = list(got)
+        got = list(got)  # (held only then: freed with the generator, it leaves a traced run's peak RSS lower)
     rows = [None] * M
     atts = None if not keep_attempts else [None] * M if target is None else np.empty((M, target), np.int64)
     for j, wins in enumerate(got):
@@ -1114,8 +1114,7 @@ def run_simulation(
     """
     if _out is not None and not (cfg.trace and cfg.horizon is None and not _with_epochs):
         raise ValueError("_out takes the log of a traced target run that keeps no epochs")
-    replay = cfg.trace or cfg.horizon is not None
-    if replay:
+    if cfg.trace or cfg.horizon is not None:
         raw = _run_loop(cfg, _with_epochs, _out)
     else:
         raw = (_epochs_wfb if cfg.setting is Feedback.WFB else _epochs_nofb)(cfg, _with_epochs)
