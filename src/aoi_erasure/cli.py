@@ -19,8 +19,9 @@ simulation or allocation failure, 2 usage error, 3 validation FAIL.
 simulate prints one seeded run's SimResult as run_simulation returns
 it. With --trace, --out receives the event log as the run makes it, a
 window of attempts at a time, so the command's memory does not grow
-with --epochs; where --out cannot be opened, the run is still made and
-printed before the error exits 1. The simulator and stats modules, and
+with --epochs; without --out, or where --out cannot be opened (exit 1
+once the run is printed), the windows go to a sink that formats no
+line. The simulator and stats modules, and
 numpy with them, are imported only by the commands that simulate
 (simulate, validate, sweep --epochs).
 validate and sweep --epochs simulate their cells on two threads where
@@ -53,6 +54,16 @@ _CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,si
 
 class UsageError(Exception):
     """Bad arguments or config values; maps to exit code 2."""
+
+
+class _Discard:
+    """A binary file for a log no one reads: writelines drops EventLog.dump's line generator unstarted."""
+
+    def writelines(self, lines: object) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
 def _fmt(x: float) -> str:
@@ -209,9 +220,9 @@ def _cmd_simulate(opts: argparse.Namespace) -> int:
     gamma = _resolve_gamma(spec, q, M, setting)
     unwritable = None
     try:
-        out = open(opts.out, "wb") if opts.out else None
+        out = open(opts.out, "wb") if opts.out else _Discard() if opts.trace else None
     except OSError as exc:  # the run is still made and printed, then the error reported
-        out, unwritable = open(os.devnull, "wb"), exc
+        out, unwritable = _Discard(), exc
     try:
         res, _, _ = run_simulation(replace(cfg, gamma=gamma), _with_epochs=False, _out=out)
     finally:
@@ -280,7 +291,6 @@ def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[Validati
     from starting another cell and is raised here, once the helper has
     stopped.
     """
-    import os
     import threading
     from collections import deque
 

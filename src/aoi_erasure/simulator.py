@@ -33,35 +33,33 @@ statistically identical runs:
   runs, where the cut at the horizon matters. It replays one Poisson
   arrival stream through the battery exactly: arrival times are the
   running sum of bulk exponential draws and erasure outcomes bulk
-  uniforms, compared with q one _CHUNK at a time. One loop over
-  attempts (not events) serves both stopping rules and applies the
-  threshold rule with the float expressions of a literal battery
-  replay. The arrival it reads after an attempt is the
-  next attempt's unless it overflows; then bisection finds the next
-  stored arrival, and every arrival in between is an overflow. The loop
-  tests no bound per attempt: a -inf sentinel after the last usable
-  arrival sends it into that search, which tops up a target run's
-  arrivals and ends a horizon run, whose arrivals are cut at the
-  horizon first. The one attempt a threshold pushes past the horizon is
-  trimmed after the loop.
+  uniforms compared with q. One loop over attempts (not events) serves
+  both stopping rules and applies the threshold rule with the float
+  expressions of a literal battery replay. The arrival it reads after
+  an attempt is the next attempt's unless it overflows; then bisection
+  finds the next stored arrival, and every arrival in between is an
+  overflow. The loop tests no bound per attempt: a -inf sentinel after
+  the last usable arrival sends it into that search, which tops up a
+  target run's arrivals and ends a horizon run, whose arrivals are cut
+  at the horizon first. The one attempt a threshold pushes past the
+  horizon is trimmed after the loop.
   The loop makes at most _WINDOW attempts at a time and carries its
   state across. A window draws its outcomes first, so a target run
   stops inside the window where the last source gets its
-  target_epochs + 1-th success. Each source's successes are read by
-  stride (_wins: every M-th attempt without feedback, every M-th
-  success with it), and a target run hands their times to the renewal
-  estimator window by window.
-  Arrivals and attempts live in typed buffers, not as Python objects,
-  and each attempt's source and position in the log are derived from
-  them, the sources one _CHUNK at a time. A window's log, from the
-  stored arrival its first attempt spends to its last outcome, is an
-  EventLog of its own. The simulate command passes its --out file
-  (run_simulation's _out): each window's log is dumped there as the
-  window ends, and its arrivals and attempts are dropped, so the
-  command holds one window at any epoch count. Otherwise the run keeps
-  every arrival, attempt and outcome, and its log keeps views of
-  them, with the sources and positions (8 bytes an arrival, 18 an
-  attempt), and lays out any range of lines one _CHUNK at a time. No
+  target_epochs + 1-th success. As a window ends it is handed on and
+  its attempts dropped: each source's successes, read by stride (_wins:
+  every M-th attempt without feedback, every M-th success with it), go
+  to the renewal estimator in a target run, and a horizon run keeps
+  their times; kept attempts per epoch are counted from each source's
+  last success (or the last turn, with feedback) carried across
+  windows. A window's log, from the stored arrival its first attempt
+  spends to its last outcome, is an EventLog of its own. The simulate
+  command passes --out, or a sink that formats nothing, as
+  run_simulation's _out, and each window's log is dumped there, so the
+  command holds one window at any epoch count; a library run keeps each
+  window's arrays in its log (8 bytes an arrival, 10 an attempt). A
+  target run drops a window's arrivals with it; a horizon run draws its
+  arrivals up front and, besides them, keeps only its success times. No
   Python object is kept per arrival, attempt, event or epoch.
   tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
   engine must match bit for bit.
@@ -124,13 +122,14 @@ class Event(NamedTuple):
 class EventLog:
     """Ordered audit trail of one traced run.
 
-    The engine's log holds its arrays (_Trace: 8 bytes an arrival, 18 an
-    attempt, 19 above M = 255), and dump and to_lines lay out one _CHUNK
-    of lines at a time from them, so a dump holds no more than one
-    chunk's lines beside the arrays. A run that writes its log as it
-    runs (run_simulation's _out) dumps one such log per window of
-    attempts, from the stored arrival the window's first attempt spends
-    to its last outcome, into the one file, and returns no log.
+    The engine's log keeps each window of attempts as the arrays the
+    engine made it in (_Trace: 8 bytes an arrival and 10 an attempt, 11
+    above M = 255). dump and to_lines lay out one _CHUNK of lines at a
+    time from a window, finding its attempts' positions in the log
+    (_pair_slots) as they start on it, so a dump holds one window's
+    positions and one chunk's lines beside the arrays. A run that writes
+    its log as it runs (run_simulation's _out) dumps each window's log
+    into the one file as the window ends, and returns no log.
     The columns time (float64), kind (uint8 index into the kind names)
     and source (0 for battery events, else 1..M; np.min_scalar_type(M)
     from the engine, int64 from Events) are laid out whole on first read,
@@ -156,19 +155,21 @@ class EventLog:
         return log
 
     @classmethod
-    def _from_trace(cls, trace: _Trace, lines: bytearray | None = None) -> EventLog:
-        """The log of a trace; lines, if given, is the buffer its chunks are formatted in."""
+    def _from_trace(cls, windows: tuple[_Trace, ...], lines: bytearray | None = None) -> EventLog:
+        """The log of a trace's windows; lines, if given, is the buffer its chunks are formatted in."""
         log = cls.__new__(cls)
-        log._trace, log._columns, log._lines = trace, None, lines
+        log._trace, log._columns, log._lines = windows, None, lines
         return log
 
     def __len__(self) -> int:
-        trace = self._trace
-        return self._columns[0].size if trace is None else trace.arrivals.size + 2 * trace.times.size
+        if self._columns is not None:
+            return self._columns[0].size
+        return sum(w.size for w in self._trace)
 
     def _laid_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._columns is None:
-            self._trace, self._columns = None, _lay_out(self._trace, 0, len(self))
+            parts = [_lay_out(w, _pair_slots(w.arrivals, w.times), 0, w.size) for w in self._trace]
+            self._trace, self._columns = None, tuple(np.concatenate(c) for c in zip(*parts))
         return self._columns
 
     time = property(lambda self: self._laid_out()[0])
@@ -180,12 +181,15 @@ class EventLog:
         return _EventView(self)
 
     def _chunks(self) -> Iterator[bytes | bytearray]:
-        n = len(self)
         lines = bytearray() if self._lines is None else self._lines
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            cols = _lay_out(self._trace, lo, hi) if self._columns is None else (c[lo:hi] for c in self._columns)
-            yield _format_lines(*cols, lines)
+        if self._columns is not None:
+            for lo in range(0, len(self), _CHUNK):
+                yield _format_lines(*(c[lo : lo + _CHUNK] for c in self._columns), lines)
+            return
+        for w in self._trace:
+            slots = _pair_slots(w.arrivals, w.times)
+            for lo in range(0, w.size, _CHUNK):
+                yield _format_lines(*_lay_out(w, slots, lo, min(lo + _CHUNK, w.size)), lines)
 
     def to_lines(self) -> list[str]:
         return b"".join(self._chunks()).decode().splitlines()
@@ -532,18 +536,6 @@ def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
     A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
 
 
-def _outcomes(rng_e: np.random.Generator, q: float, ok: np.ndarray) -> np.ndarray:
-    """Fill ok with attempt outcomes, True where a uniform exceeds q, one _CHUNK at a time.
-
-    The values and the stream state are those of one rng_e.random(n) > q,
-    without its n floats.
-    """
-    for lo in range(0, ok.size, _CHUNK):
-        part = ok[lo : lo + _CHUNK]
-        np.greater(rng_e.random(part.size), q, out=part)
-    return ok
-
-
 def _wins(ok: np.ndarray, M: int, wfb: bool, start: int = 0) -> Iterator[np.ndarray]:
     """Each source's successful attempts, as indices into ok, one source at a time.
 
@@ -581,19 +573,15 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     attempt that a threshold pushes past the horizon is made and then
     trimmed after the loop.
 
-    The loop makes its attempts a window of at most _WINDOW at a time and
-    carries its state from one window to the next. A window draws its
-    outcomes first, so a target run stops inside the window where the
-    last source gets its target + 1-th success, and each source's
-    successes in it (_wins) go to the renewal estimator as the window
-    ends. A window's log runs from the stored arrival its first attempt
-    spends to its last outcome, and is an EventLog of its own. With out,
-    that log is dumped there and the window's attempts and arrivals are
-    dropped, so a run holds one window at any length; events is then the
-    range of the lines written. Otherwise the run keeps every arrival,
-    attempt and outcome: a traced run's EventLog lays out the whole log
-    from them, and a horizon run's success times and any kept attempts
-    per epoch are read from them at the end (_epochs_by_stride).
+    The loop makes a window of at most _WINDOW attempts at a time, whose
+    outcomes it draws first, so a target run stops inside the window
+    where the last source gets its target + 1-th success. As a window
+    ends, each source's successes in it (_wins) go to the renewal
+    estimator or the horizon run's success times, and any kept attempts
+    per epoch are counted (_attempts_per_epoch). A traced window's log is
+    dumped into out (events is then the range of the lines written) or
+    its arrays kept for the run's EventLog. Then the window's attempts
+    are dropped, and in a target run its arrivals too.
     """
     q, M, gamma = cfg.q, cfg.M, cfg.gamma
     wfb = cfg.setting is Feedback.WFB
@@ -608,24 +596,29 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
         more = int(_WINDOW * (gamma + math.exp(-gamma)) * 1.02) + 256
         _more_arrivals(A, rng_a, more)
         bound = math.inf
+        renewal = _Renewal(M, target, keep_attempts, -(-_WINDOW // M))
+        atts = np.empty((M, target), np.int64) if keep_attempts else None
     else:
         while not A or A[-1] <= horizon:
             _more_arrivals(A, rng_a, int(horizon * 1.02) + 256)
         bound = bisect_right(A, horizon)  # every attempt spends an arrival before the cut
         del A[bound:]
+        stimes = [[np.empty(0)] for _ in range(M)]  # each source's success times, a window at a time
+        atts = [[np.empty(0, np.int64)] for _ in range(M)] if keep_attempts else None
 
     n_a = len(A)  # usable arrivals, then the sentinel
     A.append(-math.inf)
-    T = array("d")  # attempt times, from the window's first on when out is given
-    kept = bytearray()  # every outcome, unless out is given
+    T = array("d")  # the window's attempt times
+    windows = []  # a traced run's windows, unless out is given
     lines = bytearray()  # the buffer every window's log lines are formatted in, when out is given
-    renewal = None if target is None else _Renewal(M, target, keep_attempts, -(-_WINDOW // M))
-    got = [0] * M  # successes of each source so far, up to need
+    got = [0] * M  # successes of each source so far, in a target run up to need
+    marks = [0] * M  # what _attempts_per_epoch carries
     buf = np.empty(min(_WINDOW, bound), bool)
-    a0 = i0 = successes = trimmed = 0  # a0: arrivals before A[0]; i0: attempts before the window
+    a0 = k0 = i0 = successes = trimmed = 0  # arrivals before A[0], the window's first in A, attempts before it
     k, prev, fill, last = 0, 0.0, A[0], b"\x01"  # last: the gate of the window's first attempt
     while True:
-        ok = _outcomes(rng_e, q, buf[: min(_WINDOW, bound - i0)])
+        n = min(_WINDOW, bound - i0)
+        ok = np.greater(rng_e.random(n), q, out=buf[:n])  # as one rng_e.random(attempts) > q for the run
         start = (successes if wfb else i0) % M
         wins = [] if horizon is not None else [w[: need - g] for w, g in zip(_wins(ok, M, wfb, start), got)]
         done = horizon is None and sum(got) + sum(w.size for w in wins) == M * need
@@ -635,7 +628,6 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
         # feedback to the first attempt after a success
         gate = (last + ok[:-1].tobytes())[: ok.size] if wfb else b"\x01" * ok.size
 
-        t0 = len(T)
         append = T.append
         for g in gate:
             d = fill - prev
@@ -659,51 +651,54 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
                 fill = A[k]
         ended = done or k == n_a
         # the attempt that a threshold pushed past the horizon; its stored arrival is kept
-        if horizon is not None and ended and len(T) > t0 and T[-1] > horizon:
+        if horizon is not None and ended and T and T[-1] > horizon:
             T.pop()
             trimmed = 1
-        made = len(T) - t0
+        made = len(T)
         ok = ok[:made]
-        times = np.frombuffer(T, np.float64)[t0:]
-        if renewal is not None:
+        times = np.frombuffer(T, np.float64)
+        if horizon is not None:
+            wins = list(_wins(ok, M, wfb, start))
+        if atts is not None:
+            for j, (g, a) in enumerate(zip(got, _attempts_per_epoch(ok, wins, M, wfb, i0, start, marks))):
+                a = a[g == 0 :]  # a source's first success ends no epoch
+                if horizon is None:
+                    atts[j, max(g - 1, 0) : max(g - 1, 0) + a.size] = a
+                else:
+                    atts[j].append(a)
+        if horizon is None:
             _put_successes(renewal, got, times, wins)
+        else:
+            for j, w in enumerate(wins):
+                stimes[j].append(times[w])
+                got[j] += w.size
         successes += int(np.count_nonzero(ok))
         last = ok[-1:].tobytes()
 
-        if out is None:
-            kept += ok.data
-        else:  # the window's own log, from the stored arrival A[0] to its last outcome
-            arrivals = np.frombuffer(A, np.float64, k)
-            src = _sources(ok, M, wfb, start)
-            log = EventLog._from_trace(_Trace(arrivals, times, ok, src, _pair_slots(arrivals, times)), lines)
-            log.dump(out)
-            del arrivals, log  # views of A
+        if cfg.trace:  # the window's own log, from the stored arrival A[k0] to its last outcome
+            window = _Trace(np.frombuffer(A, np.float64, k - k0, 8 * k0), times, ok, _sources(ok, M, wfb, start))
+            if out is None:  # copies: A, T and buf are reused
+                windows.append(_Trace(*map(np.copy, window)))
+            else:
+                EventLog._from_trace((window,), lines).dump(out)
+            del window  # views of A and T
         i0 += made
-        del times  # a view of T, which grows again
+        del times, T[:]  # times is a view of T
         if ended:
             break
-        if out is not None:
-            del A[:k], T[:]
+        if horizon is None:  # a horizon run's arrivals were drawn up front
+            del A[:k]
             a0, n_a, k = a0 + k, n_a - k, 0
+        k0 = k
 
     n_arr = a0 + k
-    estimates = None if renewal is None else renewal.estimates()
-    ys = None if renewal is None else renewal.ys
-    del renewal  # its window and leaves
     counts = (n_arr, n_arr - i0 - trimmed, i0, successes)
-    if out is not None:
-        return _RawRun(ys, None, [], estimates, *counts, range(n_arr + 2 * i0))
-    times, ok = np.frombuffer(T, np.float64), np.frombuffer(kept, bool)
-    atts, stimes = None, []
-    if keep_attempts or target is None:
-        atts, stimes = _epochs_by_stride(times, ok, M, wfb, target, keep_attempts)
-    if target is None:
-        ys = [np.diff(s) for s in stimes]
-    log = None
-    if cfg.trace:
-        arrivals = np.frombuffer(A, np.float64, n_arr)
-        log = EventLog._from_trace(_Trace(arrivals, times, ok, _sources(ok, M, wfb), _pair_slots(arrivals, times)))
-    return _RawRun(ys, atts, stimes, estimates, *counts, log)
+    events = None if not cfg.trace else EventLog._from_trace(tuple(windows)) if out is None else range(n_arr + 2 * i0)
+    if horizon is None:
+        return _RawRun(renewal.ys, atts, (), renewal.estimates(), *counts, events)
+    stimes = [np.concatenate(s) for s in stimes]
+    atts = None if atts is None else [np.concatenate(a) for a in atts]
+    return _RawRun([np.diff(s) for s in stimes], atts, stimes, None, *counts, events)
 
 
 def _put_successes(renewal: _Renewal, got: list[int], times: np.ndarray, wins: list[np.ndarray]) -> None:
@@ -716,56 +711,42 @@ def _put_successes(renewal: _Renewal, got: list[int], times: np.ndarray, wins: l
     renewal.advance(min(got), max(got))
 
 
-def _epochs_by_stride(
-    times: np.ndarray, ok: np.ndarray, M: int, wfb: bool, target: int | None, keep_attempts: bool
-) -> tuple[np.ndarray | list[np.ndarray] | None, list[np.ndarray]]:
-    """Each source's attempts per epoch if kept, and in horizon runs its success times.
+def _attempts_per_epoch(
+    ok: np.ndarray, wins: list[np.ndarray], M: int, wfb: bool, i0: int, start: int, marks: list[int]
+) -> list[np.ndarray]:
+    """Each source's attempts up to each of its successes wins[j] in a window, one array a source.
 
-    Source j's successes come from _wins. A horizon run keeps the times
-    of every success, one row per source; a target run's epochs are its
-    renewal estimator's, and its attempts go into an (M, target) block.
-    Without feedback an epoch's attempts are the source's own between two
-    successes; with feedback each epoch takes the attempts of the
-    source's next turn, the run of attempts that ends at a success and
-    starts after the success before it, the previous source's.
+    Without feedback these are its own attempts since its success before;
+    with feedback its turn, the attempts after the success before, the
+    previous source's. i0 is the attempts before the window, start as in
+    _wins. marks carries the cycle of each source's last success (without
+    feedback) or the last success's index (with it, in marks[0]). A
+    source's first success ends no epoch; the caller drops its entry.
     """
-    got = _wins(ok, M, wfb)
-    if wfb and keep_attempts:  # views of one array of successes, which the turns read again
-        got = list(got)  # (held only then: freed with the generator, it leaves a traced run's peak RSS lower)
-    rows = [None] * M
-    atts = None if not keep_attempts else [None] * M if target is None else np.empty((M, target), np.int64)
-    for j, wins in enumerate(got):
-        if target is None:
-            rows[j] = times[wins]
-        if atts is not None:  # written into the block, or a row of its own
-            n = max(wins.size - 1, 0) if target is None else target
-            before = got[j - 1][(j > 0) : (j > 0) + n] if wfb else wins[:n]
-            row = np.subtract(wins[1 : n + 1], before, out=None if target is None else atts[j])
-            if not wfb:
-                row //= M
-            if target is None:
-                atts[j] = row
-    return atts, rows if target is None else []
+    if wfb:
+        at = np.flatnonzero(ok) + i0
+        turns = np.diff(at, prepend=marks[0])
+        marks[0] = int(at[-1]) if at.size else marks[0]
+        return [turns[(j - start) % M :: M] for j in range(M)]
+    counts = []
+    for j, w in enumerate(wins):
+        cycles = (w + i0) // M
+        counts.append(np.diff(cycles, prepend=marks[j]))
+        marks[j] = int(cycles[-1]) if cycles.size else marks[j]
+    return counts
 
 
 def _sources(ok: np.ndarray, M: int, wfb: bool, start: int = 0) -> np.ndarray:
     """The source (1..M) of each attempt, in np.min_scalar_type(M).
 
     Without feedback attempts cycle through the sources; with feedback an
-    attempt's source is one more than the successes before it, mod M,
-    counted a _CHUNK at a time with the count carried between chunks.
+    attempt's source is one more than the successes before it, mod M.
     start is as in _wins.
     """
     dt = np.min_scalar_type(M)
     if not wfb:
         return np.resize(np.roll(np.arange(1, M + 1, dtype=dt), -start), ok.size)
-    src = np.empty(ok.size, dt)
-    served = start  # successes before the chunk, mod M
-    for lo in range(0, ok.size, _CHUNK):
-        part = ok[lo : lo + _CHUNK]
-        src[lo : lo + part.size] = (np.cumsum(part) - part + served) % M + 1
-        served = (served + int(np.count_nonzero(part))) % M
-    return src
+    return ((np.cumsum(ok) - ok + start) % M + 1).astype(dt)
 
 
 def _pair_slots(arrivals: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -776,43 +757,42 @@ def _pair_slots(arrivals: np.ndarray, times: np.ndarray) -> np.ndarray:
     times[i]: the loop's bisect_right(A, t, k + 1). So knext[i] - (i + 1)
     is the running maximum of max(0, s[j] - (j + 1)) over j <= i. The
     knext[i] arrivals and the i pairs before attempt i put its pair at
-    knext[i] + 2i. The index i is made a _CHUNK of attempts at a time,
-    with the running maximum carried from block to block.
+    knext[i] + 2i.
     """
     slots = np.searchsorted(arrivals, times, "right")
-    peak = 0
-    for lo in range(0, slots.size, _CHUNK):
-        part = slots[lo : lo + _CHUNK]
-        i = np.arange(lo, lo + part.size)
-        part -= i + 1
-        np.maximum(part, peak, out=part)
-        np.maximum.accumulate(part, out=part)
-        peak = part[-1]
-        part += 3 * i + 1
+    i = np.arange(slots.size)
+    slots -= i + 1
+    np.maximum(slots, 0, out=slots)
+    np.maximum.accumulate(slots, out=slots)
+    slots += 3 * i + 1
     return slots
 
 
 class _Trace(NamedTuple):
-    """A traced run's log as the trace engine leaves it: what _lay_out reads."""
+    """One window of a traced run's log as the trace engine leaves it: what _lay_out reads."""
 
-    arrivals: np.ndarray  # every arrival time up to the end of the log
+    arrivals: np.ndarray  # the arrival times from the stored one the window's first attempt spends
     times: np.ndarray  # attempt times
     ok: np.ndarray  # attempt outcomes, True for a success
     src: np.ndarray  # the source (1..M) of each attempt, in np.min_scalar_type(M)
-    slots: np.ndarray  # each attempt's position in the log (_pair_slots)
+
+    @property
+    def size(self) -> int:
+        """The lines of the window's log: its arrivals, and its attempts with their outcomes."""
+        return self.arrivals.size + 2 * self.times.size
 
 
-def _lay_out(trace: _Trace, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The time, kind and source columns of the log's events at positions [lo, hi).
+def _lay_out(trace: _Trace, slots: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The time, kind and source columns of a window's events at positions [lo, hi).
 
-    Attempt i sits at slots[i], its outcome right after it, and the
-    arrivals fill the other positions in order. The first arrival and
-    the one right after each outcome are stored, the others overflow. A
-    pair and the stored arrival after it span three positions, so the
+    Attempt i sits at slots[i] (_pair_slots), its outcome right after it,
+    and the arrivals fill the other positions in order. The first arrival
+    and the one right after each outcome are stored, the others overflow.
+    A pair and the stored arrival after it span three positions, so the
     pairs at lo - 2 to hi - 1 are written into columns two wider on
     either side, which are then cut, with the mark after a final outcome.
     """
-    arrivals, times, ok, src, slots = trace
+    arrivals, times, ok, src = trace
     i0, before, i1 = np.searchsorted(slots, (lo - 2, lo, hi))
     at = slots[i0:i1] - (lo - 2)
     time = np.empty(hi - lo + 4)
@@ -1108,12 +1088,13 @@ def run_simulation(
     source, then time), and the event log when tracing was requested.
     stats.validate and the simulate command read only the result: they
     pass _with_epochs=False, get None for the epochs, and the engines
-    keep no attempts per epoch. The simulate command also passes its
-    --out file as _out: a traced run then writes its log there as it
-    runs, in bounded memory, and returns None for it.
+    keep no attempts per epoch. The simulate command also passes _out,
+    its --out file, or without --out a sink that formats nothing: a
+    traced run then writes its log there a window at a time as it runs,
+    so it holds one window, and returns None for it.
     """
-    if _out is not None and not (cfg.trace and cfg.horizon is None and not _with_epochs):
-        raise ValueError("_out takes the log of a traced target run that keeps no epochs")
+    if _out is not None and not cfg.trace:
+        raise ValueError("_out takes the log of a traced run")
     if cfg.trace or cfg.horizon is not None:
         raw = _run_loop(cfg, _with_epochs, _out)
     else:

@@ -90,6 +90,8 @@ ROWS: list[list[str]] = [
      "--trace", "--out", "events.log"],
     ["simulate", "--q", "0.9", "--m", "1", "--setting", "wfb", "--epochs", "5000", "--seed", "8", "--trace",
      "--out", "events.log"],
+    # a traced run without --out: the log is made and written nowhere
+    ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "50000", "--trace", "--seed", "1"],
 ]
 
 _WARNING_PATH = re.compile(r"^.*?(?=aoi_erasure[\\/]\w+\.py:\d+: )", re.MULTILINE)

@@ -225,6 +225,27 @@ class TestSimulate:
         capsys.readouterr()
         assert out_path.read_text() == first
 
+    @pytest.mark.parametrize("cell", [
+        ["--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "3000"],
+        ["--q", "0.5", "--m", "3", "--setting", "nofb", "--gamma", "0.4", "--epochs", "2000"],
+        ["--q", "0", "--m", "1", "--setting", "nofb", "--gamma", "0", "--epochs", "500"],
+        ["--q", "0.9", "--m", "1", "--setting", "wfb", "--gamma", "2", "--epochs", "500"],
+    ], ids=["wfb-M2", "nofb-M3", "nofb-q0", "wfb-q0.9"])
+    def test_trace_without_out_lays_out_no_line(self, tmp_path, capsys, monkeypatch, cell):
+        # each window's log goes to a sink that never starts dump's generator of lines:
+        # the command prints what it prints with --out, and no line is laid out or formatted
+        args = ["simulate", *cell, "--seed", "3", "--trace"]
+        assert main([*args, "--out", str(tmp_path / "run.log")]) == 0
+        want = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("a line of the log was laid out")
+
+        for name in ("_pair_slots", "_lay_out", "_format_lines"):
+            monkeypatch.setattr(simulator, name, refuse)
+        assert main(args) == 0
+        assert capsys.readouterr().out == want
+
     def test_zero_epochs_is_usage_error(self, capsys):
         assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--epochs", "0"]) == 2
         captured = capsys.readouterr()
@@ -881,10 +902,11 @@ class TestMemory:
         assert large < 39.0, large
 
     def test_trace_engine_peak_in_process(self):
-        # the traced-run cell: 5.84 MB measured by tracemalloc on a second run (6.02 MB with a
-        # second array of the successes for the feedback turns, 6.63 MB with the outcomes,
-        # sources and epochs built from run-length temporaries, 12.5 MB with the log laid out
-        # as columns); one more time column (3.4 MB) breaks the bound
+        # the traced-run cell: 5.19 MB measured by tracemalloc on a second run (5.69 MB holding
+        # every attempt to the end of the run, 6.02 MB with a second array of the successes
+        # for the feedback turns, 6.63 MB with the outcomes, sources and epochs built from
+        # run-length temporaries, 12.5 MB with the log laid out as columns); one more time
+        # column (3.4 MB) breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
         peak = _tracemalloc_peak_mb(lambda: _run_loop(cfg, True))
@@ -892,10 +914,11 @@ class TestMemory:
 
     def test_traced_command_peak_in_process(self, tmp_path):
         # a library run's log, dumped: no attempts column, and the log laid out and written
-        # a chunk at a time; 4.64 MB measured by tracemalloc once the imports are made (5.43
-        # on a cold first call; 5.12 MB with a mask beside each chunk's line buffer, 6.29 MB
-        # with run-length temporaries on the traced path, 11.7 MB with the log laid out
-        # whole); one more time column (3.4 MB) breaks the bound
+        # a chunk at a time; 3.57 MB measured by tracemalloc once the imports are made (4.36
+        # on a cold first call; 4.64 MB keeping each attempt's position in the log, 5.12 MB
+        # with a mask beside each chunk's line buffer, 6.29 MB with run-length temporaries on
+        # the traced path, 11.7 MB with the log laid out whole); one more time column (3.4 MB)
+        # breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
         tracemalloc.start()
@@ -909,19 +932,31 @@ class TestMemory:
 
     def test_streamed_command_peak_is_flat_in_the_epochs(self, tmp_path):
         # what the traced simulate command runs: the log written to --out a window of
-        # attempts at a time; 1.75 and 1.80 MB measured by tracemalloc at 1e4 and 5e4
-        # epochs (1.57 and 4.64 MB with the run's arrays held and dumped at the end);
-        # 8 B an epoch breaks the bound
+        # attempts at a time, or without --out handed to the sink that formats nothing;
+        # 1.75 and 1.80 MB measured by tracemalloc at 1e4 and 5e4 epochs with --out (1.57
+        # and 4.64 MB with the run's arrays held and dumped at the end); 8 B an epoch
+        # breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
 
-        def run(n):
+        def run(n, to_file):
             cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=n, seed=1, trace=True)
+            if not to_file:
+                return run_simulation(cfg, _with_epochs=False, _out=cli._Discard())
             with open(tmp_path / "events.log", "wb") as out:
-                run_simulation(cfg, _with_epochs=False, _out=out)
+                return run_simulation(cfg, _with_epochs=False, _out=out)
 
-        peaks = [_tracemalloc_peak_mb(lambda: run(n)) for n in (10_000, 50_000)]
-        assert abs(peaks[1] - peaks[0]) < 0.25, peaks
-        assert max(peaks) < 2.5, peaks
+        for to_file in (True, False):
+            peaks = [_tracemalloc_peak_mb(lambda: run(n, to_file)) for n in (10_000, 50_000)]
+            assert abs(peaks[1] - peaks[0]) < 0.25, (to_file, peaks)
+            assert max(peaks) < 2.5, (to_file, peaks)
+
+    def test_horizon_run_keeps_no_attempts(self):
+        # an untraced horizon run draws its arrivals up front and, besides them, keeps only
+        # its success times: 5.83 MB measured by tracemalloc at a horizon of 3e5 (8.37 MB
+        # holding every attempt's time and outcome); 8 B an attempt (2.3 MB) breaks the bound
+        cfg = SimConfig(0.3, 4, "wfb", 0.4, horizon=3e5, seed=1)
+        peak = _tracemalloc_peak_mb(lambda: run_simulation(cfg, _with_epochs=False))
+        assert peak < 7.0, peak
 
     @pytest.mark.parametrize("setting,bound_mb", [("wfb", 3.3), ("nofb", 2.4)])
     def test_epoch_engine_peak_in_process(self, setting, bound_mb):

@@ -560,19 +560,15 @@ class TestErasureSeed:
 class TestTraceEngine:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arrivals=st.lists(st.floats(0.0, 50.0), max_size=60),
-           times=st.lists(st.floats(0.0, 60.0), max_size=60),
-           chunk=st.sampled_from([1, 3, 8192]))
-    def test_pair_slots_match_the_loop_bisection(self, arrivals, times, chunk):
-        # the engine's loop finds the arrival stored after each attempt by bisect_right(A, t, k + 1);
-        # _pair_slots carries the running maximum across its blocks of _CHUNK attempts
+           times=st.lists(st.floats(0.0, 60.0), max_size=60))
+    def test_pair_slots_match_the_loop_bisection(self, arrivals, times):
+        # the engine's loop finds the arrival stored after each attempt by bisect_right(A, t, k + 1)
         A, T = sorted(arrivals), sorted(times)
         want, k = [], 0
         for i, t in enumerate(T):
             k = bisect_right(A, t, k + 1)
             want.append(k + 2 * i)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_CHUNK", chunk)
-            got = simulator._pair_slots(np.array(A, float), np.array(T, float))
+        got = simulator._pair_slots(np.array(A, float), np.array(T, float))
         assert got.dtype == np.int64 and got.tolist() == want
 
     def test_byte_identical_logs_for_identical_seeds(self):
@@ -819,7 +815,7 @@ class TestRangeLayout:
 
     At a _CHUNK of 1, 2, 3 and 7, chunk edges fall between an attempt and its outcome
     and right before a stored arrival (with gamma = 0 every third event is a stored
-    arrival, so a _CHUNK of 3 splits no pair); _pair_slots then works in blocks that small.
+    arrival, so a _CHUNK of 3 splits no pair).
     """
 
     @pytest.mark.parametrize("cfg", list(_layout_cells()), ids=lambda c: f"{c.setting.value}-M{c.M}-gamma{c.gamma:.4g}-"
@@ -851,56 +847,50 @@ def _column_cells():
 
 
 class TestChunkedColumns:
-    """The trace engine draws its outcomes and builds its source column one _CHUNK at a
-    time, with the stream and the success count carried across chunks; both equal the
-    whole-run expressions whatever the chunk size. The M < 300 runs hold over 8,192
-    attempts, so the default _CHUNK has an edge inside them too.
+    """The trace engine draws its outcomes and builds its source column a window of
+    attempts at a time, with the stream and the success count carried across windows;
+    both equal the whole-run expressions whatever the window size, and so do the epochs,
+    attempts per epoch and success times taken window by window. A window holds at
+    most _WINDOW = 4,096 attempts, fewer than the default _CHUNK of 8,192, so no chunk
+    splits one. The M < 300 runs hold over 8,192 attempts, so the default window has
+    edges inside them too.
     """
 
     @pytest.mark.parametrize("cfg", list(_column_cells()), ids=lambda c: f"{c.setting.value}-M{c.M}-"
                              + (f"epochs{c.target_epochs}" if c.horizon is None else f"horizon{c.horizon:g}"))
     def test_chunked_columns_match_whole_run(self, cfg, monkeypatch):
         runs = {}
-        for chunk in (1, 3, 7, 8192):
-            monkeypatch.setattr(simulator, "_CHUNK", chunk)
-            runs[chunk] = raw = simulator._run_loop(cfg, True)
-            trace = raw.events._trace
-            ok, n = trace.ok, trace.ok.size
+        for window in (7, 100, 4096):
+            monkeypatch.setattr(simulator, "_WINDOW", window)
+            runs[window] = raw = simulator._run_loop(cfg, True)
+            windows = raw.events._trace
+            ok, src = (np.concatenate([getattr(w, c) for w in windows]) for c in ("ok", "src"))
+            n = ok.size
             rng_e = simulator._spawn_streams(cfg.seed, cfg.erasure_seed)[1]
             np.testing.assert_array_equal(ok, rng_e.random(n) > cfg.q)
             dt = np.min_scalar_type(cfg.M)
             served = np.cumsum(ok) - ok if cfg.setting is Feedback.WFB else np.arange(n)
-            assert trace.src.dtype == dt
-            np.testing.assert_array_equal(trace.src, (served % cfg.M + 1).astype(dt))
+            assert src.dtype == dt
+            np.testing.assert_array_equal(src, (served % cfg.M + 1).astype(dt))
         if cfg.M < 300:
             assert n > 8192
-        want = runs.pop(8192)
+        want = runs.pop(4096)
         for raw in runs.values():
             assert raw[3:-1] == want[3:-1]
             for name in ("ys", "atts", "success_times"):
                 for got, exp in zip(getattr(raw, name), getattr(want, name), strict=True):
                     np.testing.assert_array_equal(got, exp)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 8192])
-    @pytest.mark.parametrize("n,lo", [(0, 0), (1, 0), (20000, 0), (20000, 15001)])
-    def test_outcomes_continue_the_stream(self, chunk, n, lo, monkeypatch):
-        # each window of the trace engine fills a slice of one reused buffer
-        monkeypatch.setattr(simulator, "_CHUNK", chunk)
-        a, b = np.random.default_rng(n + lo), np.random.default_rng(n + lo)
-        ok = np.zeros(n, bool)
-        part = ok[lo:]
-        assert simulator._outcomes(a, 0.3, part) is part
-        assert not ok[:lo].any()
-        np.testing.assert_array_equal(ok[lo:], b.random(n - lo) > 0.3)
-        assert a.bit_generator.state == b.bit_generator.state
-
 
 class TestStreamedLog:
-    """A traced target run can write its log to a file as it runs (run_simulation's _out),
-    one window of at most _WINDOW attempts at a time. At windows of 1, 7 and 64 attempts,
-    window edges fall at every attempt, inside a cycle of the sources and across chunks
-    of lines; the file must have the bytes of the library's EventLog.dump and of the
-    literal loop (tests/trace_oracle.py), and the run the same estimates and counters.
+    """A traced run can write its log to a file as it runs (run_simulation's _out), one
+    window of at most _WINDOW attempts at a time, and a library run keeps its log as those
+    windows. At windows of 1, 7 and 64 attempts, window edges fall at every attempt,
+    inside a cycle of the sources and across chunks of lines, in target and horizon runs
+    with and without kept epochs. The streamed file and the library log must have the
+    bytes of the library's EventLog.dump at the default window and of the literal loop
+    (tests/trace_oracle.py), and the run the same estimates, counters, epochs, attempts
+    per epoch and success times.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -911,24 +901,37 @@ class TestStreamedLog:
         gamma=st.sampled_from([0.0, 0.4, 3.0]),
         window=st.sampled_from([1, 7, 64]),
         chunk=st.sampled_from([3, 8192]),
-        target=st.integers(1, 40),
+        stop=st.one_of(st.builds(dict, target_epochs=st.integers(1, 40)),
+                       st.builds(dict, horizon=st.floats(0.0, 60.0, exclude_min=True))),
+        keep=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_small_windows_match_the_library_log(self, tmp_path_factory, setting, M, q, gamma, window, chunk,
-                                                  target, seed):
-        cfg = SimConfig(q, M, setting, gamma, target_epochs=target, seed=seed, trace=True)
-        want = simulator._run_loop(cfg, False)
+                                                  stop, keep, seed):
+        cfg = SimConfig(q, M, setting, gamma, seed=seed, trace=True, **stop)
+        want = simulator._run_loop(cfg, keep)
         tmp = tmp_path_factory.mktemp("stream")
         want.events.dump(str(tmp / "dump.log"))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "_WINDOW", window)
             mp.setattr(simulator, "_CHUNK", chunk)
             with open(tmp / "streamed.log", "wb") as out:
-                got = simulator._run_loop(cfg, False, out)
-        assert got[3:-1] == want[3:-1]
-        assert len(got.events) == len(want.events)
+                got = simulator._run_loop(cfg, keep, out)
+            kept = simulator._run_loop(cfg, keep)
+            kept.events.dump(str(tmp / "kept.log"))
+        for run in (got, kept):
+            assert run[3:-1] == want[3:-1]
+            assert len(run.events) == len(want.events)
+            for name in ("ys", "atts", "success_times"):
+                g, w = getattr(run, name), getattr(want, name)
+                assert (g is None) == (w is None)
+                for a, b in zip(() if g is None else g, () if w is None else w, strict=True):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+        for column in ("time", "kind", "source"):
+            np.testing.assert_array_equal(getattr(kept.events, column), getattr(want.events, column))
         streamed = (tmp / "streamed.log").read_bytes()
-        assert streamed == (tmp / "dump.log").read_bytes()
+        assert streamed == (tmp / "dump.log").read_bytes() == (tmp / "kept.log").read_bytes()
         assert streamed == "".join(f"{line}\n" for line in lines(oracle_run_loop(cfg, True).events)).encode()
 
     def test_the_command_gets_no_log_back(self, tmp_path):
@@ -937,17 +940,12 @@ class TestStreamedLog:
             res, epochs, log = run_simulation(cfg, _with_epochs=False, _out=out)
         assert (res, epochs, log) == (run_simulation(cfg, _with_epochs=False)[0], None, None)
 
-    @pytest.mark.parametrize("cfg, with_epochs", [
-        (SimConfig(0.3, 2, "wfb", 0.4, target_epochs=30, seed=2, trace=True), True),
-        (SimConfig(0.3, 2, "wfb", 0.4, horizon=30.0, seed=2, trace=True), False),
-        (SimConfig(0.3, 2, "wfb", 0.4, target_epochs=30, seed=2), False),
-    ], ids=["epochs-kept", "horizon", "untraced"])
-    def test_only_traced_target_runs_without_epochs_stream(self, tmp_path, cfg, with_epochs):
-        # a horizon run's success times and kept epochs are read from the whole run, which a
-        # streamed run does not hold
+    def test_only_traced_runs_stream(self, tmp_path):
+        # an untraced run makes no log to write
+        cfg = SimConfig(0.3, 2, "wfb", 0.4, target_epochs=30, seed=2)
         with open(tmp_path / "events.log", "wb") as out:
-            with pytest.raises(ValueError, match="_out takes the log of a traced target run"):
-                run_simulation(cfg, _with_epochs=with_epochs, _out=out)
+            with pytest.raises(ValueError, match="_out takes the log of a traced run"):
+                run_simulation(cfg, _with_epochs=False, _out=out)
 
 
 class TestHorizonMode:

@@ -34,10 +34,12 @@ def test_engine_matches_literal_loop_on_random_cells(seed, q, M, setting, gamma,
     cfg = SimConfig(q, M, setting, gamma, seed=seed, trace=True, **stop)
     want = run_loop(cfg, True)
     got = _run_loop(cfg, True)
-    trace = got.events._trace  # the engine's own arrays, before the log is laid out
+    windows = got.events._trace  # the engine's own arrays, before the log is laid out
     attempts = [i for i, e in enumerate(want.events) if e.kind == ATTEMPT]
-    np.testing.assert_array_equal(trace.times, [want.events[i].time for i in attempts])
-    np.testing.assert_array_equal(trace.ok, [want.events[i + 1].kind == SUCCESS for i in attempts])
+    np.testing.assert_array_equal(np.concatenate([w.times for w in windows]),
+                                  [want.events[i].time for i in attempts])
+    np.testing.assert_array_equal(np.concatenate([w.ok for w in windows]),
+                                  [want.events[i + 1].kind == SUCCESS for i in attempts])
     counters = ("arrivals", "overflows", "attempts", "successes")
     assert [getattr(got, c) for c in counters] == [getattr(want, c) for c in counters]
     assert len(got.success_times) == (0 if cfg.horizon is None else M)
