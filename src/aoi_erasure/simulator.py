@@ -536,6 +536,15 @@ def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
     A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
 
 
+def _outcomes(rng_e: np.random.Generator, q: float, ok: np.ndarray) -> np.ndarray:
+    """Fill ok with attempt outcomes, True where a uniform exceeds q.
+
+    Called on each window in turn, the values and the stream state are
+    those of one rng_e.random(attempts) > q for the whole run.
+    """
+    return np.greater(rng_e.random(ok.size), q, out=ok)
+
+
 def _wins(ok: np.ndarray, M: int, wfb: bool, start: int = 0) -> Iterator[np.ndarray]:
     """Each source's successful attempts, as indices into ok, one source at a time.
 
@@ -618,7 +627,7 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     k, prev, fill, last = 0, 0.0, A[0], b"\x01"  # last: the gate of the window's first attempt
     while True:
         n = min(_WINDOW, bound - i0)
-        ok = np.greater(rng_e.random(n), q, out=buf[:n])  # as one rng_e.random(attempts) > q for the run
+        ok = _outcomes(rng_e, q, buf[:n])
         start = (successes if wfb else i0) % M
         wins = [] if horizon is not None else [w[: need - g] for w, g in zip(_wins(ok, M, wfb, start), got)]
         done = horizon is None and sum(got) + sum(w.size for w in wins) == M * need

@@ -881,6 +881,19 @@ class TestChunkedColumns:
                 for got, exp in zip(getattr(raw, name), getattr(want, name), strict=True):
                     np.testing.assert_array_equal(got, exp)
 
+    @pytest.mark.parametrize("window", [1, 3, 7, 8192])
+    @pytest.mark.parametrize("n,lo", [(0, 0), (1, 0), (20000, 0), (20000, 15001)])
+    def test_outcomes_continue_the_stream(self, window, n, lo):
+        # the trace engine fills a slice of one reused buffer a window at a time
+        a, b = np.random.default_rng(n + lo), np.random.default_rng(n + lo)
+        ok = np.zeros(n, bool)
+        for i in range(lo, n, window):
+            part = ok[i : i + window]
+            assert simulator._outcomes(a, 0.3, part) is part
+        assert not ok[:lo].any()
+        np.testing.assert_array_equal(ok[lo:], b.random(n - lo) > 0.3)
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestStreamedLog:
     """A traced run can write its log to a file as it runs (run_simulation's _out), one
