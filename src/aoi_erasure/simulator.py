@@ -39,10 +39,10 @@ statistically identical runs:
   an attempt is the next attempt's unless it overflows; then bisection
   finds the next stored arrival, and every arrival in between is an
   overflow. The loop tests no bound per attempt: a -inf sentinel after
-  the last usable arrival sends it into that search, which tops up a
-  target run's arrivals and ends a horizon run, whose arrivals are cut
-  at the horizon first. The one attempt a threshold pushes past the
-  horizon is trimmed after the loop.
+  the last usable arrival sends it into that search, which tops the
+  arrivals up a window's worth at a time and ends a horizon run once
+  they are spent; each draw is cut at the horizon as it is made. The one
+  attempt a threshold pushes past the horizon is trimmed after the loop.
   The loop makes at most _WINDOW attempts at a time and carries its
   state across. A window draws its outcomes first, so a target run
   stops inside the window where the last source gets its
@@ -57,9 +57,10 @@ statistically identical runs:
   command passes --out, or a sink that formats nothing, as
   run_simulation's _out, and each window's log is dumped there, so the
   command holds one window at any epoch count; a library run keeps each
-  window's arrays in its log (8 bytes an arrival, 10 an attempt). A
-  target run drops a window's arrivals with it; a horizon run draws its
-  arrivals up front and, besides them, keeps only its success times. No
+  window's arrays in its log (8 bytes an arrival, 10 an attempt). Every
+  run drops a window's spent arrivals with it, and the estimator's
+  leaves are sized by the window (_Renewal), so a target run holds one
+  window; a horizon run keeps besides only its success times. No
   Python object is kept per arrival, attempt, event or epoch.
   tests/trace_oracle.py keeps the literal one-event-at-a-time loop this
   engine must match bit for bit.
@@ -365,7 +366,7 @@ def _spawn_streams(
 
 class _RawRun(NamedTuple):
     # a target run's epochs are one (M, target) block, a horizon run's one row per source
-    ys: np.ndarray | Sequence[np.ndarray]  # epoch lengths; a stride-0 block of NaN if the epoch engines keep none
+    ys: np.ndarray | Sequence[np.ndarray]  # epoch lengths; stride-0 NaN of their shape if the epochs are not kept
     atts: np.ndarray | Sequence[np.ndarray] | None  # attempts per epoch, aligned with ys; None if not kept
     success_times: Sequence[np.ndarray]  # includes the first success; horizon runs only
     estimates: tuple[list[float], float, float] | None  # a target run's _Renewal estimates
@@ -529,11 +530,15 @@ def _epochs_wfb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
     return _RawRun(renewal.ys, a, (), renewal.estimates(), attempts + overflows, overflows, attempts, n, None)
 
 
-def _more_arrivals(A: array, rng_a: np.random.Generator, n: int) -> None:
-    """Append n arrival times, summed in the order of the running sum t += wait."""
+def _more_arrivals(A: array, rng_a: np.random.Generator, n: int, horizon: float | None) -> bool:
+    """Draw n arrival times, summed in the order of the running sum t += wait, and append
+    those up to the horizon; True if one lies past it, so that no later one is usable."""
     waits = rng_a.standard_exponential(size=n)
     waits[0] += A[-1] if A else 0.0  # the same additions as a cumsum that starts at A[-1]
-    A.frombytes(np.cumsum(waits, out=waits).view(np.uint8))
+    times = np.cumsum(waits, out=waits)
+    usable = n if horizon is None else int(np.searchsorted(times, horizon, "right"))
+    A.frombytes(times[:usable].view(np.uint8))
+    return usable < n
 
 
 def _outcomes(rng_e: np.random.Generator, q: float, ok: np.ndarray) -> np.ndarray:
@@ -560,7 +565,8 @@ def _wins(ok: np.ndarray, M: int, wfb: bool, start: int = 0) -> Iterator[np.ndar
     wins = np.flatnonzero(ok) if wfb else None
     for j in range(M):
         at = (j - start) % M
-        yield wins[at::M] if wfb else np.flatnonzero(ok[at::M]) * M + at
+        # nonzero reads the strided view in place, where flatnonzero copies it first
+        yield wins[at::M] if wfb else ok[at::M].nonzero()[0] * M + at
 
 
 _WINDOW = 1 << 12  # attempts the trace engine makes, and settles the log of, at a time
@@ -577,10 +583,11 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     finds the next stored one. One loop serves both stopping rules. It
     runs over the gate bytes of the attempts it may make and tests no
     bound: a -inf sentinel after the last usable arrival sends the step
-    past it into the search, which tops up a target run's arrivals and
-    ends a horizon run, whose arrivals are cut at the horizon first. An
-    attempt that a threshold pushes past the horizon is made and then
-    trimmed after the loop.
+    past it into the search, which tops the arrivals up a window's worth
+    at a time (_more_arrivals, which cuts each draw at the horizon) and
+    ends a horizon run once a draw has passed the horizon and its
+    arrivals are spent. An attempt that a threshold pushes past the
+    horizon is made and then trimmed after the loop.
 
     The loop makes a window of at most _WINDOW attempts at a time, whose
     outcomes it draws first, so a target run stops inside the window
@@ -590,7 +597,9 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     per epoch are counted (_attempts_per_epoch). A traced window's log is
     dumped into out (events is then the range of the lines written) or
     its arrays kept for the run's EventLog. Then the window's attempts
-    are dropped, and in a target run its arrivals too.
+    and the arrivals they spent are dropped. A horizon run's success
+    times are joined as it ends, and its ys are stride-0 NaN rows of
+    their lengths unless its epochs are kept.
     """
     q, M, gamma = cfg.q, cfg.M, cfg.gamma
     wfb = cfg.setting is Feedback.WFB
@@ -598,20 +607,15 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     rng_a, rng_e, _ = _spawn_streams(cfg.seed, cfg.erasure_seed)
 
     A = array("d")  # arrival times, from the a0-th on
+    # arrivals drawn at a time, about a window's: an attempt spaced by max(gamma, wait)
+    # spans gamma + e^-gamma arrivals on average, an upper bound for both settings
+    more = int(_WINDOW * (gamma + math.exp(-gamma)) * 1.02) + 256
+    cut = _more_arrivals(A, rng_a, more, horizon)  # a draw passed the horizon: no more are usable
     if horizon is None:
         need = target + 1
-        # arrivals drawn at a time, about a window's: an attempt spaced by max(gamma, wait)
-        # spans gamma + e^-gamma arrivals on average, an upper bound for both settings
-        more = int(_WINDOW * (gamma + math.exp(-gamma)) * 1.02) + 256
-        _more_arrivals(A, rng_a, more)
-        bound = math.inf
         renewal = _Renewal(M, target, keep_attempts, -(-_WINDOW // M))
         atts = np.empty((M, target), np.int64) if keep_attempts else None
     else:
-        while not A or A[-1] <= horizon:
-            _more_arrivals(A, rng_a, int(horizon * 1.02) + 256)
-        bound = bisect_right(A, horizon)  # every attempt spends an arrival before the cut
-        del A[bound:]
         stimes = [[np.empty(0)] for _ in range(M)]  # each source's success times, a window at a time
         atts = [[np.empty(0, np.int64)] for _ in range(M)] if keep_attempts else None
 
@@ -622,12 +626,11 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     lines = bytearray()  # the buffer every window's log lines are formatted in, when out is given
     got = [0] * M  # successes of each source so far, in a target run up to need
     marks = [0] * M  # what _attempts_per_epoch carries
-    buf = np.empty(min(_WINDOW, bound), bool)
+    buf = np.empty(_WINDOW if n_a else 0, bool)  # no attempt if nothing arrives before the horizon
     a0 = k0 = i0 = successes = trimmed = 0  # arrivals before A[0], the window's first in A, attempts before it
     k, prev, fill, last = 0, 0.0, A[0], b"\x01"  # last: the gate of the window's first attempt
     while True:
-        n = min(_WINDOW, bound - i0)
-        ok = _outcomes(rng_e, q, buf[:n])
+        ok = _outcomes(rng_e, q, buf)
         start = (successes if wfb else i0) % M
         wins = [] if horizon is not None else [w[: need - g] for w, g in zip(_wins(ok, M, wfb, start), got)]
         done = horizon is None and sum(got) + sum(w.size for w in wins) == M * need
@@ -649,9 +652,9 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
             fill = A[k]
             if fill <= t:  # overflows, or the sentinel: search past them
                 k = bisect_right(A, t, k, n_a)
-                while k == n_a and horizon is None:  # a target run tops its arrivals up
+                while k == n_a and not cut:  # top the arrivals up
                     A.pop()
-                    _more_arrivals(A, rng_a, more)
+                    cut = _more_arrivals(A, rng_a, more, horizon)
                     n_a = len(A)
                     A.append(-math.inf)
                     k = bisect_right(A, t, k, n_a)
@@ -695,9 +698,8 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
         del times, T[:]  # times is a view of T
         if ended:
             break
-        if horizon is None:  # a horizon run's arrivals were drawn up front
-            del A[:k]
-            a0, n_a, k = a0 + k, n_a - k, 0
+        del A[:k]
+        a0, n_a, k = a0 + k, n_a - k, 0
         k0 = k
 
     n_arr = a0 + k
@@ -705,9 +707,11 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     events = None if not cfg.trace else EventLog._from_trace(tuple(windows)) if out is None else range(n_arr + 2 * i0)
     if horizon is None:
         return _RawRun(renewal.ys, atts, (), renewal.estimates(), *counts, events)
-    stimes = [np.concatenate(s) for s in stimes]
-    atts = None if atts is None else [np.concatenate(a) for a in atts]
-    return _RawRun([np.diff(s) for s in stimes], atts, stimes, None, *counts, events)
+    for pieces in (stimes, atts or ()):  # joined in place, one source's pieces at a time
+        for j, p in enumerate(pieces):
+            pieces[j] = np.concatenate(p)
+    ys = [np.diff(s) if keep_attempts else np.broadcast_to(np.nan, s[1:].shape) for s in stimes]
+    return _RawRun(ys, atts, stimes, None, *counts, events)
 
 
 def _put_successes(renewal: _Renewal, got: list[int], times: np.ndarray, wins: list[np.ndarray]) -> None:
@@ -844,75 +848,72 @@ def ratio_estimate(y: np.ndarray, R: np.ndarray, point: float) -> float:
     return _T975[B - 2] * (sd / math.sqrt(B)) / float(y.mean())
 
 
-_NODE = 1 << 14  # about the most values of y (of all sources) that one sum of _Renewal adds
-
-
-def _pairwise_tree(lo: int, hi: int, leaf: int, leaves: list[tuple[int, int]]) -> int | tuple | None:
-    """numpy's pairwise summation tree over [lo, hi), down to leaves of at most `leaf` values.
+def _pairwise_tree(lo: int, hi: int, leaf: int) -> Iterator[tuple[int, int] | None]:
+    """numpy's pairwise summation tree over [lo, hi), down to leaves of at most `leaf` values, in post-order.
 
     np.sum of n > 128 contiguous float64 values adds the sum of the first
     n // 2 - (n // 2) % 8 and the sum of the rest, so np.sum over each
     leaf, added back up along this tree, gives np.sum over the range bit
-    for bit (tests/test_simulator.py::TestNumpyContracts pins this). The
-    leaves are appended to `leaves`, and the tree holds their indices;
-    an empty range gives None.
+    for bit (tests/test_simulator.py::TestNumpyContracts pins this). A
+    leaf comes as its range (lo, hi), and a join as None after the two
+    subtrees it adds, so a stack of sums adds the tree up as it is walked.
+    An empty range gives nothing.
     """
     n = hi - lo
-    if n <= 0:
-        return None
-    if n <= leaf:
-        leaves.append((lo, hi))
-        return len(leaves) - 1
-    half = n // 2 - n // 2 % 8
-    return _pairwise_tree(lo, lo + half, leaf, leaves), _pairwise_tree(lo + half, hi, leaf, leaves)
+    if n > leaf:
+        half = n // 2 - n // 2 % 8
+        yield from _pairwise_tree(lo, lo + half, leaf)
+        yield from _pairwise_tree(lo + half, hi, leaf)
+        yield None
+    elif n > 0:
+        yield lo, hi
 
 
-class _Plan(NamedTuple):
-    """Which sums _Renewal takes of n epochs, and how it adds them up."""
+def _batch_trees(n: int, leaf: int) -> Iterator[tuple[int, int] | None]:
+    """The trees of np.add.reduceat's batch totals over np.array_split's batches of n epochs, in order.
 
-    leaves: list[tuple[int, int, int]]  # (node, first epoch, end), in the order of their ends
-    needed: list[int]  # the first epoch that leaves[i:] read
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (node, left, right), children before parents
-    nodes: int  # leaves first, then the sums of two nodes
-    row: int  # the node of a row's sum
-    batches: list[int]  # the node of each batch's total
-
-
-@functools.lru_cache(maxsize=8)
-def _plan(n: int, leaf: int) -> _Plan:
-    """The leaves and trees of n epochs' row sums and batch totals, for leaves of at most `leaf` epochs."""
+    np.add.reduceat gives a batch as its first epoch plus the pairwise
+    tree of the rest, so each batch's tree joins the leaf of its first
+    epoch with _pairwise_tree of the rest; walked with a stack, they
+    leave each batch's total on it.
+    """
     B = min(_N_BATCHES, n)
-    starts = [b * (n // B) + min(b, n % B) for b in range(B)]  # np.array_split's cuts
-    ranges: list[tuple[int, int]] = []
-    row = _pairwise_tree(0, n, leaf, ranges)
-    firsts, rests = [], []  # np.add.reduceat gives a batch as its first epoch plus the sum of the rest
+    starts = [b * (n // B) + min(b, n % B) for b in range(B)]
     for lo, hi in zip(starts, [*starts[1:], n]):
-        firsts.append(len(ranges))
-        ranges.append((lo, lo + 1))
-        rests.append(_pairwise_tree(lo + 1, hi, leaf, ranges))
-    joins: list[tuple[int, int]] = []
-    depth = [0] * len(ranges)
+        yield lo, lo + 1
+        if hi > lo + 1:
+            yield from _pairwise_tree(lo + 1, hi, leaf)
+            yield None
 
-    def join(a: int, b: int) -> int:
-        joins.append((a, b))
-        depth.append(1 + max(depth[a], depth[b]))
-        return len(depth) - 1
 
-    def number(tree: int | tuple) -> int:
-        return tree if isinstance(tree, int) else join(number(tree[0]), number(tree[1]))
+class _Sums:
+    """The sums of a tree walk (_pairwise_tree, _batch_trees) over the epochs of every source.
 
-    row = number(row)
-    batches = [first if rest is None else join(first, number(rest)) for first, rest in zip(firsts, rests)]
-    levels = []
-    for d in range(1, max(depth) + 1):
-        at = [i for i in range(len(ranges), len(depth)) if depth[i] == d]
-        left, right = zip(*(joins[i - len(ranges)] for i in at))
-        levels.append((np.array(at), np.array(left), np.array(right)))
-    leaves = sorted(((i, lo, hi) for i, (lo, hi) in enumerate(ranges)), key=lambda leaf: leaf[2])
-    needed = [n] * (len(leaves) + 1)
-    for i in reversed(range(len(leaves))):
-        needed[i] = min(needed[i + 1], leaves[i][1])
-    return _Plan(leaves, needed, levels, len(depth), row, batches)
+    close sums each leaf, y and R of every source in one call, once its
+    last epoch is in, and adds each join as soon as both its halves are,
+    so the stack holds only the sums not yet joined: the walk's finished
+    trees and, from the open one, at most one a level.
+    """
+
+    __slots__ = ("_steps", "leaf", "stack")
+
+    def __init__(self, steps: Iterator[tuple[int, int] | None]) -> None:
+        self._steps = steps
+        self.leaf = next(steps, None)  # the next leaf to sum; a walk starts with one
+        self.stack: list[np.ndarray] = []
+
+    def close(self, yr: np.ndarray, lo: int, n: int) -> None:
+        """Sum every leaf that ends by epoch n, from yr's y and R of the epochs from lo on."""
+        while self.leaf is not None and self.leaf[1] <= n:
+            a, b = self.leaf
+            self.stack.append(np.add.reduce(yr[:, :, a - lo : b - lo], axis=2))
+            self.leaf = None
+            for step in self._steps:
+                if step is not None:
+                    self.leaf = step
+                    break
+                right = self.stack.pop()
+                self.stack[-1] += right
 
 
 class _Renewal:
@@ -920,32 +921,33 @@ class _Renewal:
 
     Each row's sums of y and of R = 0.5 * y * y are np.sum's, added up
     along its pairwise tree (_pairwise_tree), and each batch's totals are
-    np.add.reduceat's: the batch's first epoch plus the tree of the rest.
-    A leaf of a tree is summed for y and R of every source in one call,
-    once its last epoch is in (a row slice of a 2-D array sums each row
-    as np.sum sums it alone), and the trees are added up once, in
-    estimates. Only the epochs of the leaves still open are held.
+    np.add.reduceat's: the batch's first epoch plus the tree of the rest
+    (_batch_trees). A leaf of a tree is summed for y and R of every source
+    in one call, once its last epoch is in (a row slice of a 2-D array
+    sums each row as np.sum sums it alone), and a join is added as soon
+    as both its halves are (_Sums). Only the epochs of the leaves still
+    open are held, and no more than a few dozen sums.
 
     An epoch engine writes its success times into the window that
     window(upto) returns, where column c holds success `first` + c, and
     tells advance how many successes every source has. When the window
     is full, the epochs that every source has are taken, and the window
     moves up to the success they end at. feed(ys) takes a block of
-    epochs instead. A leaf holds at most _NODE // M epochs of a source,
-    so an engine block of b successes a source bounds the window and
-    leaves by about (40 * (_NODE // M) + 48 * b) bytes a source, and the
-    sums take about 32 bytes a source for each leaf. With keep, the
+    epochs instead. block is the successes a source that an engine
+    writes at a time (an epoch engine's block, _BLOCK // M, or a window
+    of the trace engine, _WINDOW / M), and a leaf holds max(512, block)
+    epochs of a source, so the window and the open leaves take about
+    40 * leaf + 48 * block bytes a source, whatever n. With keep, the
     epochs are also kept, in ys.
     """
 
     def __init__(self, M: int, n: int, keep: bool = False, block: int = 0) -> None:
-        self._leaf = max(512, _NODE // M)  # epochs of each source
-        self._plan = _plan(n, self._leaf)
-        self._sums = np.empty((self._plan.nodes, 2, M))
+        self._leaf = max(512, block)  # epochs of each source
+        self._row, self._batches = _Sums(_pairwise_tree(0, n, self._leaf)), _Sums(_batch_trees(n, self._leaf))
         self._s = np.empty((M, min(n, self._leaf + 2 * block) + 1 if block else 0))  # from success _first on
         self._yr = np.empty((2, M, 2 * (self._leaf + block)))  # y and R of the epochs from _lo on
         self._first = self._ready = self._filled = 0
-        self._lo = self._n = self._next = 0  # _n epochs taken, the first _next leaves summed
+        self._lo = self._n = 0  # _n epochs taken
         self.ys = np.empty((M, n)) if keep else np.broadcast_to(np.nan, (M, n))
         self._keep = keep
 
@@ -977,7 +979,8 @@ class _Renewal:
         """The (M, k) slice that the y of the next k epochs go into."""
         yr, held = self._yr, self._n - self._lo
         if held + k > yr.shape[2]:
-            drop = self._plan.needed[self._next] - self._lo
+            open_leaves = [t.leaf[0] for t in (self._row, self._batches) if t.leaf is not None]
+            drop = min(open_leaves, default=self._n) - self._lo
             held -= drop
             if held + k > yr.shape[2]:
                 self._yr = np.empty((2, yr.shape[1], held + k))
@@ -994,12 +997,8 @@ class _Renewal:
         if self._keep:
             self.ys[:, self._n : self._n + k] = y
         self._n += k
-        leaves, sums, i = self._plan.leaves, self._sums, self._next
-        while i < len(leaves) and leaves[i][2] <= self._n:
-            node, a, b = leaves[i]
-            np.add.reduce(yr[:, :, a - lo : b - lo], axis=2, out=sums[node])
-            i += 1
-        self._next = i
+        self._row.close(yr, lo, self._n)
+        self._batches.close(yr, lo, self._n)
 
     def feed(self, ys: np.ndarray) -> None:
         """Take an (M, k) block of the next epochs, a leaf's width at a time."""
@@ -1012,16 +1011,13 @@ class _Renewal:
         """Each row's ratio R.sum() / y.sum(), the pooled ratio (row sums added in row order)
         and its interval, from the batch totals of y and R added over the rows in row order."""
         self._take_window()
-        plan, sums = self._plan, self._sums
-        for node, left, right in plan.levels:
-            sums[node] = sums[left] + sums[right]
         per_row, sum_y, sum_r = [], 0.0, 0.0
-        for y_j, r_j in zip(*sums[plan.row].tolist()):
+        for y_j, r_j in zip(*self._row.stack[0].tolist()):
             per_row.append(r_j / y_j)
             sum_y += y_j
             sum_r += r_j
         # a running sum over the rows is the reference's row-by-row addition
-        totals = np.cumsum(sums[plan.batches], axis=2)[:, :, -1].T
+        totals = np.cumsum(self._batches.stack, axis=2)[:, :, -1].T
         mean = sum_r / sum_y
         return per_row, mean, ratio_estimate(*totals, mean)
 

@@ -902,15 +902,16 @@ class TestMemory:
         assert large < 39.0, large
 
     def test_trace_engine_peak_in_process(self):
-        # the traced-run cell: 5.19 MB measured by tracemalloc on a second run (5.69 MB holding
+        # the traced-run cell: 4.70 MB measured by tracemalloc on a second run (5.19 MB with
+        # the estimator's leaves sized by 16,384 epochs over M, not the window; 5.69 MB holding
         # every attempt to the end of the run, 6.02 MB with a second array of the successes
         # for the feedback turns, 6.63 MB with the outcomes, sources and epochs built from
-        # run-length temporaries, 12.5 MB with the log laid out as columns); one more time
-        # column (3.4 MB) breaks the bound
+        # run-length temporaries, 12.5 MB with the log laid out as columns); the old leaves'
+        # 0.5 MB break the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
         cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=50_000, seed=1, trace=True)
         peak = _tracemalloc_peak_mb(lambda: _run_loop(cfg, True))
-        assert peak < 6.0, peak
+        assert peak < 5.1, peak
 
     def test_traced_command_peak_in_process(self, tmp_path):
         # a library run's log, dumped: no attempts column, and the log laid out and written
@@ -933,9 +934,10 @@ class TestMemory:
     def test_streamed_command_peak_is_flat_in_the_epochs(self, tmp_path):
         # what the traced simulate command runs: the log written to --out a window of
         # attempts at a time, or without --out handed to the sink that formats nothing;
-        # 1.75 and 1.80 MB measured by tracemalloc at 1e4 and 5e4 epochs with --out (1.57
-        # and 4.64 MB with the run's arrays held and dumped at the end); 8 B an epoch
-        # breaks the bound
+        # 1.29 and 1.31 MB measured by tracemalloc at 1e4 and 5e4 epochs with --out, 0.59
+        # and 0.61 MB without (1.75 and 1.79, 1.04 and 1.15 MB with the estimator's leaves
+        # sized by 16,384 epochs over M; 1.57 and 4.64 MB with the run's arrays held and
+        # dumped at the end); 8 B an epoch breaks the bound
         gamma, _ = optimize_gamma(0.3, 2, "wfb")
 
         def run(n, to_file):
@@ -948,15 +950,16 @@ class TestMemory:
         for to_file in (True, False):
             peaks = [_tracemalloc_peak_mb(lambda: run(n, to_file)) for n in (10_000, 50_000)]
             assert abs(peaks[1] - peaks[0]) < 0.25, (to_file, peaks)
-            assert max(peaks) < 2.5, (to_file, peaks)
+            assert max(peaks) < 1.7, (to_file, peaks)
 
     def test_horizon_run_keeps_no_attempts(self):
-        # an untraced horizon run draws its arrivals up front and, besides them, keeps only
-        # its success times: 5.83 MB measured by tracemalloc at a horizon of 3e5 (8.37 MB
-        # holding every attempt's time and outcome); 8 B an attempt (2.3 MB) breaks the bound
+        # an untraced horizon run draws its arrivals a window's worth at a time and keeps
+        # only its success times: 3.62 MB measured by tracemalloc at a horizon of 3e5 (5.83
+        # MB drawing every arrival up front, 8.37 MB holding every attempt's time and
+        # outcome); one more copy of the success times (1.6 MB) breaks the bound
         cfg = SimConfig(0.3, 4, "wfb", 0.4, horizon=3e5, seed=1)
         peak = _tracemalloc_peak_mb(lambda: run_simulation(cfg, _with_epochs=False))
-        assert peak < 7.0, peak
+        assert peak < 4.3, peak
 
     @pytest.mark.parametrize("setting,bound_mb", [("wfb", 3.3), ("nofb", 2.4)])
     def test_epoch_engine_peak_in_process(self, setting, bound_mb):

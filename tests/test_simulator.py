@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import warnings
+from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -243,6 +244,21 @@ def _run_with_block(block, cfg):
         return run_simulation(cfg)
 
 
+# where a horizon falls in an arrival stream drawn n at a time: halfway to arrival i, or on it
+_CUTS = {
+    "in the first top-up": lambda n: (n // 3, False),
+    "in a later top-up": lambda n: (3 * n + n // 3, False),
+    "on an arrival": lambda n: (3 * n + n // 3, True),
+    "on a top-up's last arrival": lambda n: (n - 1, True),
+    "before the first arrival": lambda n: (0, False),
+}
+
+
+def _horizon_in(arrivals, n, where):
+    i, on = _CUTS[where](n)
+    return arrivals[i] if on else ((arrivals[i - 1] if i else 0.0) + arrivals[i]) / 2
+
+
 def _assert_same_run(got, want):
     (res, epochs, _), (res_w, epochs_w, _) = got, want
     assert res == res_w
@@ -407,10 +423,9 @@ class TestNumpyContracts:
         rng = np.random.default_rng(leaf)
         for n in [*range(1, 300, 7), 4095, 4096, 4097, 16383, 16385, 65536, 100000, 123457]:
             a = rng.exponential(size=n) * rng.exponential(size=n)
-            leaves = []
-            tree = simulator._pairwise_tree(0, n, leaf, leaves)
-            assert all(hi - lo <= leaf for lo, hi in leaves)
-            assert _add_up(tree, [np.sum(a[lo:hi]) for lo, hi in leaves]) == np.sum(a), n
+            steps = list(simulator._pairwise_tree(0, n, leaf))
+            assert all(hi - lo <= leaf for lo, hi in filter(None, steps))
+            assert _add_up(steps, a) == [np.sum(a)], n
 
     def test_reduceat_is_first_plus_tree(self):
         # np.add.reduceat's batch total, as the batch's first value plus the tree of the rest
@@ -420,10 +435,9 @@ class TestNumpyContracts:
             B = min(20, n)
             starts = np.arange(B) * (n // B) + np.minimum(np.arange(B), n % B)
             for got, lo, hi in zip(np.add.reduceat(a, starts), starts, [*starts[1:], n]):
-                leaves = []
-                rest = simulator._pairwise_tree(lo + 1, hi, 4096, leaves)
-                want = a[lo] if rest is None else a[lo] + _add_up(rest, [np.sum(a[x:y]) for x, y in leaves])
-                assert got == want, (n, lo, hi)
+                rest = _add_up(simulator._pairwise_tree(lo + 1, hi, 4096), a)
+                assert got == (a[lo] + rest[0] if rest else a[lo]), (n, lo, hi)
+            assert _add_up(simulator._batch_trees(n, 4096), a) == list(np.add.reduceat(a, starts)), n
 
     @pytest.mark.parametrize("rows", [1, 2, 8, 16])
     def test_row_slices_sum_as_rows(self, rows):
@@ -444,8 +458,16 @@ class TestNumpyContracts:
         assert w.tobytes() == want.tobytes()
 
 
-def _add_up(tree, sums):
-    return sums[tree] if isinstance(tree, int) else _add_up(tree[0], sums) + _add_up(tree[1], sums)
+def _add_up(steps, a):
+    """A post-order tree walk over a, replayed with a stack: np.sum of a leaf, a join adds the two sums before it."""
+    stack = []
+    for step in steps:
+        if step is None:
+            right = stack.pop()
+            stack[-1] = stack[-1] + right
+        else:
+            stack.append(np.sum(a[step[0] : step[1]]))
+    return stack
 
 
 class TestRenewalStream:
@@ -454,42 +476,46 @@ class TestRenewalStream:
     Pieces of any size, from one epoch to the whole block, either as epochs
     (feed) or as success times through the engines' window, must give
     per_row, mean and ci with the same bits as tests/epoch_oracle.py's
-    whole-row sums, also with some sources ahead of others in the window.
-    Small leaves put many leaves, and many moves of the window, into a
-    short block.
+    whole-row sums, also with some sources ahead of others in the window,
+    some far enough to outgrow it. The leaf is max(512, block), and the
+    window holds about leaf + 2 * block successes: blocks of 1 to 512 give
+    leaves of 512 in small windows, and blocks of 1,000 and 16,384 leaves
+    of their own size. Runs of 8 to 16 leaves (or of up to 2), cut into up
+    to 65 pieces, put many leaves, and many moves of the window, into one
+    run.
     """
 
     @settings(max_examples=150, deadline=None)
     @given(
         M=st.integers(1, 5),
-        n=st.integers(1, 3000),
-        node=st.sampled_from([512, 1000, 1 << 14]),
+        leaf=st.sampled_from([512, 1000, 1 << 14]),
         through_window=st.booleans(),
         data=st.data(),
     )
-    def test_pieces_give_the_whole_block_bits(self, M, n, node, through_window, data):
+    def test_pieces_give_the_whole_block_bits(self, M, leaf, through_window, data):
+        block = data.draw(st.integers(1, 512)) if leaf == 512 else leaf
+        n = data.draw(st.one_of(st.integers(1, 2 * leaf), st.integers(8 * leaf, 16 * leaf)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         times = np.cumsum(rng.exponential(size=(M, n + 1)), axis=1)
         ys = np.diff(times, axis=1)
-        cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=12))) | {n})
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_NODE", node * M)
-            block = data.draw(st.integers(1, 64))  # a window of about leaf + 2 * block successes
-            renewal = simulator._Renewal(M, n, keep=through_window, block=block if through_window else 0)
-            lo, written = 0, [0] * M  # successes in the window, per source
-            for hi in cuts:
-                if through_window:  # every source up to success hi, and some sources further, as without feedback
-                    ahead = data.draw(st.lists(st.integers(0, 300), min_size=M, max_size=M))
-                    tops = [max(w, min(n + 1, hi + 1 + a)) for w, a in zip(written, ahead)]
-                    s, first = renewal.window(max(tops))
-                    for j, (w, top) in enumerate(zip(written, tops)):
-                        s[j, w - first : top - first] = times[j, w:top]
-                    renewal.advance(min(tops), max(tops))
-                    written = tops
-                else:
-                    renewal.feed(ys[:, lo:hi])
-                lo = hi
-            got = renewal.estimates()
+        cuts = sorted(set(rng.integers(1, n, size=data.draw(st.sampled_from([0, 1, 8, 64])), endpoint=True)) | {n})
+        far = data.draw(st.sampled_from([300, 4 * leaf]))  # how far a source may run ahead
+        renewal = simulator._Renewal(M, n, keep=through_window, block=block)
+        assert renewal._leaf == leaf
+        lo, written = 0, [0] * M  # successes in the window, per source
+        for hi in cuts:
+            if through_window:  # every source up to success hi, and some sources further, as without feedback
+                ahead = rng.integers(0, far, size=M, endpoint=True)
+                tops = [max(w, min(n + 1, hi + 1 + int(a))) for w, a in zip(written, ahead)]
+                s, first = renewal.window(max(tops))
+                for j, (w, top) in enumerate(zip(written, tops)):
+                    s[j, w - first : top - first] = times[j, w:top]
+                renewal.advance(min(tops), max(tops))
+                written = tops
+            else:
+                renewal.feed(ys[:, lo:hi])
+            lo = hi
+        got = renewal.estimates()
         assert got == renewal_estimates(ys)
         if through_window:
             assert renewal.ys.tobytes() == ys.tobytes()
@@ -685,9 +711,9 @@ class TestTraceEngine:
         want = run_simulation(cfg)
         real, calls = simulator._more_arrivals, []
 
-        def short_first_draw(A, rng_a, n):
+        def short_first_draw(A, rng_a, n, horizon):
             calls.append(n)
-            real(A, rng_a, n // 50 if len(calls) == 1 else n)
+            return real(A, rng_a, n // 50 if len(calls) == 1 else n, horizon)
 
         monkeypatch.setattr(simulator, "_more_arrivals", short_first_draw)
         got = run_simulation(cfg)
@@ -696,6 +722,50 @@ class TestTraceEngine:
         got[2].dump(str(tmp_path / "got.log"))
         want[2].dump(str(tmp_path / "want.log"))
         assert (tmp_path / "got.log").read_bytes() == (tmp_path / "want.log").read_bytes()
+
+    @pytest.mark.parametrize("where", list(_CUTS))
+    def test_horizon_arrivals_drawn_a_window_at_a_time(self, where):
+        # topped up 300 at a time and cut at the horizon where drawn, the arrivals are
+        # those of one up-front draw cut there, in count and in bits
+        whole = np.cumsum(np.random.default_rng(5).standard_exponential(2000))
+        horizon = _horizon_in(whole, 300, where)
+        usable = bisect_right(whole, horizon)
+        rng, A, draws = np.random.default_rng(5), array("d"), 0
+        while True:
+            draws += 1
+            if simulator._more_arrivals(A, rng, 300, horizon):
+                break
+        assert draws == usable // 300 + 1
+        assert np.frombuffer(A).tobytes() == whole[:usable].tobytes()
+        rng, A = np.random.default_rng(5), array("d")  # no horizon: every arrival is kept
+        assert not any(simulator._more_arrivals(A, rng, 300, None) for _ in range(2))
+        assert np.frombuffer(A).tobytes() == whole[:600].tobytes()
+
+    @pytest.mark.parametrize("setting", ["nofb", "wfb"])
+    @pytest.mark.parametrize("where", list(_CUTS))
+    def test_horizon_cut_where_the_arrivals_are_drawn(self, monkeypatch, where, setting):
+        # windows of 64 attempts top the arrivals up 325 at a time (64 (gamma + e^-gamma) 1.02
+        # + 256), and the literal loop, which draws one arrival at a time, must see the same run
+        seed, real, draws = 3, simulator._more_arrivals, []
+
+        def count_draws(A, rng_a, n, horizon):
+            draws.append(n)
+            return real(A, rng_a, n, horizon)
+
+        whole = np.cumsum(simulator._spawn_streams(seed, None)[0].standard_exponential(2000))
+        horizon = _horizon_in(whole, 325, where)
+        cfg = SimConfig(0.3, 2, setting, 0.4, horizon=horizon, seed=seed, trace=True)
+        monkeypatch.setattr(simulator, "_WINDOW", 64)
+        monkeypatch.setattr(simulator, "_more_arrivals", count_draws)
+        got = simulator._run_loop(cfg, True)
+        want = oracle_run_loop(cfg, True)
+        assert got.arrivals == want.arrivals == bisect_right(whole, horizon)
+        assert draws == [325] * (got.arrivals // 325 + 1)
+        assert [got.overflows, got.attempts, got.successes] == [want.overflows, want.attempts, want.successes]
+        for name in ("ys", "atts", "success_times"):
+            for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
+                np.testing.assert_array_equal(g, w)
+        assert got.events.to_lines() == lines(want.events)
 
 
 class TestEventLogChecker:
