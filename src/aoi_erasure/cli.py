@@ -24,8 +24,9 @@ once the run is printed), the windows go to a sink that formats no
 line. The simulator and stats modules, and
 numpy with them, are imported only by the commands that simulate
 (simulate, validate, sweep --epochs).
-validate and sweep --epochs simulate their cells on two threads where
-two CPUs are usable; the rows and messages are those of one thread.
+validate and sweep --epochs simulate their cells in two processes, the
+caller and one forked helper, where os.fork exists and two CPUs are
+usable; the rows, messages and exit codes are those of one process.
 """
 
 from __future__ import annotations
@@ -276,84 +277,113 @@ def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, fl
 
 
 def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[ValidationRecord]:
-    """Each cell's ValidationRecord, in cell order, on the calling thread and, given two CPUs, one more.
+    """Each cell's ValidationRecord, in cell order, from this process and, given two CPUs, a forked helper.
 
-    numpy's draws release the GIL, so a helper thread shares the cells.
-    The usable CPUs are the process's affinity set, or os.cpu_count()
-    where the platform has no sched_getaffinity. The cells are ordered
-    by M: the caller takes the largest left and the helper the smallest,
-    so the largest cells start first and run beside small ones, not
-    beside each other. Since a cell holds the estimator's window and not
-    its epochs, about the same memory at every M, that order moves the
-    default grid's peak RSS little: 39.7-39.9 MB, against 39.8-40.2 MB
-    with both threads taking the largest cells first (46.5-49.7 against
-    49.5-49.6 MB when a cell held its epoch block). A failure stops both
-    from starting another cell and is raised here, once the helper has
-    stopped.
+    Where os.fork exists and two CPUs are usable (the affinity set, or
+    os.cpu_count() where there is none), each process holds one cell at
+    a time; elsewhere the cells run here. Both claim cells, largest M
+    first, from a pipe that holds only the next position, read by the
+    claimer and written back, so no write blocks; a failed cell writes
+    back the end. The helper pickles back its records or its failure,
+    raised here, and leaves by os._exit, starting no cell once its parent
+    has gone. An exception here, an interrupt too, kills the helper.
     """
-    import threading
-    from collections import deque
+    import pickle
+    import signal
 
     from .stats import validate
 
-    records: list = [None] * len(cells)
-    todo = deque(sorted(range(len(cells)), key=lambda i: cells[i][1]))
-    failures: list[BaseException] = []
-    lock = threading.Lock()  # no cell is taken once a failure is recorded
+    order = sorted(range(len(cells)), key=lambda i: cells[i][1])[::-1]  # largest M first, equal Ms last cell first
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, bytes(8))
 
-    def work(take: Callable[[], int]) -> None:
-        while True:
-            with lock:
-                if failures or not todo:
-                    return
-                i = take()
-            q, M, setting, gamma, _ = cells[i]
+    def claim(stop: bool = False) -> int:
+        k = int.from_bytes(os.read(queue_r, 8), "little")
+        os.write(queue_w, (len(order) if stop else min(k + 1, len(order))).to_bytes(8, "little"))
+        return k
+
+    def work(parent: int | None = None) -> dict[int, ValidationRecord]:
+        done = {}
+        while parent in (None, os.getppid()) and (k := claim()) < len(order):
+            q, M, setting, gamma, _ = cells[order[k]]
             try:
-                records[i] = validate(q, M, setting, gamma, epochs, seed)
-            except BaseException as exc:  # an interrupt too: it stops the helper, then is raised below
-                with lock:
-                    failures.append(exc)
+                done[order[k]] = validate(q, M, setting, gamma, epochs, seed)
+            except BaseException:
+                claim(stop=True)
+                raise
+        return done
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    helper = threading.Thread(target=work, args=(todo.popleft,)) if cpus > 1 else None
-    if helper is not None:
-        helper.start()
+    results_r, results_w = os.pipe()
+    caller, helper = os.getpid(), os.fork() if cpus > 1 and hasattr(os, "fork") else None  # under _grid_rows' filter
+    if helper == 0:
+        try:
+            os.close(results_r)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
+            try:
+                out = work(caller)
+            except BaseException as exc:
+                out = exc
+            with open(results_w, "wb") as fh:
+                pickle.dump(out, fh)
+        finally:
+            os._exit(0)
+    os.close(results_w)
     try:
-        work(todo.pop)
+        with open(results_r, "rb") as results:
+            records = work()
+            if helper:
+                out = pickle.load(results) if results.peek(1) else RuntimeError("the grid's helper process was killed")
+                if isinstance(out, BaseException):
+                    raise out
+                records.update(out)
+    except BaseException:
+        if helper:
+            os.kill(helper, signal.SIGKILL)
+        raise
     finally:
-        if helper is not None:
-            helper.join()
-    if failures:
-        raise failures[0]
-    return records
+        if helper:
+            os.waitpid(helper, 0)
+        os.close(queue_r), os.close(queue_w)
+    return [records[i] for i in range(len(cells))]
 
 
-def _grid_rows(cells: list[tuple], epochs: int | None, seed: int) -> tuple[list[str], list[ValidationRecord]]:
-    """The CSV lines of the grid; with epochs, every cell is also simulated and validated."""
-    records = [] if epochs is None else _validate_cells(cells, epochs, seed)
-    lines = [_CSV_HEADER]
-    for i, (q, M, setting, gamma, gamma_star) in enumerate(cells):
-        base = baseline_infinite_battery(q, setting)
-        if epochs is None:
-            analytic, sim = closed_form_aoi(q, M, setting, gamma), ",,"
-        else:
-            rec = records[i]
-            analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
-        lines.append(
-            f"{_fmt_q(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
-            f"{_fmt(gamma_star)},{_fmt(base)},{sim}"
-        )
+def _grid_rows(opts: argparse.Namespace) -> tuple[list[str], list[ValidationRecord]]:
+    """The CSV lines of the grid; with --epochs, every cell is also simulated and validated.
+
+    Python 3.12 warns on a fork beside other OS threads (OpenBLAS's pool),
+    and _validate_cells' helper calls no BLAS. That one warning is filtered
+    around the whole grid: a filter's change resets the warning registry.
+    """
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        cells = _grid_cells(opts)
+        records = [] if opts.epochs is None else _validate_cells(cells, opts.epochs, opts.seed)
+        lines = [_CSV_HEADER]
+        for i, (q, M, setting, gamma, gamma_star) in enumerate(cells):
+            base = baseline_infinite_battery(q, setting)
+            if opts.epochs is None:
+                analytic, sim = closed_form_aoi(q, M, setting, gamma), ",,"
+            else:
+                rec = records[i]
+                analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
+            lines.append(
+                f"{_fmt_q(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
+                f"{_fmt(gamma_star)},{_fmt(base)},{sim}"
+            )
     return lines, records
 
 
 def _cmd_sweep(opts: argparse.Namespace) -> int:
-    lines, _ = _grid_rows(_grid_cells(opts), opts.epochs, opts.seed)
+    lines, _ = _grid_rows(opts)
     _emit(lines, opts.out)
     return 0
 
 
 def _cmd_validate(opts: argparse.Namespace) -> int:
-    lines, records = _grid_rows(_grid_cells(opts), opts.epochs, opts.seed)
+    lines, records = _grid_rows(opts)
     _emit(lines, opts.out)
     wide = sum(rec.leans_on_ci for rec in records)
     if wide:

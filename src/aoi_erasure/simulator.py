@@ -441,7 +441,7 @@ def _epochs_nofb(cfg: SimConfig, keep_attempts: bool) -> _RawRun:
         for j, w in enumerate(wins):
             if w == need:
                 continue
-            k = np.flatnonzero(ok[j::M])[: need - w]
+            k = ok[j::M].nonzero()[0][: need - w]  # in place, where flatnonzero copies the view
             s[j, w - first : w - first + k.size] = t[j::M][k]
             if a is not None:
                 a[j, w : w + k.size] = k + base

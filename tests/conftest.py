@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import pytest
@@ -20,6 +21,19 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 _RESULTS: list[tuple[int, bool, str]] = []
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped, as the benchmark's process_left_running does."""
+    yield
+    if not hasattr(os, "WNOHANG"):  # Windows has no wait for any child
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one zombie, if there is one
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else f'unreaped (pid {pid})'}")
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 import tracemalloc
 import warnings
@@ -458,8 +457,35 @@ def _on_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-class TestGridThreads:
-    """On two CPUs the grid commands share their cells with one helper thread."""
+def _log_cells(monkeypatch, log: Path, run: Callable) -> Callable[[], list[tuple[int, float, int]]]:
+    """Make stats.validate log (pid, q, M) to log as each cell starts, then call run.
+
+    The helper is a forked process, so its cells are read back from the
+    file, and the returned reader gives them in the order they started.
+    """
+
+    def logged(q, M, setting, gamma, n_epochs, seed, rel_tol=0.01):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {q!r} {M}\n")
+        return run(q, M, setting, gamma, n_epochs, seed, rel_tol)
+
+    def read():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [(int(pid), float(q), int(M)) for pid, q, M in map(str.split, lines)]
+
+    monkeypatch.setattr(stats, "validate", logged)
+    return read
+
+
+def _passing(q, M, setting, gamma, n_epochs, seed, rel_tol):
+    return ValidationRecord(q, M, setting, gamma, 1.0, 1.0, 0.0, n_epochs, seed, rel_tol, True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the grid's helper is a forked process")
+# the commands filter Python 3.12's warning on a fork beside other OS threads; these tests also fork without them
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestGridProcesses:
+    """On two CPUs the grid commands share their cells with one forked helper process."""
 
     GRIDS = [
         # gamma_star > 0 at q = 0.3, M = 1, in both settings
@@ -468,23 +494,26 @@ class TestGridThreads:
         ["sweep", "--q", "0.1,0.3,0.5", "--m", "1,2", "--setting", "nofb,wfb", "--epochs", "3000"],
     ]
 
-    @pytest.mark.parametrize("args", GRIDS, ids=["validate", "sweep"])
-    def test_threads_change_no_byte(self, args, tmp_path, monkeypatch, capsys):
-        threads = set()
-        real = stats.validate
-
-        def watched(*a):
-            threads.add(threading.get_ident())
+    @staticmethod
+    def _slowed(real: Callable) -> Callable:
+        def run(*a):
+            time.sleep(0.01)  # a cell outlasts the fork, so the helper takes some
             return real(*a)
 
-        monkeypatch.setattr(stats, "validate", watched)
+        return run
+
+    @pytest.mark.parametrize("args", GRIDS, ids=["validate", "sweep"])
+    def test_processes_change_no_byte(self, args, tmp_path, monkeypatch, capsys):
+        slowed = self._slowed(stats.validate)
         runs = []
         for n in (1, 2):
             _on_cpus(monkeypatch, n)
-            threads.clear()
+            log = tmp_path / f"{n}.log"
+            read = _log_cells(monkeypatch, log, slowed)
             out = tmp_path / f"{n}.csv"
             rc = main([*args, "--out", str(out)])
-            runs.append((rc, capsys.readouterr(), out.read_bytes(), len(threads)))
+            runs.append((rc, capsys.readouterr(), out.read_bytes(), len({pid for pid, _, _ in read()})))
+            log.unlink()
             assert main(args) == rc
             assert capsys.readouterr().out.encode() == out.read_bytes()
         (rc1, cap1, csv1, used1), (rc2, cap2, csv2, used2) = runs
@@ -493,83 +522,118 @@ class TestGridThreads:
         if args[0] == "validate":
             assert any(float(row.split(",")[5]) > 0 for row in csv1.decode().splitlines()[1:])
 
-    @pytest.mark.parametrize("cpu_count, used", [(2, 2), (None, 1)])
-    def test_cpu_count_where_affinity_is_missing(self, cpu_count, used, monkeypatch, capsys):
-        # Windows and macOS builds of CPython have no os.sched_getaffinity
+    @pytest.mark.parametrize("cpu_count, fork, used", [(2, True, 2), (None, True, 1), (2, False, 1)])
+    def test_cpu_count_where_affinity_is_missing(self, cpu_count, fork, used, tmp_path, monkeypatch, capsys):
+        # Windows and macOS builds of CPython have no os.sched_getaffinity, and Windows no os.fork
         args = self.GRIDS[0]
         _on_cpus(monkeypatch, 1)
         rc = main(args)
-        one_thread = capsys.readouterr()
-        threads = set()
-        real = stats.validate
-
-        def watched(*a):
-            threads.add(threading.get_ident())
-            return real(*a)
-
-        monkeypatch.setattr(stats, "validate", watched)
+        one_process = capsys.readouterr()
+        read = _log_cells(monkeypatch, tmp_path / "log", self._slowed(stats.validate))
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert (main(args), capsys.readouterr()) == (rc, one_thread)
-        assert len(threads) == used
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        assert (main(args), capsys.readouterr()) == (rc, one_process)
+        assert len({pid for pid, _, _ in read()}) == used
 
-    def test_threads_keep_the_records(self, monkeypatch):
+    def test_processes_keep_the_records(self, monkeypatch):
         opts = argparse.Namespace(
             command="validate", q="0.3,0.7", m="1,3,8", setting="nofb,wfb", gamma="0,optimal",
             epochs=2000, seed=7,
         )
-        cells = cli._grid_cells(opts)
         records = []
         for n in (1, 2):
             _on_cpus(monkeypatch, n)
-            records.append(cli._grid_rows(cells, opts.epochs, opts.seed))
+            records.append(cli._grid_rows(opts))
         assert records[0] == records[1]
+        cells = cli._grid_cells(opts)
         assert [(r.q, r.M, r.setting, r.gamma) for r in records[0][1]] == [c[:4] for c in cells]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_failing_helper_cell_stops_the_grid(self, cpus, monkeypatch, capsys):
-        # the helper takes the cells with the smallest M first, the caller the largest
-        started = []
+    @pytest.mark.parametrize("where", ["one CPU", "caller", "helper"])
+    def test_a_failing_cell_stops_the_grid(self, where, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
 
-        def fake_validate(q, M, setting, gamma, n_epochs, seed, rel_tol=0.01):
-            started.append((q, M))
-            if (q, M) == (0.3, 1):
+        def run(q, M, setting, gamma, n_epochs, seed, rel_tol):
+            fails = (q, M) == (0.3, 1) if where == "one CPU" else (os.getpid() == caller) == (where == "caller")
+            if fails:
                 raise MemoryError("Unable to allocate 6.10 MiB for an array")
             time.sleep(0.2)
-            return ValidationRecord(q, M, setting, gamma, 1.0, 1.0, 0.0, n_epochs, seed, rel_tol, True)
+            return _passing(q, M, setting, gamma, n_epochs, seed, rel_tol)
 
-        monkeypatch.setattr(stats, "validate", fake_validate)
-        _on_cpus(monkeypatch, cpus)
-        before = threading.active_count()
+        read = _log_cells(monkeypatch, tmp_path / "log", run)
+        _on_cpus(monkeypatch, 1 if where == "one CPU" else 2)
         rc = main(["validate", "--q", "0.3,0.5", "--m", "1,4", "--setting", "nofb", "--gamma", "0",
                    "--epochs", "100"])
         assert (rc, capsys.readouterr()) == (1, ("", "error: Unable to allocate 6.10 MiB for an array\n"))
-        assert threading.active_count() == before
-        if cpus == 1:  # one thread takes the cells from the largest M down
-            assert started == [(0.5, 4), (0.3, 4), (0.5, 1), (0.3, 1)]
-        else:  # the helper fails at once; the caller ends the cell it may be in and starts no other
-            assert (0.3, 1) in started[:2]
-            assert set(started) <= {(0.3, 1), (0.5, 4)}
+        started = read()
+        if where == "one CPU":  # one process takes the cells from the largest M down
+            assert [cell for _, *cell in started] == [[0.5, 4], [0.3, 4], [0.5, 1], [0.3, 1]]
+        else:  # the failing process's first cell fails; the other ends the cell it may be in and starts none
+            pids = [pid for pid, _, _ in started]
+            assert len(pids) == len(set(pids)) <= 2  # one cell at most in each process
+            assert any((pid == caller) == (where == "caller") for pid in pids)
 
-    def test_every_cell_runs_once_under_fast_switching(self, monkeypatch):
-        # a lost or doubled take from the shared queue would skip or repeat a cell
-        runs = []
-
-        def fake_validate(q, M, setting, gamma, n_epochs, seed, rel_tol=0.01):
-            runs.append((q, M, setting, gamma))
-            return ValidationRecord(q, M, setting, gamma, 1.0, 1.0, 0.0, n_epochs, seed, rel_tol, True)
-
-        monkeypatch.setattr(stats, "validate", fake_validate)
+    def test_every_cell_runs_once(self, tmp_path, monkeypatch):
+        # a lost or doubled claim from the shared queue would skip or repeat a cell
+        read = _log_cells(monkeypatch, tmp_path / "log", _passing)
         _on_cpus(monkeypatch, 2)
         cells = [(q / 100, M, Feedback.NOFB, 0.0, 0.0) for q in range(90) for M in range(1, 9)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _, records = cli._grid_rows(cells, 10, 1)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(runs) == sorted(c[:4] for c in cells)
+        records = cli._validate_cells(cells, 10, 1)
+        assert sorted((q, M) for _, q, M in read()) == sorted(c[:2] for c in cells)
         assert [(r.q, r.M, r.setting, r.gamma) for r in records] == [c[:4] for c in cells]
+
+    def test_an_interrupt_kills_and_reaps_the_helper(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def run(*a):
+            if os.getpid() != caller:
+                time.sleep(60)  # killed long before
+            deadline = time.monotonic() + 10
+            while len(read()) < 2 and time.monotonic() < deadline:  # until the helper is in a cell
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        read = _log_cells(monkeypatch, tmp_path / "log", run)
+        _on_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._validate_cells([(0.3, M, Feedback.NOFB, 0.0, 0.0) for M in (1, 2, 3)], 10, 1)
+        assert time.monotonic() - start < 30
+        (helper,) = {pid for pid, _, _ in read()} - {caller}
+        with pytest.raises(ProcessLookupError):  # killed and reaped, not a zombie
+            os.kill(helper, 0)
+
+    def test_the_helper_starts_no_cell_once_its_parent_has_gone(self, tmp_path):
+        # the caller dies while the helper is in its first cell; the helper ends that cell and stops
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            from aoi_erasure import cli, stats
+            from aoi_erasure.model import Feedback
+
+            log, caller = sys.argv[1], os.getpid()
+
+            def run(*a):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\\n")
+                if os.getpid() == caller:
+                    while len(open(log).read().split()) < 2:
+                        time.sleep(0.01)
+                    os._exit(0)
+                time.sleep(0.3)
+
+            stats.validate = run
+            os.sched_getaffinity = lambda pid: {0, 1}
+            cli._validate_cells([(0.3, M, Feedback.NOFB, 0.0, 0.0) for M in range(1, 9)], 10, 1)
+            """
+        )
+        log = tmp_path / "log"
+        src = str(Path(aoi_erasure.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        subprocess.run([sys.executable, "-c", script, str(log)], timeout=60, env=env, check=True)
+        time.sleep(1.0)  # the orphaned helper's cell ends 0.3 s after it started
+        assert len(log.read_text().split()) == 2
 
     def test_near_one_q_warns_once(self):
         # numpy's import resets the once-per-location registry: the grid imports it before
@@ -869,6 +933,10 @@ def _peak_rss_mb(args: list[str]) -> float:
     return float(peak)
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _tracemalloc_peak_mb(run: Callable[[], object]) -> float:
     """tracemalloc's peak over a second call of run, once the first has made its imports and caches."""
     run()
@@ -984,11 +1052,19 @@ class TestMemory:
 
     def test_validate_cell_keeps_no_attempts_column(self):
         # a validate cell holds no epoch block and no attempts column in either engine:
-        # 39.4-39.6 MB measured with both cells in flight on two CPUs, the import included,
-        # where 8 B per epoch and source of y read 48.8-51.4 MB and the attempts column 58 MB
+        # 37.0-37.1 MB measured with one cell in each of two processes, the import included
+        # (39.1-39.6 MB with both cells in one process on two threads), where 8 B per epoch
+        # and source of y read 48.8-51.4 MB and the attempts column 58 MB
         args = ["validate", "--q", "0.7", "--m", "8", "--setting", "nofb,wfb", "--epochs", "100000"]
         peak = _peak_rss_mb(args)
         assert peak < 44.0, peak
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or _usable_cpus() < 2, reason="the grid forks its helper on 2 CPUs")
+    def test_default_grid_peak_with_the_helper_process(self):
+        # the default validate grid on two CPUs holds one cell in each process: 37.4-37.6 MB
+        # measured, where a helper thread, two cells in one address space, read 39.6-40.0 MB
+        peak = _peak_rss_mb(["validate", "--seed", "1"])
+        assert peak < 38.5, peak
 
 
 class TestConfigFile:
