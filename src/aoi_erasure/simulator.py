@@ -265,8 +265,6 @@ class _EventView(Sequence):
 
 
 _CHUNK = 8192  # log lines formatted and written at a time
-# below this, t * 1e9 < 2**52, where the rounding in _format_lines is exact
-_FAST_MAX = 4.5e6
 _KIND_WIDTH = max(len(k) for k in _KINDS)
 _KIND_BYTES = np.array([list(k.encode().ljust(_KIND_WIDTH, b"\0")) for k in _KINDS], np.uint8)
 _KIND_ITEM = np.dtype((np.void, _KIND_WIDTH))  # a kind's bytes as one item, gathered per line
@@ -314,22 +312,28 @@ def _format_lines(
 ) -> bytes | bytearray:
     """The bytes of the lines f"{t:.9f}\\t{kind}\\t{source}\\n", built column-wise.
 
-    The lines are written into a byte buffer, one row a line, with
-    leading zeros and the kind field's padding as 0 bytes, which no line
-    holds; bytearray.translate drops them into the bytes returned, so no
-    mask is held beside the buffer. lines, if given, is resized to be
-    that buffer: a dump reuses one for all its chunks, and a run that
-    writes its log as it goes one for all its windows, so the allocator
-    is not asked for a fresh buffer, and fresh pages, every chunk.
+    Times with a clear sign bit below 2**32 s and sources in [0, 2**32) fit
+    _put_digits' 32-bit columns. t - floor(t) is exact (Sterbenz's lemma for
+    t >= 1), so _nanos rounds its nanoseconds exactly, ties to even as for
+    t * 1e9 since 1e9 is even; 1e9 of them carry a second. The f-string
+    formats the rest, which the engine never writes: times with the sign
+    bit set (-0.0 too), non-finite or of 2**32 s and more; other sources.
+
+    Each line is a row of a byte buffer, with leading zeros and the kind's
+    padding as 0 bytes, which bytearray.translate drops. lines, if given, is
+    that buffer, resized: a dump or a streamed run reuses its pages every chunk.
     """
     n = time.size
     if n == 0:
         return b""
-    if not (time.min() >= 0.0 and time.max() < _FAST_MAX and source.min() >= 0 and source.max() < 2**32):
+    if not (time.max() < 2.0**32 and not np.signbit(time).any() and source.min() >= 0 and source.max() < 2**32):
         kinds = map(_KINDS.__getitem__, kind.tolist())
         rows = zip(time.tolist(), kinds, source.tolist())
         return "".join(f"{t:.9f}\t{k}\t{s}\n" for t, k, s in rows).encode()
-    whole, frac = np.divmod(_nanos(time), 1_000_000_000)
+    frac = _nanos(time - np.floor(time))  # no whole part is held beside _nanos' arrays: fewer page faults
+    carry = frac == 1_000_000_000
+    whole = np.floor(time) + carry
+    frac[carry] = 0
     w = len(str(int(whole.max())))
     ws = len(str(int(source.max())))
     tab1 = w + 10
@@ -357,11 +361,7 @@ def _spawn_streams(
     a_ss, e_ss, o_ss = np.random.SeedSequence(seed).spawn(3)
     if erasure_seed is not None:
         e_ss = np.random.SeedSequence(erasure_seed)
-    return (
-        np.random.default_rng(a_ss),
-        np.random.default_rng(e_ss),
-        np.random.default_rng(o_ss),
-    )
+    return tuple(map(np.random.default_rng, (a_ss, e_ss, o_ss)))
 
 
 class _RawRun(NamedTuple):

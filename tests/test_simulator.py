@@ -840,23 +840,24 @@ class TestEventLogChecker:
 class TestDumpChunks:
     """dump and to_lines write the same bytes whatever the chunk size.
 
-    The run ends at a horizon cut, and a copy of it shifted past
-    _FAST_MAX puts chunks on both sides of the exact range and one
-    across it, so the f-string fallback is covered too.
+    The run ends at a horizon cut. A copy of it shifted across 4.5e6,
+    where the column path once stopped, puts column-built chunks on both
+    sides and across it; a copy shifted across 2**32, the column path's
+    bound, mixes column-built chunks with f-string ones in one dump.
     """
 
     @settings(max_examples=24)
     @given(
         chunk=st.sampled_from([1, 7, 8192, 65536]),
         cell=st.sampled_from([(0.2, 1, "nofb", 5.0), (0.4, 3, "wfb", 0.5)]),
-        shift=st.booleans(),
+        shift=st.sampled_from([None, 4.5e6, 2.0**32]),
     )
     def test_chunk_size_changes_no_byte(self, tmp_path_factory, chunk, cell, shift):
         _, _, log = run_simulation(SimConfig(*cell, horizon=300.0, seed=3, trace=True))
-        if shift:
-            offset = simulator._FAST_MAX - log.time[len(log) // 2]
+        if shift is not None:
+            offset = shift - log.time[len(log) // 2]
             log = EventLog.from_columns(log.time + offset, log.kind, log.source)
-            assert log.time[0] < simulator._FAST_MAX <= log.time[-1]
+            assert log.time[0] < shift <= log.time[-1]
         want = lines(list(log.events))
         path = tmp_path_factory.mktemp("dump") / "events.log"
         with pytest.MonkeyPatch.context() as mp:

@@ -157,6 +157,50 @@ def test_formatter_matches_fstring():
     assert wide.to_lines() == EventLog(events).to_lines() == lines(events)
 
 
+def test_formatter_edges_match_fstring():
+    """The column path up to its 2**32 s bound, and the f-string for what lies outside it."""
+    rng = np.random.default_rng(7)
+    below = np.nextafter(2.0**32, 0.0)
+    whole = rng.integers(0, 2**32 - 1, size=1000).astype(np.float64)
+    near = np.concatenate([c + np.linspace(-1.0, 1.0, 2001) for c in (4.5e6, 9e6)])
+    near = np.concatenate((near, np.nextafter([4.5e6, 9e6], 0.0), np.nextafter([4.5e6, 9e6], 1e10)))
+    ends = np.arange(1, 2**24, 2**14).astype(np.float64)  # whole seconds; below 2**22 the one before rounds up
+    columns = (  # each chunk takes the column path
+        # past 4.5e6 the column path once fell back to one f-string a line, ten times slower:
+        # this chunk catches a return of that cliff without timing it
+        5e6 + np.arange(8192) * (1000 / 8192),
+        near,
+        np.sort(whole + rng.integers(1, 1024, size=whole.size) / 1024.0),  # exact ties
+        np.concatenate((np.nextafter(ends, 0.0), ends - 5e-10, [0.9999999995, 0.99999999949999])),  # carries
+        np.array([0.0, 5e-10, below - 1.0, 2.0**32 - 1e-6, below]),
+    )
+    f_string = (  # each chunk holds a time only the f-string formats
+        np.array([-0.0]),
+        np.array([0.5, -0.0, 1.5]),
+        np.array([2.0, -1.5, -1e-12]),
+        np.array([below, 2.0**32, 2.0**32 + 0.5, 1e10]),
+        np.array([1.0, np.nan]),
+        np.array([np.inf, 1.0]),
+        np.array([-np.inf, 1.0]),
+    )
+    chunks = [(t, True) for t in columns] + [(t, False) for t in f_string]
+    got = []
+    for time, _ in chunks:
+        kind = rng.integers(0, 5, size=time.size).astype(np.uint8)
+        source = rng.integers(0, 300, size=time.size).astype(np.uint16)
+        got.append(_format_lines(time, kind, source, bytearray()))
+        assert got[-1] == _reference_bytes(time, kind, source)
+    # the column path returns its buffer's bytearray, the f-string path bytes
+    assert [isinstance(g, bytearray) for g in got] == [column_path for _, column_path in chunks]
+    time, kind = np.array([1.0, 2.5]), np.array([2, 4], np.uint8)
+    sources = ((np.array([3, -1], np.int64), False), (np.array([2**32, 5], np.uint64), False),
+               (np.array([2**32 - 1, 0], np.uint64), True))
+    for source, column_path in sources:
+        got = _format_lines(time, kind, source, bytearray())
+        assert got == _reference_bytes(time, kind, source)
+        assert isinstance(got, bytearray) == column_path
+
+
 def test_event_log_from_events_round_trips():
     events = [Event(0.25, ENERGY_ARRIVAL, 0), Event(0.5, OVERFLOW, 0), Event(0.75, ATTEMPT, 2),
               Event(0.75, SUCCESS, 2)]
