@@ -125,10 +125,10 @@ class EventLog:
 
     The engine's log keeps each window of attempts as the arrays the
     engine made it in (_Trace: 8 bytes an arrival and 10 an attempt, 11
-    above M = 255). dump and to_lines lay out one _CHUNK of lines at a
-    time from a window, finding its attempts' positions in the log
-    (_pair_slots) as they start on it, so a dump holds one window's
-    positions and one chunk's lines beside the arrays. A run that writes
+    above M = 255). dump and to_lines lay out one window at a time
+    (_lay_out, 10 bytes an event) and format its lines one _CHUNK at a
+    time, so a dump holds one window's columns and one chunk's lines
+    beside the arrays. A run that writes
     its log as it runs (run_simulation's _out) dumps each window's log
     into the one file as the window ends, and returns no log.
     The columns time (float64), kind (uint8 index into the kind names)
@@ -151,6 +151,14 @@ class EventLog:
 
     @classmethod
     def from_columns(cls, time: np.ndarray, kind: np.ndarray, source: np.ndarray) -> EventLog:
+        """The log of the columns time, kind (integer indices into the kind names) and source."""
+        if not all(isinstance(c, np.ndarray) and c.ndim == 1 and c.size == time.size for c in (time, kind, source)):
+            raise ValueError("time, kind and source must be three 1-D arrays of one length")
+        if kind.dtype.kind not in "iu":
+            raise ValueError(f"kind must hold integer codes, not {kind.dtype}")
+        bad = (kind < 0) | (kind >= len(_KINDS))
+        if bad.any():
+            raise ValueError(f"unknown event kind code {int(kind[bad.argmax()])}")
         log = cls.__new__(cls)
         log._trace, log._columns, log._lines = None, (time, kind, source), None
         return log
@@ -169,8 +177,7 @@ class EventLog:
 
     def _laid_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._columns is None:
-            parts = [_lay_out(w, _pair_slots(w.arrivals, w.times), 0, w.size) for w in self._trace]
-            self._trace, self._columns = None, tuple(np.concatenate(c) for c in zip(*parts))
+            self._trace, self._columns = None, tuple(np.concatenate(c) for c in zip(*map(_lay_out, self._trace)))
         return self._columns
 
     time = property(lambda self: self._laid_out()[0])
@@ -183,14 +190,9 @@ class EventLog:
 
     def _chunks(self) -> Iterator[bytes | bytearray]:
         lines = bytearray() if self._lines is None else self._lines
-        if self._columns is not None:
-            for lo in range(0, len(self), _CHUNK):
-                yield _format_lines(*(c[lo : lo + _CHUNK] for c in self._columns), lines)
-            return
-        for w in self._trace:
-            slots = _pair_slots(w.arrivals, w.times)
-            for lo in range(0, w.size, _CHUNK):
-                yield _format_lines(*_lay_out(w, slots, lo, min(lo + _CHUNK, w.size)), lines)
+        for columns in (self._columns,) if self._columns is not None else map(_lay_out, self._trace):
+            for lo in range(0, columns[0].size, _CHUNK):
+                yield _format_lines(*(c[lo : lo + _CHUNK] for c in columns), lines)
 
     def to_lines(self) -> list[str]:
         return b"".join(self._chunks()).decode().splitlines()
@@ -627,7 +629,7 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     got = [0] * M  # successes of each source so far, in a target run up to need
     marks = [0] * M  # what _attempts_per_epoch carries
     buf = np.empty(_WINDOW if n_a else 0, bool)  # no attempt if nothing arrives before the horizon
-    a0 = k0 = i0 = successes = trimmed = 0  # arrivals before A[0], the window's first in A, attempts before it
+    a0 = i0 = successes = trimmed = 0  # arrivals before A[0], attempts before the window
     k, prev, fill, last = 0, 0.0, A[0], b"\x01"  # last: the gate of the window's first attempt
     while True:
         ok = _outcomes(rng_e, q, buf)
@@ -687,8 +689,8 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
         successes += int(np.count_nonzero(ok))
         last = ok[-1:].tobytes()
 
-        if cfg.trace:  # the window's own log, from the stored arrival A[k0] to its last outcome
-            window = _Trace(np.frombuffer(A, np.float64, k - k0, 8 * k0), times, ok, _sources(ok, M, wfb, start))
+        if cfg.trace:  # the window's own log, from the stored arrival A[0] to its last outcome
+            window = _Trace(np.frombuffer(A, np.float64, k), times, ok, _sources(ok, M, wfb, start))
             if out is None:  # copies: A, T and buf are reused
                 windows.append(_Trace(*map(np.copy, window)))
             else:
@@ -700,7 +702,6 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
             break
         del A[:k]
         a0, n_a, k = a0 + k, n_a - k, 0
-        k0 = k
 
     n_arr = a0 + k
     counts = (n_arr, n_arr - i0 - trimmed, i0, successes)
@@ -795,32 +796,25 @@ class _Trace(NamedTuple):
         return self.arrivals.size + 2 * self.times.size
 
 
-def _lay_out(trace: _Trace, slots: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The time, kind and source columns of a window's events at positions [lo, hi).
+def _lay_out(trace: _Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The time, kind and source columns of a window's events.
 
-    Attempt i sits at slots[i] (_pair_slots), its outcome right after it,
-    and the arrivals fill the other positions in order. The first arrival
-    and the one right after each outcome are stored, the others overflow.
-    A pair and the stored arrival after it span three positions, so the
-    pairs at lo - 2 to hi - 1 are written into columns two wider on
-    either side, which are then cut, with the mark after a final outcome.
+    Attempt i sits at its pair's slot (_pair_slots), its outcome right
+    after it, and the arrivals fill the other positions in order. The
+    first arrival and the one right after each outcome are stored, the
+    others overflow.
     """
     arrivals, times, ok, src = trace
-    i0, before, i1 = np.searchsorted(slots, (lo - 2, lo, hi))
-    at = slots[i0:i1] - (lo - 2)
-    time = np.empty(hi - lo + 4)
+    at = _pair_slots(arrivals, times)
+    time = np.empty(trace.size)
     kind = np.full(time.size, _CODE[OVERFLOW], np.uint8)
     source = np.zeros(time.size, src.dtype)
-    for code in (_CODE[ATTEMPT], ok[i0:i1].view(np.uint8) + np.uint8(_CODE[ERASURE])):  # Success is Erasure + 1
-        time[at], kind[at], source[at] = times[i0:i1], code, src[i0:i1]
+    kind[:1] = _CODE[ENERGY_ARRIVAL]  # an empty log has no first arrival
+    for code in (_CODE[ATTEMPT], ok.view(np.uint8) + np.uint8(_CODE[ERASURE])):  # Success is Erasure + 1
+        time[at], kind[at], source[at] = times, code, src
         at += 1
-    kind[at] = _CODE[ENERGY_ARRIVAL]
-    if lo == 0:  # the first arrival is stored; an empty log cuts this position away
-        kind[2] = _CODE[ENERGY_ARRIVAL]
-    time, kind, source = time[2:-2], kind[2:-2], source[2:-2]
-    free = kind <= _CODE[OVERFLOW]
-    first = lo - 2 * before + (before > 0 and slots[before - 1] == lo - 1)  # lo less the pair events before it
-    time[free] = arrivals[first : first + np.count_nonzero(free)]
+    kind[at[at < time.size]] = _CODE[ENERGY_ARRIVAL]  # the log may end at an outcome
+    time[kind <= _CODE[OVERFLOW]] = arrivals
     return time, kind, source
 
 

@@ -31,7 +31,8 @@ TABLE = Path(__file__).resolve().parent / "golden_cli.json"
 _TRACED = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "50000", "--trace",
            "--out", "events.log", "--seed"]
 _SWEEP = ["sweep", "--q", "0.1,0.3,0.5", "--m", "1,2", "--setting", "nofb,wfb"]
-# perfbench's sweep-curves workload: 8,784 closed-form cells
+# AoI-vs-threshold curves, 8,784 closed-form cells: the grid of perfbench/run.py's sweep-curves
+# workload, which BENCHMARK.json does not run
 _CURVES = ["sweep", "--q", ",".join(str(round(0.1 + 0.1 * i, 10)) for i in range(9)), "--m", "1,2,3,4,5,6,7,8",
            "--setting", "nofb,wfb", "--gamma", ",".join(str(round(0.05 * i, 10)) for i in range(61)), "--seed", "1"]
 

@@ -64,10 +64,12 @@ def test_probe_runs_its_horizon_simulation(tmp_path):
 
 
 def test_verify_accepts_a_traced_log(tmp_path):
+    # 3,000 epochs make 8,507 attempts, so the log spans three windows of the trace engine
     log = tmp_path / "events.log"
     cell = ["--q", "0.3", "--m", "2", "--setting", "wfb", "--gamma", "0.4"]
     _run(tmp_path, "-m", "aoi_erasure.cli", "simulate", *cell,
-         "--epochs", "200", "--seed", "1", "--trace", "--out", str(log))
+         "--epochs", "3000", "--seed", "1", "--trace", "--out", str(log))
+    assert len(log.read_bytes().splitlines()) == 25_963
     out = json.loads(_run(tmp_path, str(BENCH / "verify.py"), "0.3", "2", "wfb", "0.4", str(log)))
     assert out["log_error"] is None
     assert out["closed_form_aoi"] == closed_form_aoi(0.3, 2, "wfb", 0.4)

@@ -982,9 +982,9 @@ class TestMemory:
         assert peak < 5.1, peak
 
     def test_traced_command_peak_in_process(self, tmp_path):
-        # a library run's log, dumped: no attempts column, and the log laid out and written
-        # a chunk at a time; 3.57 MB measured by tracemalloc once the imports are made (4.36
-        # on a cold first call; 4.64 MB keeping each attempt's position in the log, 5.12 MB
+        # a library run's log, dumped: no attempts column, and the log laid out a window and
+        # written a chunk at a time; 3.57 MB measured by tracemalloc once the imports are made
+        # (4.36 on a cold first call; 4.64 MB keeping each attempt's position in the log, 5.12 MB
         # with a mask beside each chunk's line buffer, 6.29 MB with run-length temporaries on
         # the traced path, 11.7 MB with the log laid out whole); one more time column (3.4 MB)
         # breaks the bound
@@ -1005,20 +1005,22 @@ class TestMemory:
         # 1.29 and 1.31 MB measured by tracemalloc at 1e4 and 5e4 epochs with --out, 0.59
         # and 0.61 MB without (1.75 and 1.79, 1.04 and 1.15 MB with the estimator's leaves
         # sized by 16,384 epochs over M; 1.57 and 4.64 MB with the run's arrays held and
-        # dumped at the end); 8 B an epoch breaks the bound
-        gamma, _ = optimize_gamma(0.3, 2, "wfb")
-
-        def run(n, to_file):
+        # dumped at the end); 8 B an epoch breaks the bound. At gamma = 8 an attempt spends
+        # about 6 arrivals, so a window's laid-out columns are largest: 1.98 and 2.00 MB with
+        # --out (1.77 and 1.79 MB laying a window out a chunk of lines at a time), 1.17 and
+        # 1.20 MB without; one more window-sized float column (about 0.26 MB) breaks the bound
+        def run(n, gamma, to_file):
             cfg = SimConfig(0.3, 2, "wfb", gamma, target_epochs=n, seed=1, trace=True)
             if not to_file:
                 return run_simulation(cfg, _with_epochs=False, _out=cli._Discard())
             with open(tmp_path / "events.log", "wb") as out:
                 return run_simulation(cfg, _with_epochs=False, _out=out)
 
-        for to_file in (True, False):
-            peaks = [_tracemalloc_peak_mb(lambda: run(n, to_file)) for n in (10_000, 50_000)]
-            assert abs(peaks[1] - peaks[0]) < 0.25, (to_file, peaks)
-            assert max(peaks) < 1.7, (to_file, peaks)
+        for gamma, bound_mb in ((optimize_gamma(0.3, 2, "wfb")[0], 1.7), (8.0, 2.2)):
+            for to_file in (True, False):
+                peaks = [_tracemalloc_peak_mb(lambda: run(n, gamma, to_file)) for n in (10_000, 50_000)]
+                assert abs(peaks[1] - peaks[0]) < 0.25, (gamma, to_file, peaks)
+                assert max(peaks) < bound_mb, (gamma, to_file, peaks)
 
     def test_horizon_run_keeps_no_attempts(self):
         # an untraced horizon run draws its arrivals a window's worth at a time and keeps

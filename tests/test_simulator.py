@@ -794,6 +794,23 @@ class TestEventLogChecker:
         with pytest.raises(ValueError):
             double_store.check_invariants()
 
+    def test_from_columns_rejects_an_unknown_kind_code(self):
+        time, source = np.array([0.5, 1.0]), np.array([0, 1])
+        with pytest.raises(ValueError, match="unknown event kind code 9"):
+            EventLog.from_columns(time, np.array([0, 9], np.uint8), source)
+        with pytest.raises(ValueError, match="unknown event kind code -1"):
+            EventLog.from_columns(time, np.array([-1, 2]), source)
+        with pytest.raises(ValueError, match="integer codes"):
+            EventLog.from_columns(time, np.array([0.0, 2.0]), source)
+
+    def test_from_columns_rejects_columns_of_unequal_length(self):
+        time, kind, source = np.array([0.5, 1.0]), np.array([0, 2], np.uint8), np.array([0, 1])
+        for columns in ((time[:1], kind, source), (time, kind[:1], source), (time, kind, source[:1]),
+                        (time, kind.reshape(1, 2), source), (list(time), kind, source)):
+            with pytest.raises(ValueError, match="three 1-D arrays of one length"):
+                EventLog.from_columns(*columns)
+        assert len(EventLog.from_columns(time, kind, source)) == 2
+
     @settings(max_examples=400)
     @given(
         cell=st.sampled_from([(0.3, 1, "nofb", 0.47), (0.5, 3, "nofb", 0.0), (0.4, 2, "wfb", 0.5),
@@ -881,8 +898,9 @@ def _layout_cells():
 
 
 class TestRangeLayout:
-    """A traced run's log, laid out and formatted one _CHUNK of lines at a time, has the
-    bytes of its columns laid out whole and of the literal loop (tests/trace_oracle.py).
+    """A traced run's log, laid out a window at a time and formatted one _CHUNK of lines at
+    a time, has the bytes of its columns laid out whole and of the literal loop
+    (tests/trace_oracle.py).
 
     At a _CHUNK of 1, 2, 3 and 7, chunk edges fall between an attempt and its outcome
     and right before a stored arrival (with gamma = 0 every third event is a stored
