@@ -24,9 +24,14 @@ once the run is printed), the windows go to a sink that formats no
 line. The simulator and stats modules, and
 numpy with them, are imported only by the commands that simulate
 (simulate, validate, sweep --epochs).
-validate and sweep --epochs simulate their cells in two processes, the
-caller and one forked helper, where os.fork exists and two CPUs are
-usable; the rows, messages and exit codes are those of one process.
+Where os.fork exists and two CPUs are usable, the simulating commands
+run in two processes, the caller and one forked helper (_with_helper):
+validate and sweep --epochs share their cells with it, and simulate
+--trace --out hands it each window of the log to lay out, format and
+write, the caller pinned to the CPU it runs on and the writer to the
+rest of the usable set (which also needs os.sched_setaffinity,
+_writer_pins). The rows, log bytes, messages and exit codes are those
+of one process.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence
 
 from .analytic import (
     BracketError,
@@ -48,6 +53,7 @@ from .analytic import (
 from .model import Feedback, SimConfig
 
 if TYPE_CHECKING:
+    from .model import SimResult
     from .stats import ValidationRecord
 
 _CSV_HEADER = "q,M,setting,gamma,analytic_aoi,gamma_star,baseline_inf_battery,sim_mean,sim_ci,verdict"
@@ -209,6 +215,181 @@ def _cmd_optimize(opts: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or os.cpu_count() where there is none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _forking(command: Callable) -> Callable:
+    """command, with Python 3.12's warning on a fork beside other OS threads (OpenBLAS's pool) filtered.
+
+    The helper processes call no BLAS. The filter spans the whole
+    command: a filter's change resets the warning registry, so a warning
+    given before the fork would be given again after it.
+    """
+
+    def run(*args):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            return command(*args)
+
+    return run
+
+
+def _this_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rpartition(b")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _writer_pins() -> tuple[set[int], set[int]] | None:
+    """The CPUs of the traced command and of its log writer, or None where the writer is not forked.
+
+    The command keeps the CPU it runs on and the writer gets the rest of
+    the usable set, so the two never share a CPU: Linux starts a forked
+    child on its parent's CPU and each pipe wakeup pulls it back there,
+    which made an unpinned writer slower than none. Keeping the CPU the
+    scheduler chose leaves commands that run at once where it spread
+    them. None without os.fork or os.sched_setaffinity, with fewer than
+    two usable CPUs, or where this CPU cannot be read.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return None
+    mask, here = os.sched_getaffinity(0), _this_cpu()
+    if len(mask) < 2 or here not in mask:
+        return None
+    return {here}, mask - {here}
+
+
+def _pin(cpus: set[int]) -> None:
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # the usable set changed since it was read; pinning only places the work
+        pass
+
+
+def _with_helper(helper: Callable[[int], object], caller: Callable[[Callable[[], object]], object],
+                 pins: tuple[set[int], set[int]] | None = None, grace: float = 0.0) -> object:
+    """caller(result) here, while helper(this process's pid) runs in a forked helper process.
+
+    result() waits for what helper returned, or raises what it raised,
+    pickled back down a pipe. The helper ignores SIGINT, which the caller
+    handles, and leaves by os._exit. An exception here, an interrupt too,
+    gives the helper grace seconds to end by itself and then kills it
+    with SIGKILL; it is always reaped. With pins, this process and the
+    helper run on pins[0] and pins[1] until then, and this process's set
+    is restored.
+    """
+    import pickle
+    import signal
+    import time
+
+    mask = os.sched_getaffinity(0) if pins else None
+    parent = os.getpid()
+    results_r, results_w = os.pipe()
+    with open(results_r, "rb") as results, open(results_w, "wb") as sent:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                results.close()
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                if pins:
+                    _pin(pins[1])
+                try:
+                    out = helper(parent)
+                except BaseException as exc:
+                    out = exc
+                pickle.dump(out, sent)
+                sent.close()
+            finally:
+                os._exit(0)
+        sent.close()
+
+        def result() -> object:
+            out = pickle.load(results) if results.peek(1) else RuntimeError("the helper process was killed")
+            if isinstance(out, BaseException):
+                raise out
+            return out
+
+        reaped = False
+        try:
+            if pins:
+                _pin(pins[0])
+            return caller(result)
+        except BaseException:
+            try:
+                deadline = time.monotonic() + grace
+                while not (reaped := os.waitpid(pid, os.WNOHANG)[0] == pid) and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            finally:
+                if not reaped:
+                    os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            if not reaped:
+                os.waitpid(pid, 0)
+            if pins:
+                _pin(mask)
+
+
+def _write_beside(cfg: SimConfig, out: BinaryIO, pins: tuple[set[int], set[int]]) -> SimResult:
+    """The traced run of cfg, made here on pins[0] while a forked writer on pins[1] writes its log into out.
+
+    Each window's arrays (about 75 KB) are pickled down a pipe, which the
+    writer reads a window at a time, laying out, formatting and writing
+    its log as the one-process command does (_dump_windows); a full pipe
+    holds the run back, so neither process holds more than a few
+    windows. None ends the log. The writer stops at an EOF without that
+    end, where its parent has gone or the run has raised, and closes out
+    in every case, so the log keeps the windows sent so far, whole. A
+    write error there is raised here as the writer raised it, not as the
+    broken pipe the run then meets. A run that raises gives the writer a
+    second to finish before it is killed.
+    """
+    import pickle
+
+    from .simulator import _dump_windows, run_simulation
+
+    windows_r, windows_w = os.pipe()
+    with open(windows_r, "rb") as windows, open(windows_w, "wb", buffering=0) as to_writer:
+
+        def write(_parent: int) -> None:
+            to_writer.close()  # so the writer sees an EOF once its parent has gone
+            dump = _dump_windows(out)
+            try:
+                while (window := pickle.load(windows)) is not None:
+                    dump(window)
+            finally:
+                out.close()
+
+        def put(window: object) -> None:
+            view = memoryview(pickle.dumps(window, protocol=5))
+            while view:  # a raw write to a pipe may take part of it
+                view = view[to_writer.write(view):]
+
+        def run(result: Callable[[], object]) -> SimResult:
+            windows.close()  # so a write fails once the writer has gone
+            try:
+                res, _, _ = run_simulation(cfg, _with_epochs=False, _out=put)
+                put(None)
+            except BrokenPipeError:
+                result()
+                raise
+            except BaseException:
+                to_writer.close()  # the writer writes what it got, then stops
+                raise
+            result()
+            return res
+
+        return _with_helper(write, run, pins, grace=1.0)
+
+
+@_forking
 def _cmd_simulate(opts: argparse.Namespace) -> int:
     from .simulator import run_simulation
 
@@ -219,13 +400,19 @@ def _cmd_simulate(opts: argparse.Namespace) -> int:
     # the run is checked before gamma is optimized, so a q it refuses draws no warning
     cfg = SimConfig(q, M, setting, 0.0, target_epochs=opts.epochs, seed=opts.seed, trace=opts.trace)
     gamma = _resolve_gamma(spec, q, M, setting)
+    cfg = replace(cfg, gamma=gamma)
     unwritable = None
     try:
         out = open(opts.out, "wb") if opts.out else _Discard() if opts.trace else None
     except OSError as exc:  # the run is still made and printed, then the error reported
         out, unwritable = _Discard(), exc
+    # a forked writer, pinned apart from this process, writes the log into an --out that opened
+    pins = _writer_pins() if opts.out and unwritable is None else None
     try:
-        res, _, _ = run_simulation(replace(cfg, gamma=gamma), _with_epochs=False, _out=out)
+        if pins:
+            res = _write_beside(cfg, out, pins)
+        else:
+            res, _, _ = run_simulation(cfg, _with_epochs=False, _out=out)
     finally:
         if out is not None:
             out.close()
@@ -279,18 +466,14 @@ def _grid_cells(opts: argparse.Namespace) -> list[tuple[float, int, Feedback, fl
 def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[ValidationRecord]:
     """Each cell's ValidationRecord, in cell order, from this process and, given two CPUs, a forked helper.
 
-    Where os.fork exists and two CPUs are usable (the affinity set, or
-    os.cpu_count() where there is none), each process holds one cell at
-    a time; elsewhere the cells run here. Both claim cells, largest M
-    first, from a pipe that holds only the next position, read by the
-    claimer and written back, so no write blocks; a failed cell writes
-    back the end. The helper pickles back its records or its failure,
-    raised here, and leaves by os._exit, starting no cell once its parent
-    has gone. An exception here, an interrupt too, kills the helper.
+    Where os.fork exists and two CPUs are usable (_usable_cpus), each
+    process holds one cell at a time, the helper started by _with_helper;
+    elsewhere the cells run here. Both claim cells, largest M first, from
+    a pipe that holds only the next position, read by the claimer and
+    written back, so no write blocks; a failed cell writes back the end.
+    The helper's records or its failure come back as _with_helper returns
+    them, and the helper starts no cell once its parent has gone.
     """
-    import pickle
-    import signal
-
     from .stats import validate
 
     order = sorted(range(len(cells)), key=lambda i: cells[i][1])[::-1]  # largest M first, equal Ms last cell first
@@ -313,66 +496,34 @@ def _validate_cells(cells: list[tuple], epochs: int, seed: int) -> list[Validati
                 raise
         return done
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    results_r, results_w = os.pipe()
-    caller, helper = os.getpid(), os.fork() if cpus > 1 and hasattr(os, "fork") else None  # under _grid_rows' filter
-    if helper == 0:
-        try:
-            os.close(results_r)
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
-            try:
-                out = work(caller)
-            except BaseException as exc:
-                out = exc
-            with open(results_w, "wb") as fh:
-                pickle.dump(out, fh)
-        finally:
-            os._exit(0)
-    os.close(results_w)
     try:
-        with open(results_r, "rb") as results:
+        if _usable_cpus() > 1 and hasattr(os, "fork"):
+            # unpinned: the grid's processes rarely wake each other, and pinning them gained nothing
+            records = _with_helper(work, lambda result: {**work(), **result()})
+        else:
             records = work()
-            if helper:
-                out = pickle.load(results) if results.peek(1) else RuntimeError("the grid's helper process was killed")
-                if isinstance(out, BaseException):
-                    raise out
-                records.update(out)
-    except BaseException:
-        if helper:
-            os.kill(helper, signal.SIGKILL)
-        raise
     finally:
-        if helper:
-            os.waitpid(helper, 0)
         os.close(queue_r), os.close(queue_w)
     return [records[i] for i in range(len(cells))]
 
 
+@_forking
 def _grid_rows(opts: argparse.Namespace) -> tuple[list[str], list[ValidationRecord]]:
-    """The CSV lines of the grid; with --epochs, every cell is also simulated and validated.
-
-    Python 3.12 warns on a fork beside other OS threads (OpenBLAS's pool),
-    and _validate_cells' helper calls no BLAS. That one warning is filtered
-    around the whole grid: a filter's change resets the warning registry.
-    """
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-        cells = _grid_cells(opts)
-        records = [] if opts.epochs is None else _validate_cells(cells, opts.epochs, opts.seed)
-        lines = [_CSV_HEADER]
-        for i, (q, M, setting, gamma, gamma_star) in enumerate(cells):
-            base = baseline_infinite_battery(q, setting)
-            if opts.epochs is None:
-                analytic, sim = closed_form_aoi(q, M, setting, gamma), ",,"
-            else:
-                rec = records[i]
-                analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
-            lines.append(
-                f"{_fmt_q(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
-                f"{_fmt(gamma_star)},{_fmt(base)},{sim}"
-            )
+    """The CSV lines of the grid; with --epochs, every cell is also simulated and validated."""
+    cells = _grid_cells(opts)
+    records = [] if opts.epochs is None else _validate_cells(cells, opts.epochs, opts.seed)
+    lines = [_CSV_HEADER]
+    for i, (q, M, setting, gamma, gamma_star) in enumerate(cells):
+        base = baseline_infinite_battery(q, setting)
+        if opts.epochs is None:
+            analytic, sim = closed_form_aoi(q, M, setting, gamma), ",,"
+        else:
+            rec = records[i]
+            analytic, sim = rec.analytic, f"{_fmt(rec.sim_mean)},{_fmt(rec.sim_ci)},{rec.verdict}"
+        lines.append(
+            f"{_fmt_q(q)},{M},{setting.value},{_fmt(gamma)},{_fmt(analytic)},"
+            f"{_fmt(gamma_star)},{_fmt(base)},{sim}"
+        )
     return lines, records
 
 

@@ -54,9 +54,10 @@ statistically identical runs:
   last success (or the last turn, with feedback) carried across
   windows. A window's log, from the stored arrival its first attempt
   spends to its last outcome, is an EventLog of its own. The simulate
-  command passes --out, or a sink that formats nothing, as
-  run_simulation's _out, and each window's log is dumped there, so the
-  command holds one window at any epoch count; a library run keeps each
+  command passes --out, a sink that formats nothing, or a function that
+  sends each window's arrays to a forked writer, as run_simulation's
+  _out, and each window's log goes there, so the command holds one
+  window at any epoch count; a library run keeps each
   window's arrays in its log (8 bytes an arrival, 10 an attempt). Every
   run drops a window's spent arrivals with it, and the estimator's
   leaves are sized by the window (_Renewal), so a target run holds one
@@ -94,7 +95,7 @@ import os
 import warnings
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
@@ -130,7 +131,8 @@ class EventLog:
     time, so a dump holds one window's columns and one chunk's lines
     beside the arrays. A run that writes
     its log as it runs (run_simulation's _out) dumps each window's log
-    into the one file as the window ends, and returns no log.
+    into the one file as the window ends, or hands the window's _Trace to
+    the function it is given, and returns no log.
     The columns time (float64), kind (uint8 index into the kind names)
     and source (0 for battery events, else 1..M; np.min_scalar_type(M)
     from the engine, int64 from Events) are laid out whole on first read,
@@ -574,7 +576,15 @@ def _wins(ok: np.ndarray, M: int, wfb: bool, start: int = 0) -> Iterator[np.ndar
 _WINDOW = 1 << 12  # attempts the trace engine makes, and settles the log of, at a time
 
 
-def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) -> _RawRun:
+def _dump_windows(out: BinaryIO) -> Callable[[_Trace], None]:
+    """A function that dumps the log of each window it is given into out, formatting every window in one buffer."""
+    lines = bytearray()
+    return lambda window: EventLog._from_trace((window,), lines).dump(out)
+
+
+def _run_loop(
+    cfg: SimConfig, keep_attempts: bool, out: BinaryIO | Callable[[_Trace], object] | None = None
+) -> _RawRun:
     """Trace engine: one Poisson arrival stream through one unit battery.
 
     The battery is full from a stored arrival until the attempt that
@@ -596,9 +606,10 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     where the last source gets its target + 1-th success. As a window
     ends, each source's successes in it (_wins) go to the renewal
     estimator or the horizon run's success times, and any kept attempts
-    per epoch are counted (_attempts_per_epoch). A traced window's log is
-    dumped into out (events is then the range of the lines written) or
-    its arrays kept for the run's EventLog. Then the window's attempts
+    per epoch are counted (_attempts_per_epoch). A traced window is
+    handed to out, a function, or its log dumped into out where it is a
+    file (_dump_windows; events is then the range of the lines written),
+    or its arrays kept for the run's EventLog. Then the window's attempts
     and the arrivals they spent are dropped. A horizon run's success
     times are joined as it ends, and its ys are stride-0 NaN rows of
     their lengths unless its epochs are kept.
@@ -625,7 +636,8 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
     A.append(-math.inf)
     T = array("d")  # the window's attempt times
     windows = []  # a traced run's windows, unless out is given
-    lines = bytearray()  # the buffer every window's log lines are formatted in, when out is given
+    if out is not None and not callable(out):
+        out = _dump_windows(out)
     got = [0] * M  # successes of each source so far, in a target run up to need
     marks = [0] * M  # what _attempts_per_epoch carries
     buf = np.empty(_WINDOW if n_a else 0, bool)  # no attempt if nothing arrives before the horizon
@@ -693,8 +705,8 @@ def _run_loop(cfg: SimConfig, keep_attempts: bool, out: BinaryIO | None = None) 
             window = _Trace(np.frombuffer(A, np.float64, k), times, ok, _sources(ok, M, wfb, start))
             if out is None:  # copies: A, T and buf are reused
                 windows.append(_Trace(*map(np.copy, window)))
-            else:
-                EventLog._from_trace((window,), lines).dump(out)
+            else:  # it keeps no view of the window
+                out(window)
             del window  # views of A and T
         i0 += made
         del times, T[:]  # times is a view of T
@@ -1026,10 +1038,14 @@ def _horizon_estimates(
     whole teeth before its last success s_k <= t plus the open ramp
     0.5 (t - s_k)^2; it is taken at every batch edge at once. The
     batches are equal in width, so each enters ratio_estimate as
-    its mean age over the sources against a length of 1.
+    its mean age over the sources against a length of 1. Below a horizon
+    of about 1e-322 some edges coincide; such a batch holds neither time
+    nor area, and its mean is taken as 0.
     """
     M = len(success_times)
     edges = np.linspace(0.0, T, _N_BATCHES + 1)
+    widths = np.diff(edges)
+    widths[widths == 0.0] = 1.0
     per_mean = []
     batch_totals = np.zeros(_N_BATCHES)
     for s in success_times:
@@ -1039,7 +1055,7 @@ def _horizon_estimates(
         k = np.searchsorted(s, edges, side="right")
         d = edges - s0[k]
         area = teeth[k] + 0.5 * d * d
-        batch_totals += np.diff(area) / np.diff(edges)
+        batch_totals += np.diff(area) / widths
         per_mean.append(float(area[-1]) / T)
     mean = float(np.mean(per_mean))
     return per_mean, mean, ratio_estimate(np.ones(_N_BATCHES), batch_totals / M, mean)
@@ -1079,7 +1095,7 @@ class Epochs:
 
 
 def run_simulation(
-    cfg: SimConfig, *, _with_epochs: bool = True, _out: BinaryIO | None = None
+    cfg: SimConfig, *, _with_epochs: bool = True, _out: BinaryIO | Callable[[_Trace], object] | None = None
 ) -> tuple[SimResult, Epochs | None, EventLog | None]:
     """Run one seeded simulation and aggregate it.
 
@@ -1088,9 +1104,10 @@ def run_simulation(
     stats.validate and the simulate command read only the result: they
     pass _with_epochs=False, get None for the epochs, and the engines
     keep no attempts per epoch. The simulate command also passes _out,
-    its --out file, or without --out a sink that formats nothing: a
-    traced run then writes its log there a window at a time as it runs,
-    so it holds one window, and returns None for it.
+    its --out file, a function that sends each window's _Trace to its
+    log writer, or without --out a sink that formats nothing: a traced
+    run then writes its log there a window at a time as it runs, so it
+    holds one window, and returns None for it.
     """
     if _out is not None and not cfg.trace:
         raise ValueError("_out takes the log of a traced run")

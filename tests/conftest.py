@@ -36,6 +36,27 @@ def no_child_left():
     pytest.fail(f"the test left a child process {'running' if pid == 0 else f'unreaped (pid {pid})'}")
 
 
+# the real calls, so a test that patches os.sched_getaffinity is still checked against the process's own mask
+_GET_MASK, _SET_MASK = getattr(os, "sched_getaffinity", None), getattr(os, "sched_setaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def no_pin_left():
+    """Fail a test that leaves this process pinned to other CPUs than before it, and unpin it.
+
+    A leaked pin would quietly run every later test, and the helper processes it forks, on fewer CPUs.
+    """
+    if _GET_MASK is None:
+        yield
+        return
+    before = _GET_MASK(0)
+    yield
+    after = _GET_MASK(0)
+    if after != before:
+        _SET_MASK(0, before)
+        pytest.fail(f"the test left this process pinned to CPUs {sorted(after)}, not {sorted(before)}")
+
+
 @pytest.fixture
 def criterion():
     """Record one acceptance-criterion outcome, then enforce it."""

@@ -245,6 +245,20 @@ class TestSimulate:
         assert main(args) == 0
         assert capsys.readouterr().out == want
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="every write to /dev/full fails")
+    @pytest.mark.parametrize("epochs", ["5000", "5"], ids=["while-writing", "at-close"])
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "writer"])
+    def test_write_error_is_an_error_line(self, cpus, epochs, monkeypatch, capsys):
+        # exit 1 and the write's own error, before the run's line: from the one process, or from the
+        # writer where it runs beside the run (not the broken pipe the run then meets)
+        if cpus == 2 and not _WRITER:
+            pytest.skip("the writer runs only beside a run pinned to another CPU")
+        if cpus == 1:
+            _on_cpus(monkeypatch, 1)
+        args = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", epochs, "--trace"]
+        assert main([*args, "--out", "/dev/full"]) == 1
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+
     def test_zero_epochs_is_usage_error(self, capsys):
         assert main(["simulate", "--q", "0.3", "--setting", "nofb", "--gamma", "0", "--epochs", "0"]) == 2
         captured = capsys.readouterr()
@@ -452,6 +466,11 @@ class TestGridCells:
             assert gamma_star == f"{expected:.6f}"
 
 
+# where simulate --trace --out forks its log writer: os.fork, os.sched_setaffinity, two usable CPUs and
+# a readable CPU of this process
+_WRITER = cli._writer_pins() is not None
+
+
 def _on_cpus(monkeypatch, n):
     """Make the grid commands see n usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -648,6 +667,233 @@ class TestGridProcesses:
                                   text=True, timeout=120, env=env)
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr.count("RuntimeWarning: q = 0.9995 is close to 1") == 1, proc.stderr
+
+
+def _log_formatters(monkeypatch, log: Path) -> Callable[[], list[tuple[int, list[int]]]]:
+    """Make simulator._format_lines log (pid, CPU set) of the process that runs it, as the grid's cells are logged.
+
+    The returned reader gives the distinct entries, in the order they were first logged.
+    """
+    real = simulator._format_lines
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {','.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
+        return real(*args)
+
+    def read():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [(int(pid), [int(c) for c in cpus.split(",")]) for pid, cpus in map(str.split, dict.fromkeys(lines))]
+
+    monkeypatch.setattr(simulator, "_format_lines", logged)
+    return read
+
+
+def _failing_run(exc: BaseException) -> Callable:
+    """simulator.run_simulation that raises exc as soon as it has handed out its first three windows."""
+    real = simulator.run_simulation
+
+    def run(cfg, **kwargs):
+        put = kwargs["_out"]
+        if not callable(put):  # one process: the --out file itself
+            put = simulator._dump_windows(put)
+        handed = []
+
+        def out(window):
+            put(window)
+            handed.append(None)
+            if len(handed) == 3:  # a writer is still at work on the ones before
+                raise exc
+
+        return real(cfg, **{**kwargs, "_out": out})
+
+    return run
+
+
+def _ended(pid: int) -> bool:
+    """The process pid has exited: it is gone, or a zombie no process has reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
+_TRACED = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "5000", "--seed", "3", "--trace"]
+
+
+@pytest.mark.skipif(not _WRITER, reason="the writer is a forked process pinned to the second of two usable CPUs")
+class TestLogWriter:
+    """On two CPUs simulate --trace --out hands each window to a forked writer, the two processes pinned apart."""
+
+    def test_processes_change_no_byte(self, tmp_path, monkeypatch, capsys):
+        runs = {}
+        for case in ("one CPU", "two CPUs", "no sched_setaffinity"):
+            with monkeypatch.context() as patch:
+                if case == "one CPU":
+                    _on_cpus(patch, 1)
+                elif case == "no sched_setaffinity":
+                    patch.delattr(os, "sched_setaffinity")
+                read = _log_formatters(patch, tmp_path / f"{case}.pids")
+                out = tmp_path / f"{case}.log"
+                rc = main([*_TRACED, "--out", str(out)])
+                runs[case] = (rc, capsys.readouterr(), out.read_bytes()), [pid for pid, _ in read()]
+        assert runs["one CPU"][0] == runs["two CPUs"][0] == runs["no sched_setaffinity"][0]
+        assert runs["one CPU"][0][0] == 0 and runs["one CPU"][0][2]
+        assert runs["one CPU"][1] == runs["no sched_setaffinity"][1] == [os.getpid()]
+        (writer,) = runs["two CPUs"][1]
+        assert writer != os.getpid()
+
+    def test_the_processes_run_on_two_cpus(self, tmp_path, monkeypatch, capsys):
+        # the command keeps the CPU it runs on and the writer gets the rest of the set
+        read = _log_formatters(monkeypatch, tmp_path / "pids")
+        real = simulator.run_simulation
+        masks = []
+
+        def run(cfg, **kwargs):
+            masks.append(os.sched_getaffinity(0))
+            return real(cfg, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_simulation", run)
+        before = os.sched_getaffinity(0)
+        assert main([*_TRACED, "--out", str(tmp_path / "run.log")]) == 0
+        ((_, writer_cpus),) = read()
+        assert len(masks[0]) == 1 and masks[0] < before
+        assert set(writer_cpus) == before - masks[0]
+        assert os.sched_getaffinity(0) == before
+
+    def test_this_cpu_is_the_one_the_process_runs_on(self):
+        mask = os.sched_getaffinity(0)
+        try:
+            for cpu in sorted(mask):
+                os.sched_setaffinity(0, {cpu})  # moves this process before it returns
+                assert cli._this_cpu() == cpu
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    def test_two_commands_at_once_keep_their_own_cpus(self, tmp_path):
+        # two traced commands started on two different CPUs, run at the same time: each keeps its
+        # own CPU, its writer the rest of the set, so the two are not pinned to one pair of CPUs
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from aoi_erasure import cli, simulator
+
+            cpu, log, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+            real_format, real_run = simulator._format_lines, simulator.run_simulation
+
+            def record(who):
+                with open(log, "a") as fh:
+                    fh.write(f"{who} {','.join(map(str, sorted(os.sched_getaffinity(0))))}\\n")
+
+            def logged(*args):
+                record("writer")
+                return real_format(*args)
+
+            def run(cfg, **kwargs):
+                record("command")
+                return real_run(cfg, **kwargs)
+
+            cli._this_cpu = lambda: cpu  # the CPU the scheduler started this command on
+            simulator._format_lines, simulator.run_simulation = logged, run
+            sys.exit(cli.main(["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "200000",
+                               "--trace", "--out", out]))
+            """
+        )
+        mask = os.sched_getaffinity(0)
+        src = str(Path(aoi_erasure.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        cpus = sorted(mask)[-2:]
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(cpu), str(tmp_path / f"{cpu}.masks"),
+                                   str(tmp_path / f"{cpu}.log")], env=env, stdout=subprocess.PIPE) for cpu in cpus]
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0] and outs[0] == outs[1]
+        pairs = []
+        for cpu in cpus:
+            masks = dict(line.split() for line in (tmp_path / f"{cpu}.masks").read_text().splitlines())
+            command, writer = ({int(c) for c in masks[who].split(",")} for who in ("command", "writer"))
+            assert command == {cpu} and writer == mask - {cpu}
+            pairs.append((command, writer))
+        assert pairs[0] != pairs[1]
+        assert (tmp_path / f"{cpus[0]}.log").read_bytes() == (tmp_path / f"{cpus[1]}.log").read_bytes()
+
+    @staticmethod
+    def _stopped_log(tmp_path, monkeypatch, exc, cpus) -> tuple[bytes, list[tuple[int, list[int]]]]:
+        """The --out log of a run that raises exc after its first windows, on cpus usable CPUs, and who formatted it."""
+        with monkeypatch.context() as patch:
+            if cpus == 1:
+                _on_cpus(patch, 1)
+            read = _log_formatters(patch, tmp_path / f"{cpus}.pids")
+            patch.setattr(simulator, "run_simulation", _failing_run(exc))
+            out = tmp_path / f"{cpus}.log"
+            start = time.monotonic()
+            if isinstance(exc, KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    main([*_TRACED, "--epochs", "1000000", "--out", str(out)])
+            else:
+                assert main([*_TRACED, "--epochs", "1000000", "--out", str(out)]) == 1
+            assert time.monotonic() - start < 30
+            return out.read_bytes(), read()
+
+    def test_an_interrupt_kills_and_reaps_the_writer(self, tmp_path, monkeypatch):
+        # the writer writes out the windows it got, as the one process does, before it is reaped
+        kept, _ = self._stopped_log(tmp_path, monkeypatch, KeyboardInterrupt(), cpus=1)
+        log, ((writer, _),) = self._stopped_log(tmp_path, monkeypatch, KeyboardInterrupt(), cpus=2)
+        with pytest.raises(ProcessLookupError):  # reaped, not a zombie
+            os.kill(writer, 0)
+        assert log == kept and log.endswith(b"\n")
+
+    def test_an_engine_error_reaps_the_writer_and_is_printed(self, tmp_path, monkeypatch, capsys):
+        error = MemoryError("Unable to allocate 1.00 MiB for an array")
+        kept, _ = self._stopped_log(tmp_path, monkeypatch, error, cpus=1)
+        assert capsys.readouterr() == ("", "error: Unable to allocate 1.00 MiB for an array\n")
+        log, ((writer, _),) = self._stopped_log(tmp_path, monkeypatch, error, cpus=2)
+        assert capsys.readouterr() == ("", "error: Unable to allocate 1.00 MiB for an array\n")
+        with pytest.raises(ProcessLookupError):
+            os.kill(writer, 0)
+        assert log == kept and log.endswith(b"\n")
+
+    def test_the_writer_stops_once_its_parent_has_gone(self, tmp_path):
+        # the caller dies after its first window; the writer reads what is left in the pipe, meets
+        # the end of it without the end of the log, and exits
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            from aoi_erasure import cli, simulator
+
+            log, out = sys.argv[1], sys.argv[2]
+            real_format, real_run = simulator._format_lines, simulator.run_simulation
+
+            def logged(*args):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\\n")
+                return real_format(*args)
+
+            def run(cfg, **kwargs):
+                put = kwargs["_out"]
+
+                def out_then_exit(window):
+                    put(window)
+                    while not os.path.exists(log):
+                        time.sleep(0.01)
+                    os._exit(0)
+
+                return real_run(cfg, **{**kwargs, "_out": out_then_exit})
+
+            simulator._format_lines, simulator.run_simulation = logged, run
+            cli.main(["simulate", "--q", "0.3", "--setting", "wfb", "--epochs", "1000000", "--trace", "--out", out])
+            """
+        )
+        log = tmp_path / "pids"
+        src = str(Path(aoi_erasure.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        subprocess.run([sys.executable, "-c", script, str(log), str(tmp_path / "run.log")], timeout=60, env=env,
+                       check=True)
+        (writer,) = set(map(int, log.read_text().split()))
+        deadline = time.monotonic() + 20
+        while not _ended(writer) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _ended(writer)
 
 
 class TestUsageErrors:
@@ -1021,6 +1267,17 @@ class TestMemory:
                 peaks = [_tracemalloc_peak_mb(lambda: run(n, gamma, to_file)) for n in (10_000, 50_000)]
                 assert abs(peaks[1] - peaks[0]) < 0.25, (gamma, to_file, peaks)
                 assert max(peaks) < bound_mb, (gamma, to_file, peaks)
+
+    @pytest.mark.skipif(not _WRITER, reason="the log writer is forked on two CPUs")
+    def test_forked_writer_holds_the_dump(self, tmp_path):
+        # on two CPUs the dump's line buffer and per-chunk temporaries live in the forked
+        # writer, so the run's process peaks where the same run without --out does: 35.42
+        # against 35.42 MB measured at 5e4 epochs, where the one-process dump read 36.9 MB.
+        # This bounds the larger process only; the two together hold more (see README)
+        args = ["simulate", "--q", "0.3", "--m", "2", "--setting", "wfb", "--epochs", "50000", "--trace"]
+        written = _peak_rss_mb([*args, "--out", str(tmp_path / "events.log")])
+        discarded = _peak_rss_mb(args)
+        assert written - discarded < 0.5, (written, discarded)
 
     def test_horizon_run_keeps_no_attempts(self):
         # an untraced horizon run draws its arrivals a window's worth at a time and keeps

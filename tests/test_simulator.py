@@ -1065,6 +1065,15 @@ class TestHorizonMode:
         assert res.epochs_per_source == 0
         assert len(epochs) == 0 and epochs.y.size == epochs.attempts.size == 0
 
+    @pytest.mark.parametrize("horizon", [5e-324, 1e-323, 1e-322])
+    def test_subnormal_horizon_gives_zero_width(self, horizon):
+        # below about 1e-322 some of the 21 batch edges coincide: a batch of no width holds no
+        # area, where dividing by its width gave NaN and numpy's invalid-value warning
+        with pytest.warns(RuntimeWarning, match="horizon too short") as caught:
+            res, _, _ = run_simulation(SimConfig(0.0, 1, "nofb", 0.0, horizon=horizon, seed=0))
+        assert [str(w.message) for w in caught] == ["horizon too short to complete one epoch on every source"]
+        assert res.mean_aoi == 0.0 and res.ci_half_width == 0.0
+
     def test_trace_plus_horizon(self):
         res, _, log = run_simulation(SimConfig(0.4, 1, "wfb", 0.5, horizon=2000.0, seed=19, trace=True))
         log.check_invariants()

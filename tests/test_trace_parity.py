@@ -148,7 +148,7 @@ def test_formatter_matches_fstring():
         source = rng.integers(0, high, size=time.size, dtype=dtype)
         assert _format_lines(time[fast], kind[fast], source[fast]) == _reference_bytes(
             time[fast], kind[fast], source[fast])
-        # a chunk holding a time past the exact range is formatted by f-string
+        # a chunk holding times past 4.5e6, where t * 1e9 is no longer exact, is formatted column-wise too
         assert _format_lines(time, kind, source) == _reference_bytes(time, kind, source)
     # a source id of 2**32 or more does not fit the fast path's 32-bit digits
     time, kind = np.array([0.5, 0.5]), np.array([2, 4], np.uint8)
